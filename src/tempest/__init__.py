@@ -13,6 +13,7 @@ from .graphs import (  # noqa: F401
     AMEI,
     DynamicGraphModel,
     EdgeProcessModel,
+    EdgeTable,
     MeanMatrix,
     build_coxian_edge,
     build_edge_markovian,
@@ -60,6 +61,7 @@ from .spectral import (  # noqa: F401
 from .thresholds import (  # noqa: F401
     EpidemicParams,
     ThresholdReport,
+    certify,
     certify_amai_ct,
     certify_amei_ct,
     certify_amei_dt,

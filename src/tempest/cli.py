@@ -21,16 +21,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_graph, config_hash
+from .config import ExperimentConfig, build_graph
 from .errors import ConfigError, NUMERICAL_ERRORS, RESOURCE_ERRORS, TempestError
 from .graphs import mean_matrix
 from .markov import CT, DT
 from .oracle import RandomMatrixSampler, chung_tail_check, expected_certificate, \
     exponential_condition
 from .simulate import empirical_threshold, simulate_ct_exact, simulate_dt_exact
-from .thresholds import EpidemicParams, certify_amai_ct, certify_amei_ct, certify_amei_dt, \
-    certify_homogeneous, static_ct_condition, static_dt_condition, threshold_in_beta, \
-    xi_h_factor
+from .thresholds import CERTIFICATES, EpidemicParams, _jsonable, certify, certify_amei_dt, \
+    threshold_in_beta, xi_h_factor
 
 FIGURE3_PANELS = {"a": (100, 10.0), "b": (1000, 100.0), "c": (10000, 1000.0)}
 
@@ -62,25 +61,10 @@ def _write_json(path, cfg, result):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     doc = dict(_header(cfg), result=result)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
     print(f"wrote {path}")
     return path
-
-
-def _json_default(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating, float)):
-        v = float(v)
-        if math.isnan(v):
-            return None
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON-serializable: {type(v)}")
 
 
 def _out_path(cfg: ExperimentConfig, ext: str) -> str:
@@ -112,6 +96,8 @@ def _run_threshold(cfg: ExperimentConfig):
     graph = build_graph(cfg)
     mean = mean_matrix(graph)
     cert = cfg.params.get("certificate", "t4" if graph.time == DT else "t2").lower()
+    if cert not in CERTIFICATES:
+        raise ConfigError(f"unknown certificate {cert!r}")
     delta = cfg.epidemic.get("delta")
     if delta is None or not np.isscalar(delta):
         raise ConfigError("threshold search needs a scalar epidemic.delta")
@@ -121,8 +107,7 @@ def _run_threshold(cfg: ExperimentConfig):
 
     beta = cfg.epidemic.get("beta")
     if beta is not None and np.isscalar(beta):
-        report = _certify(mean, graph, cert, float(beta), delta)
-        result["report"] = report.to_dict()
+        beta_hat = float(beta)
     else:
         eta = mean.eta_abar()
         hi_default = 2.0 * delta / eta if eta > 0 else 1.0
@@ -131,34 +116,9 @@ def _run_threshold(cfg: ExperimentConfig):
         beta_hat = threshold_in_beta(mean, delta, cert, (lo, hi))
         result["beta_threshold"] = beta_hat
         result["search_bounds"] = [lo, hi]
-        result["report"] = _certify(mean, graph, cert, beta_hat, delta).to_dict()
+    # t4 takes the graph once, to check that every edge chain is aperiodic
+    result["report"] = certify(graph if cert == "t4" else mean, cert, beta_hat, delta).to_dict()
     return [_write_json(_out_path(cfg, "json"), cfg, result)]
-
-
-def _certify(mean, graph, cert, beta, delta):
-    params = EpidemicParams.homogeneous(beta, delta, mean.n)
-    if cert == "t1":
-        return certify_amai_ct(mean, params)
-    if cert == "t2":
-        return certify_amei_ct(mean, params)
-    if cert == "t3":
-        return certify_homogeneous(mean, beta, delta)
-    if cert == "t4":
-        # run through the graph-level wrapper once for the aperiodicity check
-        return certify_amei_dt(graph if graph is not None else mean, params)
-    if cert == "static_ct":
-        stable, margin = static_ct_condition(mean.a_bar, params)
-        from .thresholds import ThresholdReport
-        lhs = beta / delta
-        return ThresholdReport("STATIC_CT", lhs, lhs + margin, float("nan"),
-                               margin if stable else None, stable, {"margin": margin})
-    if cert == "static_dt":
-        stable, margin = static_dt_condition(mean.a_bar, params)
-        from .thresholds import ThresholdReport
-        lam = 1.0 - margin
-        return ThresholdReport("STATIC_DT", lam, 1.0, float("nan"),
-                               margin if stable else None, stable, {"margin": margin})
-    raise ConfigError(f"unknown certificate {cert!r}")
 
 
 def _run_simulate(cfg: ExperimentConfig):
@@ -283,13 +243,11 @@ def _run_figure456(cfg: ExperimentConfig):
     static_thr = delta / eta if eta > 0 else math.inf
     t4_thr = threshold_in_beta(mean, delta, "t4", (1e-8, 2.0 * static_thr))
 
-    written = [fig4_csv(os.path.join(outdir, "fig4.csv"), cfg, mean, graph, delta, grid, t4_thr),
-               ]
+    fig4 = fig4_csv(os.path.join(outdir, "fig4.csv"), cfg, mean, graph, delta, grid, t4_thr)
     report = empirical_threshold(graph, delta, grid, paths, steps, seed=cfg.seed,
                                  threads=cfg.resolve_threads())
-    written.append(fig5_csv(os.path.join(outdir, "fig5.csv"), cfg, report, t4_thr, static_thr))
-    written.append(fig6_csv(os.path.join(outdir, "fig6.csv"), cfg, graph, delta, steps))
-    return written
+    return [fig4, fig5_csv(os.path.join(outdir, "fig5.csv"), cfg, report, t4_thr, static_thr),
+            fig6_csv(os.path.join(outdir, "fig6.csv"), cfg, graph, delta, steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--param", dest="task_params", action="append", default=[],
                        metavar="KEY=VALUE", help="task parameter, repeatable")
         if task == "threshold":
-            p.add_argument("--certificate",
-                           choices=["t1", "t2", "t3", "t4", "static_ct", "static_dt"])
+            p.add_argument("--certificate", choices=list(CERTIFICATES))
         if task == "figure3":
             p.add_argument("--panel", choices=["a", "b", "c"])
         if task == "chung":
@@ -410,12 +367,9 @@ def _assemble_config(args) -> ExperimentConfig:
             doc = json.load(fh)
     doc["task"] = args.task
     doc.setdefault("seed", 0)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.threads is not None:
-        doc["threads"] = args.threads
-    if args.out is not None:
-        doc["out"] = args.out
+    for key in ("seed", "threads", "out"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
     graph = doc.setdefault("graph", {})
     if args.preset:
         graph["preset"] = args.preset
@@ -426,10 +380,9 @@ def _assemble_config(args) -> ExperimentConfig:
     if not graph:
         doc.pop("graph")
     epidemic = doc.setdefault("epidemic", {})
-    if args.beta is not None:
-        epidemic["beta"] = args.beta
-    if args.delta is not None:
-        epidemic["delta"] = args.delta
+    for key in ("beta", "delta"):
+        if getattr(args, key) is not None:
+            epidemic[key] = getattr(args, key)
     if not epidemic:
         doc.pop("epidemic")
     params = doc.setdefault("params", {})

@@ -78,14 +78,9 @@ class ExperimentConfig:
         doc = {"task": self.task, "seed": self.seed}
         if self.threads is not None:
             doc["threads"] = self.threads
-        if self.out:
-            doc["out"] = self.out
-        if self.graph:
-            doc["graph"] = self.graph
-        if self.epidemic:
-            doc["epidemic"] = self.epidemic
-        if self.params:
-            doc["params"] = self.params
+        for key in ("out", "graph", "epidemic", "params"):
+            if getattr(self, key):
+                doc[key] = getattr(self, key)
         return doc
 
     def hash(self) -> str:

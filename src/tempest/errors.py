@@ -37,10 +37,6 @@ class EmptyInterval(TempestError):
     """Maximization interval (lo, hi] is empty."""
 
 
-# alias used by the discrete-time certificate's interval check
-IntervalEmpty = EmptyInterval
-
-
 class DivergenceDetected(TempestError):
     """Objective exceeds the divergence cap near the open left endpoint.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -117,12 +118,10 @@ def build_coxian_edge(up_rates, exit_rates, down_rates, return_rates) -> EdgePro
 
     k = n + m
     gen = np.zeros((k, k))
-    for i in range(n - 1):
-        gen[i, i + 1] = p[i]
-    gen[:n, n] = q                      # every c_i exits to d_1
-    for j in range(m - 1):
-        gen[n + j, n + j + 1] = r[j]
-    gen[n:, 0] = s                      # every d_j returns to c_1
+    gen[np.arange(n - 1), np.arange(1, n)] = p          # c_i -> c_{i+1}
+    gen[:n, n] = q                                      # every c_i exits to d_1
+    gen[np.arange(n, k - 1), np.arange(n + 1, k)] = r   # d_j -> d_{j+1}
+    gen[n:, 0] = s                                      # every d_j returns to c_1
     np.fill_diagonal(gen, -gen.sum(axis=1))
     states = tuple(f"c{i+1}" for i in range(n)) + tuple(f"d{j+1}" for j in range(m))
     output = np.array([1] * n + [0] * m)
@@ -132,41 +131,161 @@ def build_coxian_edge(up_rates, exit_rates, down_rates, return_rates) -> EdgePro
                                     "down_rates": r.tolist(), "return_rates": s.tolist()})
 
 
-@dataclass
-class DynamicGraphModel:
-    """n nodes plus a sparse map of node pairs to independent edge processes."""
+# Template ids of an edge table: how an edge switches.
+STATIC_OFF, STATIC_ON, MARKOV2, CHAIN0 = 0, 1, 2, 3
 
-    n: int
-    kind: str
-    edges: dict
-    metadata: dict = field(default_factory=dict)
+
+@dataclass(eq=False)
+class EdgeTable:
+    """All edge processes of a graph as arrays, one row per edge, sorted by (i, j).
+
+    ``template[k]`` is STATIC_OFF, STATIC_ON, MARKOV2 (the chain of
+    ``build_edge_markovian``) or CHAIN0 + t for ``chains[t]``, one
+    EdgeProcessModel shared by all edges with that chain (Coxian and other
+    multi-state edges).  ``q`` and ``r`` hold the off->on and on->off rates
+    of every 2-state edge; for chain rows they are taken from the chain's
+    matrix (NaN for chains of more than two states).
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    template: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    time: str = CT
+    chains: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in (AMEI, AMAI):
-            raise ValueError(f"kind must be '{AMEI}' or '{AMAI}'")
-        times = set()
-        for (i, j), edge in self.edges.items():
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            if self.kind == AMEI and not i < j:
-                raise ValueError("AMEI edges must be keyed with i < j")
-            times.add(edge.time)
+        self.i, self.j, self.template = (np.asarray(a, dtype=np.intp)
+                                         for a in (self.i, self.j, self.template))
+        self.q, self.r = np.array(self.q, dtype=float), np.array(self.r, dtype=float)
+        if self.i.ndim != 1 or any(a.shape != self.i.shape
+                                   for a in (self.j, self.template, self.q, self.r)):
+            raise ValueError("edge table columns must be 1-D arrays of one length")
+        if (np.diff((self.i.astype(np.int64) << 32) | self.j) <= 0).any():
+            raise ValueError("edge table rows must be sorted by (i, j), without repeats")
+        if self.time not in (CT, DT) or any(edge.time != self.time for edge in self.chains):
+            raise ValueError("edge table needs one time base, ct or dt, for itself and its chains")
+        if self.m and not 0 <= self.template.min() <= self.template.max() < CHAIN0 + len(self.chains):
+            raise ValueError(f"edge template ids must lie in [0, {CHAIN0 + len(self.chains)})")
+        q, r = self.q[self.template == MARKOV2], self.r[self.template == MARKOV2]
+        top = 1.0 if self.time == DT else np.finfo(float).max  # NaN and inf fail too
+        if not ((np.minimum(q, r) > 0) & (np.maximum(q, r) <= top)).all():
+            raise InvalidRates("2-state edges need finite rates q, r > 0 (at most 1 in DT)")
+        for t, edge in enumerate(self.chains):  # a 2-state chain's rates, from its matrix
+            sel, m, on = self.template == CHAIN0 + t, edge.chain.matrix, int(edge.output[-1])
+            self.q[sel], self.r[sel] = (m[1 - on, on], m[on, 1 - on]) \
+                if edge.chain.n_states == 2 else (np.nan, np.nan)
+
+    @classmethod
+    def from_edges(cls, edges) -> "EdgeTable":
+        """Table of a ``{(i, j): EdgeProcessModel}`` mapping."""
+        keys = sorted(edges)
+        times = {edges[key].time for key in keys}
         if len(times) > 1:
             raise ValueError("all edge processes must share one time base")
-        self._time = times.pop() if times else CT
-
-    @property
-    def time(self) -> str:
-        return self._time
+        template, q, r, chains = [], [], [], {}
+        for key in keys:
+            edge, chain = edges[key], edges[key].chain
+            if edge.is_static:
+                template.append(STATIC_ON if edge.static_value else STATIC_OFF)
+            elif edge.builder == "markov2":
+                template.append(MARKOV2)
+            else:  # equal chains share one template, whatever object carries them
+                ident = (edge.builder, repr(edge.params), chain.time, chain.states,
+                         chain.initial_state, chain.matrix.tobytes(), edge.output.tobytes())
+                template.append(CHAIN0 + chains.setdefault(ident, (len(chains), edge))[0])
+            q.append(chain.matrix[0, 1] if template[-1] == MARKOV2 else np.nan)
+            r.append(chain.matrix[1, 0] if template[-1] == MARKOV2 else np.nan)
+        ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        return cls(ij[:, 0], ij[:, 1], template, q, r, times.pop() if times else CT,
+                   tuple(edge for _, edge in chains.values()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.i.size
+
+    def edge(self, k: int) -> EdgeProcessModel:
+        """The process of edge k as an object."""
+        t = int(self.template[k])
+        if t >= CHAIN0:
+            return self.chains[t - CHAIN0]
+        if t == MARKOV2:
+            return build_edge_markovian(self.q[k], self.r[k], self.time)
+        return build_static_edge(t == STATIC_ON, self.time)
+
+    def on_probability(self) -> np.ndarray:
+        """Stationary on-probability of every edge: one solve per chain."""
+        p = (self.template == STATIC_ON).astype(float)
+        two = self.template == MARKOV2
+        p[two] = self.q[two] / (self.q[two] + self.r[two])
+        for t, edge in enumerate(self.chains):
+            sel = self.template == CHAIN0 + t
+            try:
+                p[sel] = edge_on_probability(edge)
+            except ReducibleChain as exc:
+                k = int(np.argmax(sel))
+                raise ReducibleChain(f"edge ({self.i[k]},{self.j[k]}): {exc}") from exc
+        return p
+
+    def initial_states(self, rng: np.random.Generator) -> np.ndarray:
+        """Initial chain-state index of every edge, drawn as
+        ``EdgeProcessModel.initial_index`` draws them edge by edge in key
+        order: one uniform per stationary draw, none for static edges and
+        fixed initial states."""
+        s = np.zeros(self.m, dtype=np.intp)
+        u = np.zeros(self.m)
+        stationary = [t for t, edge in enumerate(self.chains) if edge.chain.initial_state is None]
+        draws = np.isin(self.template, [MARKOV2] + [CHAIN0 + t for t in stationary])
+        u[draws] = rng.random(int(draws.sum()))
+        two = self.template == MARKOV2
+        s[two] = u[two] >= self.r[two] / (self.q[two] + self.r[two])
+        for t, edge in enumerate(self.chains):
+            sel, chain = self.template == CHAIN0 + t, edge.chain
+            if t in stationary:
+                cdf = np.cumsum(stationary_distribution(chain))
+                s[sel] = np.searchsorted(cdf / cdf[-1], u[sel], side="right")
+            else:
+                s[sel] = chain.index(chain.initial_state)
+        return s
+
+
+class DynamicGraphModel:
+    """n nodes plus a table of independent edge processes.
+
+    ``edges`` is an EdgeTable or a ``{(i, j): EdgeProcessModel}`` mapping.
+    The package reads ``graph.table``; ``graph.edges`` gives the processes
+    back as a read-only mapping whose objects are built on each access.
+    """
+
+    def __init__(self, n: int, kind: str, edges, metadata: dict | None = None):
+        if kind not in (AMEI, AMAI):
+            raise ValueError(f"kind must be '{AMEI}' or '{AMAI}'")
+        table = edges if isinstance(edges, EdgeTable) else EdgeTable.from_edges(edges)
+        if (table.i == table.j).any():
+            raise ValueError("self-loops are not allowed")
+        if table.m and (min(table.i.min(), table.j.min()) < 0
+                        or max(table.i.max(), table.j.max()) >= n):
+            raise ValueError(f"edge endpoints out of range for n={n}")
+        if kind == AMEI and (table.i > table.j).any():
+            raise ValueError("AMEI edges must be keyed with i < j")
+        self.n, self.kind, self.table = n, kind, table
+        self.metadata = {} if metadata is None else metadata
+
+    @property
+    def edges(self) -> MappingProxyType:
+        return MappingProxyType({key: self.table.edge(k) for k, key in enumerate(self.edge_keys())})
+
+    @property
+    def time(self) -> str:
+        return self.table.time
+
+    @property
+    def m(self) -> int:
+        return self.table.m
 
     def edge_keys(self):
-        return sorted(self.edges)
+        return list(zip(self.table.i.tolist(), self.table.j.tolist()))
 
 
 @dataclass
@@ -183,7 +302,7 @@ class MeanMatrix:
             raise ValueError("mean matrix must be square")
         if np.diag(a).any():
             raise ValueError("mean matrix must have zero diagonal")
-        if a.min() < 0 or a.max() > 1:
+        if not ((a >= 0) & (a <= 1)).all():  # NaN fails too
             raise ValueError("mean matrix entries must lie in [0, 1]")
         if self.kind == AMEI and not np.array_equal(a, a.T):
             raise ValueError("AMEI mean matrix must be symmetric")
@@ -223,15 +342,12 @@ def edge_on_probability(edge: EdgeProcessModel) -> float:
 
 
 def mean_matrix(graph: DynamicGraphModel) -> MeanMatrix:
+    table = graph.table
+    p = table.on_probability()
     a = np.zeros((graph.n, graph.n))
-    for (i, j), edge in graph.edges.items():
-        try:
-            v = edge_on_probability(edge)
-        except ReducibleChain as exc:
-            raise ReducibleChain(f"edge ({i},{j}): {exc}") from exc
-        a[i, j] = v
-        if graph.kind == AMEI:
-            a[j, i] = v
+    a[table.i, table.j] = p
+    if graph.kind == AMEI:
+        a[table.j, table.i] = p
     return MeanMatrix(a, graph.kind, graph.time)
 
 
@@ -301,53 +417,52 @@ def sample_graph_path(graph: DynamicGraphModel, *, horizon=None, steps=None,
     Each edge draws from the stream (seed, TAG_EDGE, i, j), so adding or
     removing edges leaves all other edges' trajectories untouched.
     """
-    n = graph.n
     if (horizon is None) == (steps is None):
         raise ValueError("pass exactly one of horizon= (CT) or steps= (DT)")
     want = CT if horizon is not None else DT
     if graph.m and graph.time != want:
         raise ValueError(f"graph is {graph.time}, but the requested path is {want}")
+    table = graph.table
+    length = float(horizon) if want == CT else int(steps)
+    paths = [sample_edge_path(table.edge(k), length,
+                              rngmod.generator(seed, rngmod.TAG_EDGE, table.i[k], table.j[k]))
+             for k in range(table.m)]
     if want == CT:
-        paths = {}
-        cuts = {0.0, float(horizon)}
-        for (i, j) in graph.edge_keys():
-            p = sample_edge_path(graph.edges[(i, j)], horizon,
-                                 rngmod.generator(seed, rngmod.TAG_EDGE, i, j))
-            paths[(i, j)] = p
+        cuts = {0.0, length}
+        for p in paths:
             cuts.update(p.times.tolist())
-        times = np.array(sorted(t for t in cuts if t < horizon) + [float(horizon)])
-        k = len(times) - 1
-        adj = np.zeros((k, n, n))
-        for (i, j), p in paths.items():
-            # value in force on [times[s], times[s+1]) is the last switch <= times[s]
-            idx = np.searchsorted(p.times, times[:-1], side="right") - 1
-            vals = p.values[idx]
-            adj[:, i, j] = vals
-            if graph.kind == AMEI:
-                adj[:, j, i] = vals
-        return GraphPath(times, adj, CT)
-
-    steps = int(steps)
-    adj = np.zeros((steps, n, n))
-    for (i, j) in graph.edge_keys():
-        p = sample_edge_path(graph.edges[(i, j)], steps,
-                             rngmod.generator(seed, rngmod.TAG_EDGE, i, j))
-        adj[:, i, j] = p.values[:steps]
+        times = np.array(sorted(t for t in cuts if t < length) + [length])
+        # value in force on [times[s], times[s+1]) is the last switch <= times[s]
+        values = [p.values[np.searchsorted(p.times, times[:-1], side="right") - 1] for p in paths]
+    else:
+        times = np.arange(length + 1)
+        values = [p.values[:length] for p in paths]
+    adj = np.zeros((len(times) - 1, graph.n, graph.n))
+    for k, vals in enumerate(values):
+        adj[:, table.i[k], table.j[k]] = vals
         if graph.kind == AMEI:
-            adj[:, j, i] = p.values[:steps]
-    return GraphPath(np.arange(steps + 1), adj, DT)
+            adj[:, table.j[k], table.i[k]] = vals
+    return GraphPath(times, adj, want)
 
 
 # ---------------------------------------------------------------------------
 # Named generator presets
 # ---------------------------------------------------------------------------
 
+def _two_state_table(i, j, static, q, r, time) -> EdgeTable:
+    """Table of statically-on edges (where ``static``) and 2-state edges."""
+    static = np.broadcast_to(static, np.shape(i))
+    return EdgeTable(i, j, np.where(static, STATIC_ON, MARKOV2),
+                     np.where(static, np.nan, q), np.where(static, np.nan, r), time)
+
+
 def graph_complete_edge_markovian(n: int, q: float, r: float, time: str = CT) -> DynamicGraphModel:
     """Complete edge-Markovian graph: every pair shares activation rate q,
     de-activation rate r."""
-    edges = {(i, j): build_edge_markovian(q, r, time)
-             for i in range(n) for j in range(i + 1, n)}
-    return DynamicGraphModel(n, AMEI, edges, metadata={"preset": "complete_edge_markovian"})
+    build_edge_markovian(q, r, time)  # validates the shared rates
+    i, j = np.triu_indices(n, k=1)
+    table = _two_state_table(i, j, False, float(q), float(r), time)
+    return DynamicGraphModel(n, AMEI, table, metadata={"preset": "complete_edge_markovian"})
 
 
 def graph_small_world(n: int, r: float, rate_scale: float = 1.0) -> DynamicGraphModel:
@@ -360,17 +475,11 @@ def graph_small_world(n: int, r: float, rate_scale: float = 1.0) -> DynamicGraph
     """
     if not 0 < r < 1:
         raise InvalidRates("stationary probability r must lie in (0, 1)")
-    ring = {(i, (i + 1) % n) for i in range(n)}
-    edges = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if (i, j) in ring:
-                edges[(i, j)] = build_static_edge(True)
-            else:
-                edges[(i, j)] = build_edge_markovian(r * rate_scale, (1 - r) * rate_scale)
-    return DynamicGraphModel(n, AMAI, edges, metadata={"preset": "small_world", "r": r})
+    q_dyn, r_dyn = r * rate_scale, (1 - r) * rate_scale
+    build_edge_markovian(q_dyn, r_dyn)  # validates the dynamic arcs' rates
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    table = _two_state_table(i, j, j == (i + 1) % n, q_dyn, r_dyn, CT)
+    return DynamicGraphModel(n, AMAI, table, metadata={"preset": "small_world", "r": r})
 
 
 def graph_er_iv(n: int, er_prob: float, seed: int,
@@ -399,31 +508,30 @@ def graph_er_iv(n: int, er_prob: float, seed: int,
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < er_prob
     r_all = np.clip(rng.normal(0.5, sigma, size=iu.size), 0.0, 1.0)
-    edges = {}
-    er_pairs = []
-    dead_pairs = []
-    for i, j, kept, r in zip(iu, ju, keep, r_all):
-        if not kept:
-            continue
-        i, j = int(i), int(j)
-        er_pairs.append((i, j))
-        if r >= 1.0:
-            dead_pairs.append((i, j))
-        elif r <= 0.0:
-            edges[(i, j)] = build_static_edge(True, DT)
-        else:
-            edges[(i, j)] = build_edge_markovian(1.0 - r, r, DT)
+    i, j, r = iu[keep], ju[keep], r_all[keep]
+    dead = r >= 1.0
+    er_pairs = list(zip(i.tolist(), j.tolist()))
+    dead_pairs = list(zip(i[dead].tolist(), j[dead].tolist()))
+    i, j, r = i[~dead], j[~dead], r[~dead]
+    table = _two_state_table(i, j, r <= 0.0, 1.0 - r, r, DT)
     meta = {"preset": "iv", "er_pairs": er_pairs, "dead_pairs": dead_pairs,
             "er_prob": er_prob, "gauss_mode": gauss_mode, "seed": int(seed)}
-    return DynamicGraphModel(n, AMEI, edges, metadata=meta)
+    return DynamicGraphModel(n, AMEI, table, metadata=meta)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-def _edge_to_json(edge: EdgeProcessModel) -> dict:
-    if edge.builder not in ("markov2", "coxian", "static"):
+def _edge_to_json(table: EdgeTable, k: int) -> dict:
+    t = table.template[k]
+    if t == MARKOV2:
+        params = {"q": float(table.q[k]), "r": float(table.r[k])}
+        return {"type": "markov2", "params": params, "time": table.time}
+    if t < MARKOV2:
+        return {"type": "static", "params": {"on": bool(t == STATIC_ON)}, "time": table.time}
+    edge = table.chains[t - CHAIN0]
+    if edge.builder != "coxian":
         raise ValueError("only markov2/coxian/static edges are JSON-serializable")
     return {"type": edge.builder, "params": dict(edge.params), "time": edge.time}
 
@@ -446,8 +554,8 @@ def graph_to_json(graph: DynamicGraphModel) -> dict:
     return {
         "n": graph.n,
         "kind": graph.kind,
-        "edges": [{"i": i, "j": j, "model": _edge_to_json(graph.edges[(i, j)])}
-                  for (i, j) in graph.edge_keys()],
+        "edges": [{"i": i, "j": j, "model": _edge_to_json(graph.table, k)}
+                  for k, (i, j) in enumerate(graph.edge_keys())],
     }
 
 

@@ -70,16 +70,12 @@ class MarkovChainSpec:
     def index(self, state) -> int:
         return self.states.index(state)
 
-    def _jump_support(self) -> np.ndarray:
-        """Boolean matrix of possible one-step transitions (diagonal excluded)."""
-        s = self.matrix > 0
-        np.fill_diagonal(s, False)
-        return s
-
     def is_irreducible(self) -> bool:
         if self.n_states == 1:
             return True
-        adj = sp.csr_matrix(self._jump_support().astype(np.int8))
+        # positive entries are the possible jumps; self-loops cannot change
+        # the strongly connected components
+        adj = sp.csr_matrix((self.matrix > 0).astype(np.int8))
         ncomp, _ = csgraph.connected_components(adj, directed=True, connection="strong")
         return ncomp == 1
 
@@ -149,6 +145,19 @@ def stationary_distribution(chain: MarkovChainSpec) -> np.ndarray:
     return pi / pi.sum()
 
 
+def jump_tables(q: np.ndarray):
+    """Per-state jump targets of a generator and their cumulative weights
+    (no targets and None for an absorbing state)."""
+    targets, cum = [], []
+    for s in range(q.shape[0]):
+        row = q[s].copy()
+        row[s] = 0.0
+        idx = np.flatnonzero(row > 0)
+        targets.append(idx)
+        cum.append(np.cumsum(row[idx]) / row[idx].sum() if idx.size else None)
+    return targets, cum
+
+
 def sample_chain_path_ct(chain: MarkovChainSpec, horizon: float,
                          rng: np.random.Generator, init_idx: int):
     """Exact CT chain trajectory on [0, horizon].
@@ -156,19 +165,8 @@ def sample_chain_path_ct(chain: MarkovChainSpec, horizon: float,
     Returns (jump_times, state_indices); state_indices[i] holds on
     [jump_times[i], jump_times[i+1]), with jump_times[0] == 0.
     """
-    q = chain.matrix
-    k = chain.n_states
-    exit_rate = -np.diag(q)
-    # Per-state jump distribution (cumulative), empty rows never used.
-    cum = []
-    targets = []
-    for s in range(k):
-        row = q[s].copy()
-        row[s] = 0.0
-        idx = np.flatnonzero(row > 0)
-        targets.append(idx)
-        w = row[idx]
-        cum.append(np.cumsum(w) / w.sum() if idx.size else None)
+    exit_rate = -np.diag(chain.matrix)
+    targets, cum = jump_tables(chain.matrix)
     times = [0.0]
     states = [init_idx]
     t, s = 0.0, init_idx

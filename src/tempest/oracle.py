@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import rng as rngmod
 from .errors import NonMarkovEdge, TooManyConfigurations, TooManyEdges, WrongKind
-from .graphs import AMEI, DynamicGraphModel, MeanMatrix
+from .graphs import AMEI, MARKOV2, STATIC_ON, DynamicGraphModel, MeanMatrix
 from .markov import CT
 from .spectral import KappaParams, kappa, power_iteration_abscissa
 from .thresholds import EpidemicParams
@@ -51,9 +51,6 @@ class SubgraphEnumeration:
     def n_labels(self) -> int:
         return 1 << self.m
 
-    def chi(self, label: int) -> np.ndarray:
-        return (label >> np.arange(self.m)) & 1
-
     def adjacency(self, label: int) -> np.ndarray:
         f = self.static_base.copy()
         for k, (i, j) in enumerate(self.edge_keys):
@@ -68,29 +65,24 @@ def enumerate_subgraphs(graph: DynamicGraphModel) -> SubgraphEnumeration:
     """Extract the hypercube structure from a graph of 2-state CT Markov edges."""
     if graph.time != CT:
         raise WrongKind("subgraph enumeration applies to continuous-time graphs")
-    keys, u, v = [], [], []
+    table = graph.table
+    static_on = table.template == STATIC_ON
     static_base = np.zeros((graph.n, graph.n))
-    for (i, j) in graph.edge_keys():
-        edge = graph.edges[(i, j)]
-        if edge.is_static:
-            if edge.static_value:
-                static_base[i, j] = 1.0
-                if graph.kind == AMEI:
-                    static_base[j, i] = 1.0
-            continue
-        if edge.chain.n_states != 2:
-            raise NonMarkovEdge(f"edge ({i},{j}) has {edge.chain.n_states} states; "
-                                "the exact condition assumes plain 2-state Markov edges")
-        on = int(np.flatnonzero(edge.output == 1)[0])
-        off = 1 - on
-        keys.append((i, j))
-        u.append(edge.chain.matrix[off, on])
-        v.append(edge.chain.matrix[on, off])
-    if len(keys) > _EDGE_CAP:
-        raise TooManyEdges(f"{len(keys)} stochastic edges exceeds the 2^m cap of {_EDGE_CAP}")
-    return SubgraphEnumeration(graph.n, graph.kind, keys,
-                               np.asarray(u, dtype=float), np.asarray(v, dtype=float),
-                               static_base)
+    static_base[table.i[static_on], table.j[static_on]] = 1.0
+    if graph.kind == AMEI:
+        static_base[table.j[static_on], table.i[static_on]] = 1.0
+    stochastic = np.flatnonzero(table.template >= MARKOV2)
+    multi_state = stochastic[np.isnan(table.q[stochastic])]
+    if multi_state.size:
+        k = multi_state[0]
+        raise NonMarkovEdge(f"edge ({table.i[k]},{table.j[k]}) has "
+                            f"{table.edge(k).chain.n_states} states; "
+                            "the exact condition assumes plain 2-state Markov edges")
+    if stochastic.size > _EDGE_CAP:
+        raise TooManyEdges(f"{stochastic.size} stochastic edges exceeds the 2^m cap of {_EDGE_CAP}")
+    keys = list(zip(table.i[stochastic].tolist(), table.j[stochastic].tolist()))
+    return SubgraphEnumeration(graph.n, graph.kind, keys, table.q[stochastic],
+                               table.r[stochastic], static_base)
 
 
 def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
@@ -110,10 +102,8 @@ def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
         rows.append(labels)
         cols.append(labels ^ (1 << k))
         data.append(np.where(bit == 1, enum.v[k], enum.u[k]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    pi = sp.coo_matrix((data, (rows, cols)), shape=(big_l, big_l)).tocsr()
+    pi = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(big_l, big_l)).tocsr()
     diag = -np.asarray(pi.sum(axis=1)).ravel()
     return (pi + sp.diags(diag)).tocsr()
 

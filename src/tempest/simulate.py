@@ -17,8 +17,9 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import InsufficientData, ParamRange, ToleranceFailure
-from .graphs import AMEI, DynamicGraphModel, GraphPath, sample_graph_path
-from .markov import CT, DT
+from .graphs import AMEI, CHAIN0, MARKOV2, STATIC_ON, DynamicGraphModel, GraphPath, \
+    sample_graph_path
+from .markov import CT, DT, jump_tables
 from .thresholds import EpidemicParams
 
 
@@ -92,29 +93,27 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
     beta, delta = _rates(params, n)
     rng = rngmod.generator(seed)
 
-    keys = graph.edge_keys()
-    chains = [graph.edges[k].chain for k in keys]
-    outputs = [graph.edges[k].output for k in keys]
-    exit_rates = [-np.diag(c.matrix) for c in chains]
-    jump_targets, jump_cums = [], []
-    for c in chains:
-        tg, cm = [], []
-        for s in range(c.n_states):
-            row = c.matrix[s].copy()
-            row[s] = 0.0
-            idx = np.flatnonzero(row > 0)
-            tg.append(idx)
-            cm.append(np.cumsum(row[idx]) / row[idx].sum() if idx.size else None)
-        jump_targets.append(tg)
-        jump_cums.append(cm)
+    table = graph.table
+    edges = np.arange(table.m)
+    # exit rate and output of every (edge, chain state); static edges never jump
+    width = max([2] + [edge.chain.n_states for edge in table.chains])
+    exit_rate = np.zeros((table.m, width))
+    output = np.zeros((table.m, width))
+    two = table.template == MARKOV2
+    exit_rate[two, 0], exit_rate[two, 1], output[two, 1] = table.q[two], table.r[two], 1.0
+    output[table.template == STATIC_ON, 0] = 1.0
+    jumps = {MARKOV2: jump_tables(np.array([[-1.0, 1.0], [1.0, -1.0]]))}  # off <-> on
+    for t, edge in enumerate(table.chains):
+        sel, k = table.template == CHAIN0 + t, edge.chain.n_states
+        exit_rate[sel, :k] = -np.diag(edge.chain.matrix)
+        output[sel, :k] = edge.output
+        jumps[CHAIN0 + t] = jump_tables(edge.chain.matrix)
 
-    state_idx = np.array([graph.edges[k].initial_index(rng) for k in keys], dtype=np.intp)
+    state_idx = table.initial_states(rng)
     adj = np.zeros((n, n))
-    for e, (i, j) in enumerate(keys):
-        val = float(outputs[e][state_idx[e]])
-        adj[i, j] = val
-        if graph.kind == AMEI:
-            adj[j, i] = val
+    adj[table.i, table.j] = output[edges, state_idx]
+    if graph.kind == AMEI:
+        adj[table.j, table.i] = output[edges, state_idx]
 
     x = _init_mask(init_infected, n)
     t = 0.0
@@ -123,8 +122,7 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
     states_log = [x.copy()] if record_states else None
 
     while True:
-        edge_rates = np.array([exit_rates[e][state_idx[e]] for e in range(len(keys))]) \
-            if keys else np.zeros(0)
+        edge_rates = exit_rate[edges, state_idx]
         rec_rates = delta * x
         inf_rates = beta * (adj @ x) * (~x)
         r_edge, r_rec, r_inf = edge_rates.sum(), rec_rates.sum(), inf_rates.sum()
@@ -137,11 +135,11 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
         u = rng.random() * total
         if u < r_edge:
             e = int(np.searchsorted(np.cumsum(edge_rates), u))
-            s = state_idx[e]
-            nxt = int(jump_targets[e][s][np.searchsorted(jump_cums[e][s], rng.random())])
+            targets, cums = jumps[table.template[e]]
+            nxt = int(targets[state_idx[e]][np.searchsorted(cums[state_idx[e]], rng.random())])
             state_idx[e] = nxt
-            val = float(outputs[e][nxt])
-            i, j = keys[e]
+            val = output[e, nxt]
+            i, j = table.i[e], table.j[e]
             adj[i, j] = val
             if graph.kind == AMEI:
                 adj[j, i] = val
@@ -168,33 +166,10 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
 # Discrete-time exact simulation
 # ---------------------------------------------------------------------------
 
-def _two_state_dt_arrays(graph: DynamicGraphModel):
-    """Edge arrays for the vectorized DT runner, or None if not applicable."""
-    if graph.time != DT:
-        return None
-    ei, ej, q, r, si, sj = [], [], [], [], [], []
-    for (i, j) in graph.edge_keys():
-        edge = graph.edges[(i, j)]
-        if edge.is_static:
-            if edge.static_value:
-                si.append(i)
-                sj.append(j)
-            continue
-        if edge.chain.n_states != 2:
-            return None
-        on = int(np.flatnonzero(edge.output == 1)[0])
-        off = 1 - on
-        ei.append(i)
-        ej.append(j)
-        q.append(edge.chain.matrix[off, on])
-        r.append(edge.chain.matrix[on, off])
-    return {
-        "n": graph.n,
-        "undirected": graph.kind == AMEI,
-        "ei": np.asarray(ei, dtype=np.intp), "ej": np.asarray(ej, dtype=np.intp),
-        "q": np.asarray(q, dtype=float), "r": np.asarray(r, dtype=float),
-        "si": np.asarray(si, dtype=np.intp), "sj": np.asarray(sj, dtype=np.intp),
-    }
+def _dt_fast(graph: DynamicGraphModel) -> bool:
+    """Whether the vectorized DT runner applies: only 2-state and static edges."""
+    table = graph.table
+    return graph.time == DT and not np.isnan(table.q[table.template >= MARKOV2]).any()
 
 
 def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
@@ -220,70 +195,34 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
     x0 = _init_mask(init_infected, n)
     rng = rngmod.generator(seed)
 
+    if edge_path is None and not _dt_fast(graph):
+        edge_path = sample_graph_path(graph, steps=steps, seed=seed)
     if edge_path is None:
-        arr = _two_state_dt_arrays(graph)
-        if arr is None:
-            edge_path = sample_graph_path(graph, steps=steps, seed=seed)
-        else:
-            x, counts, reinf, states_log = _dt_run_fast(
-                arr, beta, delta, steps, x0, reinfect, rng, record_states)
-            return SimulationTrace(np.arange(steps + 1), counts, int(seed), DT,
-                                   reinf, np.asarray(states_log) if record_states else None)
-    if edge_path.adjacency.shape[0] < steps:
+        _, counts, reinf, states_log = _dt_run_fast(
+            graph, beta, delta, steps, x0, reinfect, rng, record_states)
+    elif edge_path.adjacency.shape[0] < steps:
         raise ValueError("edge path shorter than the requested step count")
-
-    x = x0.copy()
-    with np.errstate(divide="ignore"):
-        log1m_beta = np.log1p(-beta)
-    counts = np.empty(steps + 1, dtype=np.int64)
-    counts[0] = x.sum()
-    states_log = [x.copy()] if record_states else None
-    reinfections = 0
-    for k in range(steps):
-        c = edge_path.adjacency[k] @ x
-        with np.errstate(invalid="ignore"):
-            p_inf = np.where(c > 0, -np.expm1(c * log1m_beta), 0.0)
-        new_inf = (~x) & (rng.random(n) < p_inf)
-        recov = x & (rng.random(n) < delta)
-        x = (x & ~recov) | new_inf
-        if reinfect and not x.any():
-            x[int(rng.integers(n))] = True
-            reinfections += 1
-        counts[k + 1] = x.sum()
-        if record_states:
-            states_log.append(x.copy())
+    else:
+        _, counts, reinf, states_log = _dt_run(
+            x0, beta, delta, steps, reinfect, rng, record_states,
+            lambda k, x: edge_path.adjacency[k] @ x)
     return SimulationTrace(np.arange(steps + 1), counts, int(seed), DT,
-                           reinfections, np.asarray(states_log) if record_states else None)
+                           reinf, np.asarray(states_log) if record_states else None)
 
 
-def _dt_run_fast(arr: dict, beta, delta, steps, x0, reinfect, rng, record_states):
-    """Vectorized synchronous run over 2-state/static edge arrays."""
-    n = arr["n"]
-    ei, ej, q, r = arr["ei"], arr["ej"], arr["q"], arr["r"]
-    si, sj = arr["si"], arr["sj"]
-    undirected = arr["undirected"]
-    m = ei.size
-    s_on = rng.random(m) < (q / (q + r)) if m else np.zeros(0, dtype=bool)
-    x = x0.copy()
+def _dt_run(x0, beta, delta, steps, reinfect, rng, record_states, contacts, advance=None):
+    """Synchronous SIS steps.  ``contacts(k, x)`` counts each node's infected
+    in-neighbors over the edges present at step k; ``advance()`` then steps
+    the edges, after the node updates have drawn their randomness."""
+    n, x = x0.size, x0.copy()
     with np.errstate(divide="ignore"):
         log1m_beta = np.log1p(-beta)
     counts = np.empty(steps + 1, dtype=np.int64)
     counts[0] = x.sum()
     states_log = [x.copy()] if record_states else None
     reinfections = 0
-    one_minus_r = 1.0 - r
     for k in range(steps):
-        c = np.zeros(n)
-        if m:
-            act = s_on & x[ej]
-            c += np.bincount(ei[act], minlength=n)
-            if undirected:
-                act2 = s_on & x[ei]
-                c += np.bincount(ej[act2], minlength=n)
-        if si.size:
-            c += np.bincount(si[x[sj]], minlength=n)
-            if undirected:
-                c += np.bincount(sj[x[si]], minlength=n)
+        c = contacts(k, x)
         with np.errstate(invalid="ignore"):
             p_inf = np.where(c > 0, -np.expm1(c * log1m_beta), 0.0)
         new_inf = (~x) & (rng.random(n) < p_inf)
@@ -292,12 +231,42 @@ def _dt_run_fast(arr: dict, beta, delta, steps, x0, reinfect, rng, record_states
         if reinfect and not x.any():
             x[int(rng.integers(n))] = True
             reinfections += 1
-        if m:
-            s_on = rng.random(m) < np.where(s_on, one_minus_r, q)
+        if advance is not None:
+            advance()
         counts[k + 1] = x.sum()
         if record_states:
             states_log.append(x.copy())
     return x, counts, reinfections, states_log
+
+
+def _dt_run_fast(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, record_states):
+    """Vectorized synchronous run over the 2-state and static rows of the edge table."""
+    table, n, undirected = graph.table, graph.n, graph.kind == AMEI
+    stochastic, static_on = table.template >= MARKOV2, table.template == STATIC_ON
+    ei, ej, q, r = (a[stochastic] for a in (table.i, table.j, table.q, table.r))
+    si, sj = table.i[static_on], table.j[static_on]
+    m = ei.size
+    s_on = rng.random(m) < (q / (q + r)) if m else np.zeros(0, dtype=bool)
+    one_minus_r = 1.0 - r
+
+    def contacts(k, x):
+        c = np.zeros(n)
+        if m:
+            c += np.bincount(ei[s_on & x[ej]], minlength=n)
+            if undirected:
+                c += np.bincount(ej[s_on & x[ei]], minlength=n)
+        if si.size:
+            c += np.bincount(si[x[sj]], minlength=n)
+            if undirected:
+                c += np.bincount(sj[x[si]], minlength=n)
+        return c
+
+    def advance():
+        nonlocal s_on
+        s_on = rng.random(m) < np.where(s_on, one_minus_r, q)
+
+    return _dt_run(x0, beta, delta, steps, reinfect, rng, record_states, contacts,
+                   advance if m else None)
 
 
 # ---------------------------------------------------------------------------
@@ -414,26 +383,15 @@ def propagate_linear(path: GraphPath, params, p0=None, mode: str | None = None,
     out_log = np.empty(len(times))
     out_p[0], out_log[0] = p, log_norm
 
-    if mode == DT:
-        for k in range(path.adjacency.shape[0]):
-            m = beta[:, None] * path.adjacency[k] + np.diag(1.0 - delta)
-            p = m @ p
-            norm = float(np.linalg.norm(p))
-            if norm == 0:
-                log_norm = -np.inf
-            else:
-                log_norm += np.log(norm)
-                p = p / norm
-            out_p[k + 1], out_log[k + 1] = p, log_norm
-        return LinearTrajectory(times.astype(float), out_log, out_p)
-
     cache: dict = {}
-    d = np.diag(delta)
+    d = np.diag(delta if mode == CT else delta - 1.0)  # DT: m = B A(k) + I - D
     for k in range(path.adjacency.shape[0]):
-        span = float(times[k + 1] - times[k])
         a = path.adjacency[k]
+        span = float(times[k + 1] - times[k])
         m = beta[:, None] * a - d
-        if backend == "eigen":
+        if mode == DT:
+            p = m @ p
+        elif backend == "eigen":
             key = a.tobytes()
             if key not in cache:
                 cache[key] = _eigen_stepper(m)
@@ -463,10 +421,6 @@ class DecayEstimate:
     rate: float
     stderr: float
     rates: np.ndarray
-
-    @property
-    def ci95(self):
-        return (self.rate - 1.96 * self.stderr, self.rate + 1.96 * self.stderr)
 
 
 def decay_rate_estimate(trajectories, burn_in: float = 0.2) -> DecayEstimate:
@@ -525,7 +479,7 @@ def _empirical_task(task):
     rng = rngmod.generator(pl["seed"], rngmod.TAG_PATH, bi, pid)
     beta = np.full(pl["n"], pl["beta_grid"][bi])
     x0 = np.ones(pl["n"], dtype=bool) if pl["init_all"] else pl["x0"].copy()
-    _, counts, reinf, _ = _dt_run_fast(pl["arrays"], beta, pl["delta"], pl["steps"],
+    _, counts, reinf, _ = _dt_run_fast(pl["graph"], beta, pl["delta"], pl["steps"],
                                        x0, True, rng, False)
     return bi, pid, int(counts[-1]), reinf
 
@@ -542,14 +496,13 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
     path id), so results are identical for any thread count.
     """
     beta_grid = np.sort(np.asarray(beta_grid, dtype=float))
-    arrays = _two_state_dt_arrays(graph)
-    if arrays is None:
+    if not _dt_fast(graph):
         raise ValueError("empirical threshold needs a discrete-time graph with "
                          "2-state or static edges")
     n = graph.n
     init_all = isinstance(init_infected, str) and init_infected == "all"
     payload = {
-        "arrays": arrays, "n": n,
+        "graph": graph, "n": n,
         "delta": np.full(n, float(delta)),
         "beta_grid": beta_grid, "steps": int(steps), "seed": int(seed),
         "init_all": init_all,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BracketError, DivergenceDetected, NonIrreducible, ParamRange, \
     ReducibleChain, WrongKind
-from .graphs import AMAI, AMEI, DynamicGraphModel, MeanMatrix, mean_matrix
+from .graphs import AMAI, AMEI, CHAIN0, MARKOV2, DynamicGraphModel, MeanMatrix, mean_matrix
 from .markov import CT, DT
 from .spectral import KappaParams, c_minus, kappa, kappa_inv_at_one, matrix_measure, \
     maximize_on_interval, spectral_abscissa
@@ -71,12 +71,6 @@ class EpidemicParams:
     def is_homogeneous(self) -> bool:
         return self.beta.min() == self.beta.max() and self.delta.min() == self.delta.max()
 
-    def B(self) -> np.ndarray:
-        return np.diag(self.beta)
-
-    def D(self) -> np.ndarray:
-        return np.diag(self.delta)
-
     def require_dt(self):
         if self.delta.max() > 1:
             raise ParamRange("discrete-time recovery probabilities must satisfy delta_i <= 1")
@@ -97,8 +91,11 @@ class ThresholdReport:
     intermediates: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.stable == bool(self.lhs < self.threshold)
-        assert (self.decay_rate_bound is not None) == self.stable
+        if self.stable != bool(self.lhs < self.threshold) \
+                or (self.decay_rate_bound is not None) != self.stable:
+            raise ValueError(f"inconsistent {self.certificate} report: stable={self.stable}, "
+                             f"lhs={self.lhs!r}, threshold={self.threshold!r}, "
+                             f"decay_rate_bound={self.decay_rate_bound!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -116,9 +113,15 @@ class ThresholdReport:
 
 
 def _jsonable(v):
-    """Map non-finite floats onto JSON-safe tokens ('inf', '-inf', None)."""
+    """Map a value onto JSON types; non-finite floats become 'inf', '-inf', None."""
     if v is None or isinstance(v, (bool, str, int)):
         return v
+    if isinstance(v, (np.integer, np.bool_)):
+        return v.item()
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
     v = float(v)
     if math.isnan(v):
         return None
@@ -199,10 +202,10 @@ def static_dt_condition(a: np.ndarray, params: EpidemicParams):
     return lhs < 1.0, 1.0 - lhs
 
 
-def _static_report(mean: MeanMatrix, params: EpidemicParams, routed_from: str) -> ThresholdReport:
-    """Deterministic-graph route (Delta = 0): exact static condition."""
-    inter = {"routed_from": routed_from, "deterministic": True}
-    if mean.time == CT:
+def _static_report(mean: MeanMatrix, params: EpidemicParams, time: str, **inter) -> ThresholdReport:
+    """Exact static condition on the mean matrix (homogeneous rates use the
+    cached eta(Abar)): eta(B Abar - D) < 0 in CT, eta(B Abar + I - D) < 1 in DT."""
+    if time == CT:
         lhs = _eta_mix(mean, params, support=False)
         stable = lhs < 0.0
         inter["eta_BAbar_minus_D"] = lhs
@@ -232,7 +235,7 @@ def certify_amai_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
     w = _variability(mean)
     delta1 = float((b2 * w.sum(axis=1) + w.T @ b2).max())
     if delta1 == 0.0:
-        return _static_report(mean, params, T1)
+        return _static_report(mean, params, mean.time, routed_from=T1, deterministic=True)
 
     lhs = matrix_measure(params.beta[:, None] * mean.a_bar - np.diag(params.delta))
     mu_sgn = matrix_measure(params.beta[:, None] * mean.support() - np.diag(params.delta))
@@ -279,7 +282,7 @@ def certify_amei_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
     w = _variability(mean)
     delta2 = float((params.beta * (w @ params.beta)).max())
     if delta2 == 0.0:
-        return _static_report(mean, params, T2)
+        return _static_report(mean, params, mean.time, routed_from=T2, deterministic=True)
 
     lhs = _eta_mix(mean, params, support=False)
     eta_sgn = _eta_mix(mean, params, support=True)
@@ -406,18 +409,23 @@ def certify_homogeneous(graph_or_mean, beta: float, delta: float) -> ThresholdRe
 # ---------------------------------------------------------------------------
 
 def certify_amei_dt(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
-    if isinstance(graph_or_mean, DynamicGraphModel):
-        for (i, j), edge in graph_or_mean.edges.items():
-            if not edge.is_static and not edge.chain.is_aperiodic():
-                raise NonIrreducible(f"edge ({i},{j}) chain is periodic; "
-                                     "the discrete-time certificate needs aperiodic chains")
+    if isinstance(graph_or_mean, DynamicGraphModel) and graph_or_mean.time == DT:
+        table = graph_or_mean.table
+        # a 2-state DT chain is periodic only when it always switches
+        periodic = (table.template == MARKOV2) & (table.q == 1.0) & (table.r == 1.0)
+        periodic |= np.isin(table.template, [CHAIN0 + t for t, edge in enumerate(table.chains)
+                                             if not edge.chain.is_aperiodic()])
+        if periodic.any():
+            k = int(np.argmax(periodic))
+            raise NonIrreducible(f"edge ({table.i[k]},{table.j[k]}) chain is periodic; "
+                                 "the discrete-time certificate needs aperiodic chains")
     mean = _as_mean(graph_or_mean)
     _check(mean, params, AMEI, DT)
     params.require_dt()
     w = _variability(mean)
     delta2 = float((params.beta * (w @ params.beta)).max())
     if delta2 == 0.0:
-        return _static_report(mean, params, T4)
+        return _static_report(mean, params, mean.time, routed_from=T4, deterministic=True)
 
     lam4 = _eta_mix(mean, params, support=False, plus_identity=True)
     eta_max = _eta_mix(mean, params, support=True, plus_identity=True)
@@ -454,25 +462,22 @@ def certify_amei_dt(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
 # Scalar threshold search
 # ---------------------------------------------------------------------------
 
-_CERTIFICATES = {
-    "t1": lambda mean, p: certify_amai_ct(mean, p),
-    "t2": lambda mean, p: certify_amei_ct(mean, p),
-    "t3": lambda mean, p: certify_homogeneous(mean, float(p.beta[0]), float(p.delta[0])),
-    "t4": lambda mean, p: certify_amei_dt(mean, p),
+CERTIFICATES = {
+    "t1": certify_amai_ct,
+    "t2": certify_amei_ct,
+    "t3": lambda g, p: certify_homogeneous(g, float(p.beta[0]), float(p.delta[0])),
+    "t4": certify_amei_dt,
+    "static_ct": lambda g, p: _static_report(_as_mean(g), p, CT),
+    "static_dt": lambda g, p: _static_report(_as_mean(g), p, DT),
 }
 
 
-def certificate_verdict(mean: MeanMatrix, certificate: str, beta: float, delta: float) -> bool:
-    """Stable/unstable verdict of one certificate at homogeneous rates."""
-    certificate = certificate.lower()
-    params = EpidemicParams.homogeneous(beta, delta, mean.n)
-    if certificate == "static_ct":
-        return static_ct_condition(mean.a_bar, params)[0]
-    if certificate == "static_dt":
-        return static_dt_condition(mean.a_bar, params)[0]
-    if certificate not in _CERTIFICATES:
+def certify(graph_or_mean, certificate: str, beta: float, delta: float) -> ThresholdReport:
+    """Report of one certificate of CERTIFICATES at homogeneous rates."""
+    if certificate.lower() not in CERTIFICATES:
         raise ValueError(f"unknown certificate {certificate!r}")
-    return _CERTIFICATES[certificate](mean, params).stable
+    params = EpidemicParams.homogeneous(beta, delta, graph_or_mean.n)
+    return CERTIFICATES[certificate.lower()](graph_or_mean, params)
 
 
 def threshold_in_beta(graph_or_mean, delta: float, certificate: str,
@@ -487,7 +492,7 @@ def threshold_in_beta(graph_or_mean, delta: float, certificate: str,
     lo, hi = float(search_bounds[0]), float(search_bounds[1])
     if not lo < hi:
         raise BracketError(f"need lo < hi, got ({lo}, {hi})")
-    stable = lambda b: certificate_verdict(mean, certificate, b, delta)
+    stable = lambda b: certify(mean, certificate, b, delta).stable
     if stable(hi):
         return hi
     if not stable(lo):

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian
+from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, sample_edge_path, \
+    stationary_distribution
+from tempest import rng as rngmod
+from tempest.graphs import GraphPath
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,47 @@ def random_metzler_pair(rng, n):
     a[off] = b[off] - cut[off]
     a[np.diag_indices(n)] -= rng.random(n)
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# Per-edge references for the edge-table kernels
+# ---------------------------------------------------------------------------
+
+def reference_mean_matrix(n, kind, edges):
+    """Mean matrix edge by edge: one stationary solve per EdgeProcessModel."""
+    a = np.zeros((n, n))
+    for (i, j), edge in edges.items():
+        pi = stationary_distribution(edge.chain)
+        a[i, j] = pi[edge.output == 1].sum()
+        if kind == AMEI:
+            a[j, i] = a[i, j]
+    return a
+
+
+def reference_graph_path(n, kind, edges, *, horizon=None, steps=None, seed=0):
+    """Graph path edge by edge, each edge walking its own (seed, TAG_EDGE, i, j) stream."""
+    keys = sorted(edges)
+    length = horizon if steps is None else steps
+    paths = {(i, j): sample_edge_path(edges[(i, j)], length,
+                                      rngmod.generator(seed, rngmod.TAG_EDGE, i, j))
+             for (i, j) in keys}
+    if steps is None:
+        cuts = {0.0, float(horizon)}
+        for p in paths.values():
+            cuts.update(p.times.tolist())
+        times = np.array(sorted(t for t in cuts if t < horizon) + [float(horizon)])
+    else:
+        times = np.arange(steps + 1)
+    adj = np.zeros((len(times) - 1, n, n))
+    for (i, j), p in paths.items():
+        if steps is None:
+            vals = p.values[np.searchsorted(p.times, times[:-1], side="right") - 1]
+        else:
+            vals = p.values[:steps]
+        adj[:, i, j] = vals
+        if kind == AMEI:
+            adj[:, j, i] = vals
+    return GraphPath(times, adj, "ct" if steps is None else "dt")
 
 
 # ---------------------------------------------------------------------------

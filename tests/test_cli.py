@@ -116,6 +116,39 @@ class TestCliRuns:
         assert r.returncode == 1
         assert r.stderr.startswith("config error:"), r.stderr
 
+    def test_unknown_certificate_is_config_error(self, tmp_path):
+        r = cli("threshold", "--preset", "complete_edge_markovian",
+                "--graph-param", "n=4", "--graph-param", "q=1.0", "--graph-param", "r=1.0",
+                "--param", "certificate=t9", "--delta", "1.0", "--seed", "0", cwd=tmp_path)
+        assert r.returncode == 1
+        assert r.stderr.startswith("config error:") and "'t9'" in r.stderr, r.stderr
+
+    # complete graph on 6 nodes: eta(Abar) = 5 q/(q+r), i.e. 5/3 (CT) and 5/2 (DT)
+    @pytest.mark.parametrize("time, q, r, eta, beta, delta, lhs, threshold", [
+        ("ct", 1.0, 2.0, 5 / 3, 0.3, 1.0, 0.3 * 5 / 3 - 1.0, 0.0),        # eta(B Abar - D) < 0
+        ("dt", 0.5, 0.5, 5 / 2, 0.1, 0.5, 0.1 * 5 / 2 + 1.0 - 0.5, 1.0),  # eta(B Abar + I - D) < 1
+    ])
+    def test_static_certificate_reports(self, tmp_path, monkeypatch,
+                                        time, q, r, eta, beta, delta, lhs, threshold):
+        monkeypatch.chdir(tmp_path)
+        cert = f"static_{time}"
+        common = ["threshold", "--preset", "complete_edge_markovian", "--graph-param", "n=6",
+                  "--graph-param", f"q={q}", "--graph-param", f"r={r}",
+                  "--graph-param", f'time="{time}"', "--certificate", cert,
+                  "--delta", str(delta), "--seed", "0"]
+        assert main(common + ["--beta", str(beta), "--out", "fixed.json"]) == 0
+        result = json.load(open("fixed.json"))["result"]
+        assert result["certificate"] == cert
+        report = result["report"]
+        assert report["certificate"] == cert.upper()
+        assert report["lhs"] == pytest.approx(lhs, abs=1e-12)
+        assert report["threshold"] == threshold and report["stable"] is True
+        # the search finds the exact static threshold delta / eta(Abar)
+        assert main(common + ["--out", "search.json"]) == 0
+        result = json.load(open("search.json"))["result"]
+        assert result["beta_threshold"] == pytest.approx(delta / eta, abs=2e-7)
+        assert result["report"]["certificate"] == cert.upper()
+
     def test_figure3_monotone_columns(self, tmp_path):
         r = cli("figure3", "--panel", "a", "--seed", "0",
                 "--param", "ratio_count=5", "--param", "delta3_count=6", cwd=tmp_path)

@@ -8,6 +8,7 @@ from tempest import (
     AMEI,
     DynamicGraphModel,
     EpidemicParams,
+    ThresholdReport,
     build_edge_markovian,
     build_static_edge,
     certify_amai_ct,
@@ -22,6 +23,7 @@ from tempest import (
     xi_h_factor,
 )
 from tempest.errors import BracketError, NonIrreducible, WrongKind
+from tempest.thresholds import _jsonable, certify
 
 
 def homog(beta, delta, n):
@@ -335,3 +337,38 @@ class TestReports:
         doc = rep.to_dict()
         assert doc["threshold"] == "inf"
         assert doc["s_star"] is None
+
+    def test_inconsistent_report_raises(self):
+        with pytest.raises(ValueError, match="stable=True"):
+            ThresholdReport("T2", 1.0, 0.5, 0.1, 0.2, True)
+        with pytest.raises(ValueError, match="decay_rate_bound"):
+            ThresholdReport("T2", 0.1, 0.5, 0.1, None, True)
+        with pytest.raises(ValueError, match="decay_rate_bound"):
+            ThresholdReport("T2", 1.0, 0.5, 0.1, 0.3, False)
+
+    def test_jsonable_numpy_values(self):
+        assert _jsonable(np.int64(3)) == 3 and type(_jsonable(np.int64(3))) is int
+        assert _jsonable(np.bool_(True)) is True
+        assert _jsonable(np.array([[1.0, np.inf], [np.nan, -np.inf]])) == \
+            [[1.0, "inf"], [None, "-inf"]]
+        assert _jsonable(np.float32(0.5)) == 0.5
+
+
+class TestStaticVerdicts:
+    """Homogeneous static verdicts from the cached eta(Abar) against dense solves."""
+
+    @pytest.mark.parametrize("time, certificate, condition", [
+        ("ct", "static_ct", static_ct_condition),
+        ("dt", "static_dt", static_dt_condition),
+    ])
+    def test_cached_route_matches_dense_condition(self, time, certificate, condition):
+        g = graph_complete_edge_markovian(9, 0.3, 0.5, time=time)
+        mean = mean_matrix(g)
+        delta = 0.4
+        cut = delta / mean.eta_abar()
+        for beta in cut * np.array([1e-3, 0.5, 0.99, 1.01, 1.5]):
+            if time == "dt" and beta > 1:
+                continue
+            dense = condition(mean.a_bar, homog(beta, delta, 9))[0]
+            assert certify(mean, certificate, beta, delta).stable == dense
+
