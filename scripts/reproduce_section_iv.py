@@ -62,9 +62,14 @@ def main():
     rep = empirical_threshold(graph, DELTA, grid, paths=args.paths, steps=args.steps,
                               seed=args.seed * 1000 + 7, threads=args.threads)
     print(f"  done in {time.time() - t0:.0f}s")
-    for b, y, z in zip(rep.beta_grid, rep.y_star, rep.z_star):
-        print(f"  beta={b:.3e}  y*={y:7.3f}  z*={z:7.3f}")
+    for b, y, z, se in zip(rep.beta_grid, rep.y_star, rep.z_star, rep.z_stderr):
+        print(f"  beta={b:.3e}  y*={y:7.3f}  z*={z:7.3f} +- {se:.3f}")
     print(f"  empirical threshold beta* = {rep.beta_star:.4e}")
+    if rep.beta_bracket is None:
+        print("  z* = 1 is not crossed inside the grid")
+    else:
+        print(f"  crossing bracket: z* < 1 at {rep.beta_bracket[0]:.4e}, "
+              f"next grid beta {rep.beta_bracket[1]:.4e}")
     ordered = t4_thr < rep.beta_star < static_thr
     print(f"  ordering certified < beta* < static: {'OK' if ordered else 'VIOLATED'}")
 
@@ -73,7 +78,8 @@ def main():
         "seed": args.seed, "n": args.n, "er_prob": args.er_prob, "gauss_mode": mode,
         "eta_abar": eta, "static_threshold": static_thr, "certified_threshold": t4_thr,
         "beta_grid": rep.beta_grid.tolist(), "y_star": rep.y_star.tolist(),
-        "z_star": rep.z_star.tolist(), "beta_star": rep.beta_star,
+        "z_star": rep.z_star.tolist(), "z_stderr": rep.z_stderr.tolist(),
+        "beta_star": rep.beta_star, "beta_bracket": rep.beta_bracket,
         "paths": args.paths, "steps": args.steps,
     }
     path = os.path.join(args.out, f"summary_seed{args.seed}.json")

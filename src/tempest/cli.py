@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from . import rng as rngmod
 from .config import ExperimentConfig, build_graph
 from .errors import ConfigError, NUMERICAL_ERRORS, RESOURCE_ERRORS, TempestError
 from .graphs import mean_matrix
@@ -129,14 +130,14 @@ def _run_simulate(cfg: ExperimentConfig):
     init = cfg.params.get("init", "all")
     rows = []
     for pid in range(paths):
+        stream = rngmod.generator(cfg.seed, rngmod.TAG_PATH, pid)
         if graph.time == CT:
             horizon = float(cfg.params.get("horizon", 100.0))
-            trace = simulate_ct_exact(graph, params, horizon, init_infected=init,
-                                      seed=cfg.seed * 100_003 + pid)
+            trace = simulate_ct_exact(graph, params, horizon, init_infected=init, seed=stream)
         else:
             steps = int(cfg.params.get("steps", 1000))
             trace = simulate_dt_exact(graph, params, steps, init_infected=init,
-                                      reinfect=reinfect, seed=cfg.seed * 100_003 + pid)
+                                      reinfect=reinfect, seed=stream)
         rows.extend((pid, t, c) for t, c in zip(trace.times, trace.infected_counts))
     return [_write_csv(_out_path(cfg, "csv"), cfg, ["path_id", "t_or_k", "infected_count"], rows)]
 
@@ -152,7 +153,8 @@ def _run_empirical(cfg: ExperimentConfig):
     rows = list(zip(report.beta_grid, report.y_star, report.z_star))
     path = _write_csv(_out_path(cfg, "csv"), cfg, ["beta", "y_star", "z_star"], rows)
     side = _write_json(os.path.splitext(path)[0] + ".json", cfg, {
-        "beta_star": report.beta_star, "paths": report.paths, "steps": report.horizon})
+        "beta_star": report.beta_star, "beta_bracket": report.beta_bracket,
+        "z_stderr": report.z_stderr, "paths": report.paths, "steps": report.horizon})
     return [path, side]
 
 
@@ -281,13 +283,14 @@ def fig5_csv(path, cfg, report, t4_threshold, static_threshold):
 
 
 def fig6_csv(path, cfg, graph, delta, steps, betas=(6.0e-4, 7.5e-4, 9.0e-4), paths=3):
-    """Sample paths of the infected count for three infection rates."""
+    """Sample paths of the infected count for three infection rates; path
+    ``pid`` of panel ``panel`` draws from the stream (seed, TAG_PATH, panel, pid)."""
     rows = []
     for panel, beta in enumerate(betas):
         for pid in range(paths):
             trace = simulate_dt_exact(graph, (np.full(graph.n, beta), np.full(graph.n, delta)),
                                       steps, reinfect=True,
-                                      seed=cfg.seed + 7919 * (panel * paths + pid + 1))
+                                      seed=rngmod.generator(cfg.seed, rngmod.TAG_PATH, panel, pid))
             rows.extend((beta, pid, int(k), int(c))
                         for k, c in zip(trace.times, trace.infected_counts))
     return _write_csv(path, cfg, ["beta", "path_id", "k", "infected_count"], rows)

@@ -318,7 +318,7 @@ def expected_certificate(sampler: RandomMatrixSampler, mode: str = "exhaustive",
     """E[mu(M1)] / E[eta(M2|M3)] / E[log eta(M4)].
 
     ``exhaustive`` enumerates all support configurations of the random
-    pairs in Gray-code order and returns the exact probability-weighted sum
+    pairs and returns the exact probability-weighted sum
     (standard error 0).  ``montecarlo`` averages over ``draws`` samples.
     """
     name = sampler.statistic_name()
@@ -326,13 +326,11 @@ def expected_certificate(sampler: RandomMatrixSampler, mode: str = "exhaustive",
     if mode == "exhaustive":
         if 2 ** r > _CONFIG_CAP:
             raise TooManyConfigurations(f"2^{r} support configurations exceed the cap")
-        labels = np.arange(2 ** r, dtype=np.int64)
-        gray = labels ^ (labels >> 1)
         total = 0.0
         logp = np.log(sampler._rp) if r else np.zeros(0)
         log1mp = np.log1p(-sampler._rp) if r else np.zeros(0)
-        for start in range(0, gray.size, batch):
-            g = gray[start:start + batch]
+        for start in range(0, 2 ** r, batch):
+            g = np.arange(start, min(start + batch, 2 ** r), dtype=np.int64)
             bits = ((g[:, None] >> np.arange(r)) & 1).astype(float) if r else np.zeros((g.size, 0))
             w = np.exp(bits @ logp + (1.0 - bits) @ log1mp)
             total += float(w @ sampler.statistic(sampler.from_bits(bits)))

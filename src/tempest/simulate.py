@@ -38,6 +38,15 @@ def _rates(params, n: int):
     return beta, delta
 
 
+def _stream(seed):
+    """Generator and int seed of one run: an int seeds its own stream; a
+    Generator is used as given, and the run records its master seed."""
+    rng = rngmod.as_generator(seed)
+    if isinstance(seed, np.random.Generator):
+        seed = rng.bit_generator.seed_seq.entropy
+    return rng, int(seed)
+
+
 def _init_mask(init_infected, n: int) -> np.ndarray:
     if isinstance(init_infected, str) and init_infected == "all":
         return np.ones(n, dtype=bool)
@@ -74,7 +83,7 @@ class SimulationTrace:
 # ---------------------------------------------------------------------------
 
 def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
-                      init_infected="all", seed: int = 0,
+                      init_infected="all", seed=0,
                       record_states: bool = False) -> SimulationTrace:
     """Event-driven simulation of the joint (edges + epidemic) Markov process.
 
@@ -83,7 +92,7 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
     infection at beta_i times the number of currently-connected infected
     in-neighbors for susceptible i.  Clocks are refreshed after every event.
     Stops early at extinction (the all-susceptible state is absorbing for
-    the epidemic).
+    the epidemic).  ``seed`` is an int or a Generator.
     """
     if graph.m and graph.time != CT:
         raise ValueError("simulate_ct_exact needs a continuous-time graph")
@@ -91,7 +100,7 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
         raise ValueError("horizon must be positive")
     n = graph.n
     beta, delta = _rates(params, n)
-    rng = rngmod.generator(seed)
+    rng, seed = _stream(seed)
 
     table = graph.table
     edges = np.arange(table.m)
@@ -158,7 +167,7 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
             break  # epidemic extinct; edge dynamics no longer matter
 
     return SimulationTrace(np.asarray(times), np.asarray(counts, dtype=np.int64),
-                           int(seed), CT, 0,
+                           seed, CT, 0,
                            np.asarray(states_log) if record_states else None)
 
 
@@ -173,7 +182,7 @@ def _dt_fast(graph: DynamicGraphModel) -> bool:
 
 
 def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
-                      init_infected="all", reinfect: bool = False, seed: int = 0,
+                      init_infected="all", reinfect: bool = False, seed=0,
                       edge_path: GraphPath | None = None,
                       record_states: bool = False) -> SimulationTrace:
     """Synchronous discrete-time chain over a sampled dynamic graph.
@@ -184,7 +193,8 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
     then the edge chains advance one step.  With ``reinfect``, a uniformly
     random node is re-seeded whenever the update leaves everyone
     susceptible.  Passing ``edge_path`` runs the epidemic on that fixed
-    adjacency trajectory instead of sampling edges.
+    adjacency trajectory instead of sampling edges.  ``seed`` is an int or a
+    Generator (for example a tagged stream from ``rng.generator``).
     """
     if graph.m and graph.time != DT:
         raise ValueError("simulate_dt_exact needs a discrete-time graph")
@@ -193,80 +203,64 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
     if beta.max() > 1 or delta.max() > 1:
         raise ParamRange("discrete-time probabilities must lie in [0, 1]")
     x0 = _init_mask(init_infected, n)
-    rng = rngmod.generator(seed)
+    rng, seed = _stream(seed)
 
     if edge_path is None and not _dt_fast(graph):
+        # multi-state chains walk their own (seed, TAG_EDGE, i, j) streams
         edge_path = sample_graph_path(graph, steps=steps, seed=seed)
-    if edge_path is None:
-        _, counts, reinf, states_log = _dt_run_fast(
-            graph, beta, delta, steps, x0, reinfect, rng, record_states)
-    elif edge_path.adjacency.shape[0] < steps:
+    if edge_path is not None and edge_path.adjacency.shape[0] < steps:
         raise ValueError("edge path shorter than the requested step count")
-    else:
-        _, counts, reinf, states_log = _dt_run(
-            x0, beta, delta, steps, reinfect, rng, record_states,
-            lambda k, x: edge_path.adjacency[k] @ x)
-    return SimulationTrace(np.arange(steps + 1), counts, int(seed), DT,
-                           reinf, np.asarray(states_log) if record_states else None)
+    counts, reinf, states = _dt_run(graph, beta[:, None], delta, steps, x0, reinfect, rng,
+                                    record_states, edge_path)
+    return SimulationTrace(np.arange(steps + 1), counts[:, 0], seed, DT, int(reinf[0]),
+                           states[:, :, 0] if record_states else None)
 
 
-def _dt_run(x0, beta, delta, steps, reinfect, rng, record_states, contacts, advance=None):
-    """Synchronous SIS steps.  ``contacts(k, x)`` counts each node's infected
-    in-neighbors over the edges present at step k; ``advance()`` then steps
-    the edges, after the node updates have drawn their randomness."""
-    n, x = x0.size, x0.copy()
+def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, record_states,
+            edge_path: GraphPath | None = None):
+    """Synchronous SIS steps of G lanes, one per column of the (n, G) ``beta``,
+    on one edge trajectory: the graph's 2-state and static edges, kept in a
+    dense adjacency A so that all lanes' contacts are one product A @ X, or
+    the adjacency of ``edge_path``.  Per step the lanes share one infection
+    and then one recovery uniform per node; each extinct lane then draws its
+    re-infected node, in lane order; the edges draw last.  One lane thus
+    draws as a single run.  Returns the (steps + 1, G) infected counts, the
+    re-infections per lane and, if recorded, the (steps + 1, n, G) states."""
+    n, lanes = beta.shape
+    table, adj = graph.table, np.zeros((n, n), dtype=np.float32)  # exact counts below 2**24
+    flat = adj.reshape(-1)
+    cells = [table.i * n + table.j] + ([table.j * n + table.i] if graph.kind == AMEI else [])
+    for cell in cells:
+        flat[cell[table.template == STATIC_ON]] = 1.0
+    stochastic = (table.template >= MARKOV2) & (edge_path is None)
+    cells = [cell[stochastic] for cell in cells]
+    q, r = table.q[stochastic], table.r[stochastic]
+    s_on, stay = rng.random(q.size) < q / (q + r), 1.0 - r
     with np.errstate(divide="ignore"):
         log1m_beta = np.log1p(-beta)
-    counts = np.empty(steps + 1, dtype=np.int64)
-    counts[0] = x.sum()
-    states_log = [x.copy()] if record_states else None
-    reinfections = 0
+    x = np.repeat(x0[:, None], lanes, axis=1)
+    counts = np.empty((steps + 1, lanes), dtype=np.int64)
+    counts[0] = x.sum(axis=0)
+    states = [x] if record_states else None
+    reinfections = np.zeros(lanes, dtype=np.int64)
     for k in range(steps):
-        c = contacts(k, x)
+        for cell in cells:
+            flat[cell] = s_on.astype(np.float32)
+        a = adj if edge_path is None else edge_path.adjacency[k]
+        contacts = a @ x.astype(a.dtype)
         with np.errstate(invalid="ignore"):
-            p_inf = np.where(c > 0, -np.expm1(c * log1m_beta), 0.0)
-        new_inf = (~x) & (rng.random(n) < p_inf)
-        recov = x & (rng.random(n) < delta)
+            p_inf = np.where(contacts > 0, -np.expm1(contacts * log1m_beta), 0.0)
+        new_inf = ~x & (rng.random(n)[:, None] < p_inf)
+        recov = x & (rng.random(n)[:, None] < delta[:, None])
         x = (x & ~recov) | new_inf
-        if reinfect and not x.any():
-            x[int(rng.integers(n))] = True
-            reinfections += 1
-        if advance is not None:
-            advance()
-        counts[k + 1] = x.sum()
+        for g in np.flatnonzero(~x.any(axis=0)) if reinfect else ():
+            x[rng.integers(n), g] = True
+            reinfections[g] += 1
+        s_on = rng.random(q.size) < np.where(s_on, stay, q)
+        counts[k + 1] = x.sum(axis=0)
         if record_states:
-            states_log.append(x.copy())
-    return x, counts, reinfections, states_log
-
-
-def _dt_run_fast(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, record_states):
-    """Vectorized synchronous run over the 2-state and static rows of the edge table."""
-    table, n, undirected = graph.table, graph.n, graph.kind == AMEI
-    stochastic, static_on = table.template >= MARKOV2, table.template == STATIC_ON
-    ei, ej, q, r = (a[stochastic] for a in (table.i, table.j, table.q, table.r))
-    si, sj = table.i[static_on], table.j[static_on]
-    m = ei.size
-    s_on = rng.random(m) < (q / (q + r)) if m else np.zeros(0, dtype=bool)
-    one_minus_r = 1.0 - r
-
-    def contacts(k, x):
-        c = np.zeros(n)
-        if m:
-            c += np.bincount(ei[s_on & x[ej]], minlength=n)
-            if undirected:
-                c += np.bincount(ej[s_on & x[ei]], minlength=n)
-        if si.size:
-            c += np.bincount(si[x[sj]], minlength=n)
-            if undirected:
-                c += np.bincount(sj[x[si]], minlength=n)
-        return c
-
-    def advance():
-        nonlocal s_on
-        s_on = rng.random(m) < np.where(s_on, one_minus_r, q)
-
-    return _dt_run(x0, beta, delta, steps, reinfect, rng, record_states, contacts,
-                   advance if m else None)
+            states.append(x)
+    return counts, reinfections, np.asarray(states) if record_states else None
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +450,10 @@ def decay_rate_estimate(trajectories, burn_in: float = 0.2) -> DecayEstimate:
 
 @dataclass
 class EmpiricalThresholdReport:
+    """z* per grid beta with its standard error over paths; ``beta_bracket``
+    is the last grid beta with z* < 1 and the next one, None without a
+    crossing."""
+
     beta_grid: np.ndarray
     y_star: np.ndarray
     z_star: np.ndarray
@@ -464,6 +462,8 @@ class EmpiricalThresholdReport:
     horizon: int
     seed: int
     final_counts: np.ndarray = field(repr=False, default=None)
+    z_stderr: np.ndarray = field(repr=False, default=None)
+    beta_bracket: tuple | None = None
 
 
 _WORKER_STATE: dict = {}
@@ -473,15 +473,12 @@ def _empirical_init(payload):
     _WORKER_STATE["payload"] = payload
 
 
-def _empirical_task(task):
-    bi, pid = task
+def _empirical_task(pid):
     pl = _WORKER_STATE["payload"]
-    rng = rngmod.generator(pl["seed"], rngmod.TAG_PATH, bi, pid)
-    beta = np.full(pl["n"], pl["beta_grid"][bi])
-    x0 = np.ones(pl["n"], dtype=bool) if pl["init_all"] else pl["x0"].copy()
-    _, counts, reinf, _ = _dt_run_fast(pl["graph"], beta, pl["delta"], pl["steps"],
-                                       x0, True, rng, False)
-    return bi, pid, int(counts[-1]), reinf
+    rng = rngmod.generator(pl["seed"], rngmod.TAG_PATH, pid)
+    counts, _, _ = _dt_run(pl["graph"], pl["beta"], pl["delta"], pl["steps"], pl["x0"],
+                           True, rng, False)
+    return pid, counts[-1]
 
 
 def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
@@ -489,39 +486,40 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
                         threads: int = 1, init_infected="all") -> EmpiricalThresholdReport:
     """Re-infection protocol: metastable infected level over a beta grid.
 
-    For each beta, runs ``paths`` independent discrete-time simulations with
-    re-infection; y* is the mean infected count at the final step, z* =
-    y* - 1 compensates the forced re-infection, and beta* is the largest
-    grid value with z* < 1.  Work items are seeded by (seed, beta index,
-    path id), so results are identical for any thread count.
+    Runs ``paths`` independent discrete-time simulations with re-infection;
+    y* is the mean infected count at the final step, z* = y* - 1
+    compensates the forced re-infection, and beta* is the largest grid
+    value with z* < 1.  Path ``path_id`` draws from the stream (seed,
+    TAG_PATH, path_id) and runs every grid beta at once on one edge
+    trajectory with shared infection and recovery uniforms (common random
+    numbers), so results are identical for any thread count.
     """
     beta_grid = np.sort(np.asarray(beta_grid, dtype=float))
     if not _dt_fast(graph):
         raise ValueError("empirical threshold needs a discrete-time graph with "
                          "2-state or static edges")
     n = graph.n
-    init_all = isinstance(init_infected, str) and init_infected == "all"
     payload = {
-        "graph": graph, "n": n,
-        "delta": np.full(n, float(delta)),
-        "beta_grid": beta_grid, "steps": int(steps), "seed": int(seed),
-        "init_all": init_all,
-        "x0": None if init_all else _init_mask(init_infected, n),
+        "graph": graph, "beta": np.tile(beta_grid, (n, 1)), "delta": np.full(n, float(delta)),
+        "steps": int(steps), "seed": int(seed), "x0": _init_mask(init_infected, n),
     }
-    tasks = [(bi, pid) for bi in range(beta_grid.size) for pid in range(paths)]
     if threads > 1:
         ctx = mp.get_context("fork")
         with ctx.Pool(threads, initializer=_empirical_init, initargs=(payload,)) as pool:
-            results = list(pool.imap_unordered(_empirical_task, tasks, chunksize=4))
+            results = list(pool.imap_unordered(_empirical_task, range(paths)))
     else:
         _empirical_init(payload)
-        results = [_empirical_task(t) for t in tasks]
+        results = [_empirical_task(pid) for pid in range(paths)]
     finals = np.zeros((beta_grid.size, paths), dtype=np.int64)
-    for bi, pid, count, _ in results:
-        finals[bi, pid] = count
+    for pid, count in results:
+        finals[:, pid] = count
     y_star = finals.mean(axis=1)
     z_star = y_star - 1.0
+    z_stderr = finals.std(axis=1, ddof=1) / np.sqrt(paths) if paths > 1 \
+        else np.full(beta_grid.size, np.nan)
     below = np.flatnonzero(z_star < 1.0)
     beta_star = float(beta_grid[below[-1]]) if below.size else None
-    return EmpiricalThresholdReport(beta_grid, y_star, z_star, beta_star,
-                                    paths, int(steps), int(seed), finals)
+    bracket = tuple(float(b) for b in beta_grid[below[-1]:below[-1] + 2]) \
+        if below.size and below[-1] + 1 < beta_grid.size else None
+    return EmpiricalThresholdReport(beta_grid, y_star, z_star, beta_star, paths, int(steps),
+                                    int(seed), finals, z_stderr, bracket)

@@ -109,6 +109,98 @@ def reference_graph_path(n, kind, edges, *, horizon=None, steps=None, seed=0):
     return GraphPath(times, adj, "ct" if steps is None else "dt")
 
 
+def _two_state_rows(graph):
+    """Endpoints and rates of the 2-state rows, endpoints of the static-on rows."""
+    from tempest.graphs import MARKOV2, STATIC_ON
+    table = graph.table
+    stochastic, static_on = table.template >= MARKOV2, table.template == STATIC_ON
+    return ([a[stochastic] for a in (table.i, table.j, table.q, table.r)],
+            table.i[static_on], table.j[static_on])
+
+
+def _bincount_contacts(graph, ei, ej, s_on, si, sj, x):
+    """Infected in-neighbours of every node, one bincount per edge group."""
+    n, undirected = graph.n, graph.kind == AMEI
+    c = np.zeros(n)
+    if ei.size:
+        c += np.bincount(ei[s_on & x[ej]], minlength=n)
+        if undirected:
+            c += np.bincount(ej[s_on & x[ei]], minlength=n)
+    if si.size:
+        c += np.bincount(si[x[sj]], minlength=n)
+        if undirected:
+            c += np.bincount(sj[x[si]], minlength=n)
+    return c
+
+
+def reference_dt_run(graph, beta, delta, steps, x0, reinfect, rng, record_states,
+                     edge_path=None):
+    """One DT run at one beta vector: the per-beta bincount runner the
+    lane-batched kernel replaced.  Returns (x, counts, reinfections, states)."""
+    (ei, ej, q, r), si, sj = _two_state_rows(graph)
+    m = 0 if edge_path is not None else ei.size
+    s_on = rng.random(m) < (q / (q + r)) if m else np.zeros(0, dtype=bool)
+    n, x = x0.size, x0.copy()
+    with np.errstate(divide="ignore"):
+        log1m_beta = np.log1p(-beta)
+    counts = np.empty(steps + 1, dtype=np.int64)
+    counts[0] = x.sum()
+    states = [x.copy()] if record_states else None
+    reinfections = 0
+    for k in range(steps):
+        if edge_path is not None:
+            c = edge_path.adjacency[k] @ x
+        else:
+            c = _bincount_contacts(graph, ei, ej, s_on, si, sj, x)
+        with np.errstate(invalid="ignore"):
+            p_inf = np.where(c > 0, -np.expm1(c * log1m_beta), 0.0)
+        new_inf = (~x) & (rng.random(n) < p_inf)
+        recov = x & (rng.random(n) < delta)
+        x = (x & ~recov) | new_inf
+        if reinfect and not x.any():
+            x[int(rng.integers(n))] = True
+            reinfections += 1
+        if m:
+            s_on = rng.random(m) < np.where(s_on, 1.0 - r, q)
+        counts[k + 1] = x.sum()
+        if record_states:
+            states.append(x.copy())
+    return x, counts, reinfections, np.asarray(states) if record_states else None
+
+
+def naive_lane_run(graph, beta, delta, steps, x0, reinfect, rng, record_states):
+    """G lanes (columns of ``beta``) stepped one lane at a time with the
+    lane kernel's shared draws: per step one infection and one recovery
+    uniform per node, one re-infection node per extinct lane in lane order,
+    then the edges.  Returns (counts, reinfections, states) shaped like the
+    kernel's."""
+    (ei, ej, q, r), si, sj = _two_state_rows(graph)
+    m, (n, lanes) = ei.size, beta.shape
+    s_on = rng.random(m) < (q / (q + r)) if m else np.zeros(0, dtype=bool)
+    xs = [x0.copy() for _ in range(lanes)]
+    counts = np.empty((steps + 1, lanes), dtype=np.int64)
+    counts[0] = [x.sum() for x in xs]
+    states = [np.stack(xs, axis=1)] if record_states else None
+    reinfections = np.zeros(lanes, dtype=np.int64)
+    for k in range(steps):
+        u_inf, u_rec = rng.random(n), rng.random(n)
+        for g in range(lanes):
+            c = _bincount_contacts(graph, ei, ej, s_on, si, sj, xs[g])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_inf = np.where(c > 0, -np.expm1(c * np.log1p(-beta[:, g])), 0.0)
+            xs[g] = (xs[g] & ~(u_rec < delta)) | (~xs[g] & (u_inf < p_inf))
+        for g in range(lanes):
+            if reinfect and not xs[g].any():
+                xs[g][int(rng.integers(n))] = True
+                reinfections[g] += 1
+        if m:
+            s_on = rng.random(m) < np.where(s_on, 1.0 - r, q)
+        counts[k + 1] = [x.sum() for x in xs]
+        if record_states:
+            states.append(np.stack(xs, axis=1))
+    return counts, reinfections, np.asarray(states) if record_states else None
+
+
 # ---------------------------------------------------------------------------
 # Independent certificate oracles (uniform 1e7-point grid maximizer)
 # ---------------------------------------------------------------------------

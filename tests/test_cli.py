@@ -171,6 +171,14 @@ class TestCliRuns:
         lines = open(tmp_path / "simulate_2.csv").read().splitlines()
         assert lines[1] == "path_id,t_or_k,infected_count"
         assert len(lines) > 4
+        # path p is the run on the tagged stream (seed, TAG_PATH, p)
+        graph = tempest.graph_complete_edge_markovian(5, 0.8, 0.8)
+        rows = [line.split(",") for line in lines[2:]]
+        for pid in range(2):
+            trace = tempest.simulate_ct_exact(
+                graph, (0.2, 1.0), 20.0, seed=tempest.rng.generator(2, tempest.rng.TAG_PATH, pid))
+            assert [(float(t), int(c)) for p, t, c in rows if int(p) == pid] == \
+                list(zip(trace.times.tolist(), trace.infected_counts.tolist()))
 
     def test_empirical_determinism_across_threads(self, tmp_path):
         common = ["empirical", "--preset", "iv",
@@ -184,6 +192,11 @@ class TestCliRuns:
         rows_a = open(tmp_path / "a.csv").read().splitlines()[1:]
         rows_b = open(tmp_path / "b.csv").read().splitlines()[1:]
         assert rows_a == rows_b
+        side_a = json.load(open(tmp_path / "a.json"))["result"]
+        assert side_a == json.load(open(tmp_path / "b.json"))["result"]
+        assert len(side_a["z_stderr"]) == 3
+        bracket = side_a["beta_bracket"]
+        assert bracket is None or (len(bracket) == 2 and bracket[0] == side_a["beta_star"])
 
     def test_experiment_preset_threshold_search(self, tmp_path):
         # default preset parameters: 500 nodes, edge probability 0.2,

@@ -1,0 +1,238 @@
+"""The lane-batched discrete-time kernel against references kept in ``helpers``.
+
+One lane (G = 1) must reproduce the per-beta bincount runner draw for draw;
+G lanes must reproduce a per-lane loop over the same shared draws; the lanes
+are coupled monotonically in beta except where a node recovers in a higher
+lane while the lower lane infects it; and each lane's final counts follow
+the distribution of independent single-beta runs.
+"""
+
+import numpy as np
+import pytest
+from scipy.stats import ks_2samp
+
+import helpers
+from tempest import (
+    AMAI,
+    AMEI,
+    DynamicGraphModel,
+    EdgeProcessModel,
+    MarkovChainSpec,
+    build_edge_markovian,
+    build_static_edge,
+    empirical_threshold,
+    graph_er_iv,
+    sample_graph_path,
+    simulate_dt_exact,
+)
+from tempest import rng as rngmod
+from tempest.simulate import _dt_run
+
+P3 = np.array([[0.5, 0.5, 0.0], [0.2, 0.5, 0.3], [0.0, 0.6, 0.4]])
+
+
+def two_state_chain(q, r, output=(0, 1)):
+    """A 2-state DT edge that is not built by build_edge_markovian (a chain row)."""
+    off, on = (0, 1) if output == (0, 1) else (1, 0)
+    p = np.zeros((2, 2))
+    p[off, on], p[on, off] = q, r
+    p[off, off], p[on, on] = 1 - q, 1 - r
+    return EdgeProcessModel(MarkovChainSpec(("s0", "s1"), "dt", p), np.array(output))
+
+
+def amei_mixed():
+    return DynamicGraphModel(6, AMEI, {
+        (0, 1): build_edge_markovian(0.3, 0.6, "dt"),
+        (0, 3): build_static_edge(True, "dt"),
+        (1, 2): build_static_edge(False, "dt"),
+        (1, 4): build_edge_markovian(1.0, 1.0, "dt"),
+        (2, 3): build_edge_markovian(0.9, 0.05, "dt"),
+        (3, 4): two_state_chain(0.2, 0.7),
+        (4, 5): two_state_chain(0.5, 0.4, output=(1, 0)),
+        (2, 5): build_edge_markovian(0.6, 0.3, "dt"),
+    })
+
+
+def amai_random(n=9, seed=4):
+    rng = np.random.default_rng(seed)
+    edges = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.4:
+                edges[(i, j)] = build_edge_markovian(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
+                                                     "dt")
+    edges[(0, n - 1)] = build_static_edge(True, "dt")
+    return DynamicGraphModel(n, AMAI, edges)
+
+
+def static_only():
+    return DynamicGraphModel(4, AMEI, {(0, 1): build_static_edge(True, "dt"),
+                                       (1, 2): build_static_edge(True, "dt"),
+                                       (2, 3): build_static_edge(False, "dt")})
+
+
+GRAPHS = {
+    "amei mixed": amei_mixed,
+    "amei er": lambda: graph_er_iv(30, 0.4, seed=123),
+    "amai": amai_random,
+    "static only": static_only,
+}
+
+
+def node_rates(n, beta, delta, seed=0):
+    """Heterogeneous per-node rates around (beta, delta)."""
+    rng = np.random.default_rng(seed)
+    return (np.clip(beta * rng.uniform(0.5, 1.5, n), 0, 1),
+            np.clip(delta * rng.uniform(0.5, 1.5, n), 0, 1))
+
+
+def trace_x0(n, ids):
+    """Initial mask with the nodes ``ids`` infected."""
+    x0 = np.zeros(n, dtype=bool)
+    x0[ids] = True
+    return x0
+
+
+def assert_same_run(trace, ref):
+    _, counts, reinfections, states = ref
+    np.testing.assert_array_equal(trace.infected_counts, counts)
+    assert trace.reinfections == reinfections
+    if states is None:
+        assert trace.states is None
+    else:
+        np.testing.assert_array_equal(trace.states, states)
+
+
+class TestOneLaneMatchesReference:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("reinfect", [False, True])
+    @pytest.mark.parametrize("record_states", [False, True])
+    def test_sampled_edges(self, name, reinfect, record_states):
+        g = GRAPHS[name]()
+        for seed, (beta, delta) in enumerate([(0.3, 0.4), node_rates(g.n, 0.2, 0.5),
+                                              (1.0, 0.9), (0.05, 0.3)]):
+            beta, delta = np.broadcast_to(beta, (g.n,)), np.broadcast_to(delta, (g.n,))
+            trace = simulate_dt_exact(g, (beta, delta), 40, init_infected=[1],
+                                      reinfect=reinfect, seed=seed, record_states=record_states)
+            ref = helpers.reference_dt_run(g, beta, delta, 40, trace_x0(g.n, [1]), reinfect,
+                                           rngmod.generator(seed), record_states)
+            assert_same_run(trace, ref)
+
+    @pytest.mark.parametrize("name", ["amei mixed", "amai"])
+    @pytest.mark.parametrize("reinfect", [False, True])
+    def test_fixed_edge_path(self, name, reinfect):
+        g = GRAPHS[name]()
+        path = sample_graph_path(g, steps=50, seed=3)
+        beta, delta = node_rates(g.n, 0.4, 0.5, seed=1)
+        trace = simulate_dt_exact(g, (beta, delta), 45, reinfect=reinfect, seed=8,
+                                  edge_path=path, record_states=True)
+        ref = helpers.reference_dt_run(g, beta, delta, 45, np.ones(g.n, dtype=bool), reinfect,
+                                       rngmod.generator(8), True, edge_path=path)
+        assert_same_run(trace, ref)
+
+    def test_multi_state_chain_runs_on_its_sampled_path(self):
+        edge = EdgeProcessModel(MarkovChainSpec(("a", "b", "c"), "dt", P3), np.array([0, 1, 1]))
+        g = DynamicGraphModel(4, AMEI, {(0, 1): edge, (1, 2): build_edge_markovian(0.4, 0.3, "dt"),
+                                        (2, 3): build_static_edge(True, "dt"), (0, 3): edge})
+        trace = simulate_dt_exact(g, (0.4, 0.3), 30, reinfect=True, seed=6, record_states=True)
+        ref = helpers.reference_dt_run(g, np.full(4, 0.4), np.full(4, 0.3), 30,
+                                       np.ones(4, dtype=bool), True, rngmod.generator(6), True,
+                                       edge_path=sample_graph_path(g, steps=30, seed=6))
+        assert_same_run(trace, ref)
+
+    def test_generator_seed_is_the_same_stream(self):
+        g = graph_er_iv(30, 0.4, seed=123)
+        stream = simulate_dt_exact(g, (0.05, 0.3), 50, reinfect=True,
+                                   seed=rngmod.generator(7, rngmod.TAG_PATH, 2))
+        np.testing.assert_array_equal(
+            stream.infected_counts,
+            helpers.reference_dt_run(g, np.full(30, 0.05), np.full(30, 0.3), 50,
+                                     np.ones(30, dtype=bool), True,
+                                     rngmod.generator(7, rngmod.TAG_PATH, 2), False)[1])
+        assert stream.seed == 7 and isinstance(stream.seed, int)
+        plain = simulate_dt_exact(g, (0.05, 0.3), 50, reinfect=True, seed=7)
+        again = simulate_dt_exact(g, (0.05, 0.3), 50, reinfect=True, seed=rngmod.generator(7))
+        np.testing.assert_array_equal(plain.infected_counts, again.infected_counts)
+
+
+LANE_BETAS = np.array([0.0, 0.02, 0.1, 0.4])
+
+
+class TestLanesMatchPerLaneLoop:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("reinfect", [False, True])
+    def test_shared_draws(self, name, reinfect):
+        g = GRAPHS[name]()
+        factors = np.random.default_rng(5).uniform(0.5, 1.5, g.n)
+        beta = np.clip(factors[:, None] * LANE_BETAS[None, :], 0, 1)
+        delta = np.full(g.n, 0.5)
+        x0 = trace_x0(g.n, [0, 2])
+        counts, reinf, states = _dt_run(g, beta, delta, 60, x0, reinfect, rngmod.generator(11),
+                                        True)
+        ref_counts, ref_reinf, ref_states = helpers.naive_lane_run(
+            g, beta, delta, 60, x0, reinfect, rngmod.generator(11), True)
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_array_equal(reinf, ref_reinf)
+        np.testing.assert_array_equal(states, ref_states)
+        if reinfect:
+            assert reinf[0] > 0  # the beta = 0 lane dies out and is re-seeded
+        else:
+            assert not reinf.any()
+
+
+class TestMonotoneCoupling:
+    def lanes(self, g, delta, seed, steps=80):
+        beta = np.tile(np.array([0.01, 0.03, 0.06, 0.1, 0.2]), (g.n, 1))
+        _, _, states = _dt_run(g, beta, np.full(g.n, delta), steps, trace_x0(g.n, [0]), False,
+                               rngmod.generator(seed), True)
+        return states
+
+    @pytest.mark.parametrize("name", ["amei er", "amai", "amei mixed"])
+    def test_nested_without_recovery(self, name):
+        g = GRAPHS[name]()
+        for seed in range(5):
+            states = self.lanes(g, 0.0, seed)
+            assert (states[:, :, :-1] <= states[:, :, 1:]).all()
+
+    @pytest.mark.parametrize("name", ["amei er", "amai", "amei mixed"])
+    def test_nesting_breaks_only_where_the_higher_lane_recovers(self, name):
+        # The lanes share one infection uniform and one recovery uniform per
+        # node.  A node susceptible in the lower lane and infected in the
+        # higher one is infected by the first and cured by the second
+        # independently, so that is the one way a nested pair can split.
+        g = GRAPHS[name]()
+        for seed in range(5):
+            states = self.lanes(g, 0.3, seed)
+            low, high = states[:, :, :-1], states[:, :, 1:]
+            nested = (low <= high).all(axis=1)              # (steps + 1, G - 1)
+            split = low[1:] & ~high[1:]                       # nodes out of order at k + 1
+            cause = ~low[:-1] & high[:-1] & low[1:] & ~high[1:]
+            assert ((split == cause) | ~nested[:-1, None, :]).all()
+
+
+class TestLaneDistributions:
+    def test_final_counts_match_independent_runs(self):
+        # each lane's final count against single-beta runs on their own streams
+        g = graph_er_iv(30, 0.4, seed=123)
+        grid, delta, paths, steps = np.array([0.01, 0.03, 0.06]), 0.3, 200, 60
+        x0, deltas = np.ones(g.n, dtype=bool), np.full(g.n, delta)
+        lanes = np.array([
+            _dt_run(g, np.tile(grid, (g.n, 1)), deltas, steps, x0, True,
+                    rngmod.generator(41, rngmod.TAG_PATH, pid), False)[0][-1]
+            for pid in range(paths)])
+        for b, beta in enumerate(grid):
+            single = [helpers.reference_dt_run(g, np.full(g.n, beta), deltas, steps, x0, True,
+                                               rngmod.generator(42, rngmod.TAG_PATH, b, pid),
+                                               False)[1][-1]
+                      for pid in range(paths)]
+            assert ks_2samp(lanes[:, b], single).pvalue > 0.01
+
+    def test_protocol_path_is_a_lane_run_on_its_tagged_stream(self):
+        g = graph_er_iv(30, 0.4, seed=123)
+        grid = [0.01, 0.05]
+        rep = empirical_threshold(g, 0.3, grid, paths=3, steps=40, seed=5)
+        for pid in range(3):
+            counts, _, _ = _dt_run(g, np.tile(grid, (g.n, 1)), np.full(g.n, 0.3), 40,
+                                   np.ones(g.n, dtype=bool), True,
+                                   rngmod.generator(5, rngmod.TAG_PATH, pid), False)
+            np.testing.assert_array_equal(rep.final_counts[:, pid], counts[-1])

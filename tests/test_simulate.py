@@ -274,6 +274,21 @@ class TestEmpiricalThreshold:
         else:
             assert rep.beta_star == 0.3
 
+    def test_crossing_stderr_and_bracket(self):
+        g = tempest_iv_small()
+        rep = empirical_threshold(g, 0.5, [0.001, 0.05, 0.3], paths=8, steps=80, seed=9)
+        np.testing.assert_allclose(rep.z_stderr,
+                                   rep.final_counts.std(axis=1, ddof=1) / np.sqrt(8))
+        assert rep.z_star[1] < 1.0 <= rep.z_star[2]
+        assert rep.beta_star == 0.05 and rep.beta_bracket == (0.05, 0.3)
+        # no crossing inside the grid: all below, or all at or above, z* = 1
+        low = empirical_threshold(g, 0.5, [1e-4, 3e-4], paths=8, steps=80, seed=9)
+        assert low.beta_star == 3e-4 and low.beta_bracket is None
+        high = empirical_threshold(g, 0.5, [0.3, 0.6], paths=8, steps=80, seed=9)
+        assert high.beta_star is None and high.beta_bracket is None
+        one = empirical_threshold(g, 0.5, [0.05], paths=1, steps=20, seed=9)
+        assert np.isnan(one.z_stderr).all()
+
     def test_grid_below_certified_threshold_stays_low(self):
         # a beta grid entirely below the certified threshold keeps z* < 0.1
         # (the compensated metastable level only vanishes well inside the
