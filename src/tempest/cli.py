@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as rngmod
-from .config import ExperimentConfig, build_graph
+from .config import ExperimentConfig, build_graph, load_json
 from .errors import ConfigError, NUMERICAL_ERRORS, RESOURCE_ERRORS, TempestError
 from .graphs import mean_matrix
 from .markov import CT, DT
@@ -366,8 +366,7 @@ def _parse_kv(pairs):
 def _assemble_config(args) -> ExperimentConfig:
     doc = {}
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = load_json(args.config)
     doc["task"] = args.task
     doc.setdefault("seed", 0)
     for key in ("seed", "threads", "out"):

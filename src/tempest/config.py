@@ -90,8 +90,20 @@ class ExperimentConfig:
         """Explicit config value wins; TEMPEST_THREADS is the fallback."""
         if self.threads is not None:
             return max(1, self.threads)
-        env = os.environ.get("TEMPEST_THREADS")
-        return max(1, int(env)) if env else 1
+        env = os.environ.get("TEMPEST_THREADS") or "1"
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"TEMPEST_THREADS must be an integer, got {env!r}") from None
+
+
+def load_json(path: str):
+    """Parse a user-named JSON file; a missing or malformed file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or text encoding
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def config_hash(doc: dict) -> str:
@@ -120,6 +132,5 @@ def build_graph(cfg: ExperimentConfig) -> DynamicGraphModel:
     if "spec" in g:
         return graph_from_json(g["spec"])
     if "file" in g:
-        with open(g["file"]) as fh:
-            return graph_from_json(json.load(fh))
+        return graph_from_json(load_json(g["file"]))
     raise ConfigError("graph block needs one of: preset, spec, file")

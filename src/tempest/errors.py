@@ -72,10 +72,6 @@ class ParamRange(TempestError):
     """A probability parameter left [0, 1] in a discrete-time model."""
 
 
-class ToleranceFailure(TempestError):
-    """Adaptive integrator could not satisfy the per-interval tolerance."""
-
-
 class InsufficientData(TempestError):
     """Not enough independent trajectories for a decay-rate estimate."""
 
@@ -88,4 +84,4 @@ class ConfigError(TempestError):
 RESOURCE_ERRORS = (TooManyEdges, TooManyConfigurations)
 
 #: Exceptions that map to CLI exit code 2 (numerical failure).
-NUMERICAL_ERRORS = (NumericalFailure, ConvergenceFailure, ToleranceFailure)
+NUMERICAL_ERRORS = (NumericalFailure, ConvergenceFailure)

@@ -4,19 +4,21 @@ Continuous time: event-driven joint simulation of all edge chains and node
 states with competing exponential clocks (exact by memorylessness).
 Discrete time: synchronous chain with per-contact infection probabilities
 and the re-infection protocol used for empirical thresholds.  The linear
-systems dp/dt = (B A(t) - D) p and p(k+1) = (B A(k) + I - D) p(k) are
-propagated along sampled adjacency paths for decay-rate estimation.
+systems dp/dt = (B A(t) - D) p and p(k+1) = (B A(k) + I - D) p(k) take one
+exact step, expm(M dt) or M, per segment of a sampled adjacency path.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import rng as rngmod
-from .errors import InsufficientData, ParamRange, ToleranceFailure
+from .errors import InsufficientData, ParamRange
 from .graphs import AMEI, CHAIN0, MARKOV2, STATIC_ON, DynamicGraphModel, GraphPath, \
     sample_graph_path
 from .markov import CT, DT, jump_tables
@@ -279,91 +281,20 @@ class LinearTrajectory:
         return self.unit_p * np.exp(self.log_norms)[:, None]
 
 
-def _eigen_stepper(m: np.ndarray):
-    """Eigendecomposition of a segment matrix, or None when it is defective.
-
-    Directed adjacency patterns often produce non-diagonalizable system
-    matrices (e.g. strictly triangular coupling); those are detected by a
-    reconstruction-error check and stepped with the dense exponential.
-    """
-    w, vec = np.linalg.eig(m)
-    try:
-        vinv = np.linalg.inv(vec)
-    except np.linalg.LinAlgError:
-        return None
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs((vec * w) @ vinv - m).max() > 1e-9 * scale:
-        return None
-    return w, vec, vinv
-
-
-class _DormandPrince:
-    """Adaptive RK45 (Dormand-Prince) stepper for dp/dt = M p on one interval."""
-
-    A = [
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    ]
-    B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-    B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-    def __init__(self, m: np.ndarray, rtol: float, atol: float):
-        self.m = m
-        self.rtol = rtol
-        self.atol = atol
-
-    def integrate(self, p: np.ndarray, span: float) -> np.ndarray:
-        if span == 0.0:
-            return p
-        scale = max(1.0, float(np.abs(self.m).max()))
-        h = min(span, 0.1 / scale)
-        t = 0.0
-        k = np.empty((7, p.size))
-        while t < span:
-            h = min(h, span - t)
-            k[0] = self.m @ p
-            for i in range(1, 7):
-                acc = p + h * sum(a * k[j] for j, a in enumerate(self.A[i]))
-                k[i] = self.m @ acc
-            p5 = p + h * (self.B5 @ k)
-            p4 = p + h * (self.B4 @ k)
-            err = np.abs(p5 - p4).max()
-            tol = self.atol + self.rtol * max(1.0, float(np.abs(p5).max()))
-            if err <= tol:
-                t += h
-                p = p5
-                h *= min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0))
-            else:
-                h *= max(0.2, 0.9 * (tol / err) ** 0.2)
-            if h < 1e-14 * max(1.0, span):
-                raise ToleranceFailure("RK45 step size underflow")
-        return p
-
-
-def propagate_linear(path: GraphPath, params, p0=None, mode: str | None = None,
-                     backend: str = "rk45", rtol: float = 1e-10) -> LinearTrajectory:
+def propagate_linear(path: GraphPath, params, p0=None) -> LinearTrajectory:
     """Propagate the linear upper-bound system along a sampled adjacency path.
 
-    CT: dp/dt = (B A(t) - D) p integrated segment-by-segment, restarting the
-    adaptive RK45 stepper at every switch (default backend).  The "eigen"
-    backend steps each segment exactly through a cached eigendecomposition
-    of its (constant) system matrix; both backends agree to solver accuracy.
-    DT: the exact recursion p(k+1) = (B A(k) + I - D) p(k).
+    The system matrix is constant between switches, so each segment takes
+    one exact step.  CT: dp/dt = (B A(t) - D) p, stepped by
+    p <- expm(M dt) p with scipy's scaling-and-squaring ``expm``.
+    DT: the recursion p(k+1) = (B A(k) + I - D) p(k).
 
     The state is renormalized at every breakpoint and the accumulated log
     norm recorded, so arbitrarily long decays never underflow.
     """
     n = path.adjacency.shape[1]
     beta, delta = _rates(params, n)
-    mode = mode or path.time_base
-    if mode != path.time_base:
-        raise ValueError("mode does not match the path's time base")
+    mode = path.time_base
     p = np.ones(n) if p0 is None else np.asarray(p0, dtype=float).copy()
     if p.min() < 0:
         raise ValueError("p0 must be nonnegative")
@@ -377,29 +308,10 @@ def propagate_linear(path: GraphPath, params, p0=None, mode: str | None = None,
     out_log = np.empty(len(times))
     out_p[0], out_log[0] = p, log_norm
 
-    cache: dict = {}
     d = np.diag(delta if mode == CT else delta - 1.0)  # DT: m = B A(k) + I - D
     for k in range(path.adjacency.shape[0]):
-        a = path.adjacency[k]
-        span = float(times[k + 1] - times[k])
-        m = beta[:, None] * a - d
-        if mode == DT:
-            p = m @ p
-        elif backend == "eigen":
-            key = a.tobytes()
-            if key not in cache:
-                cache[key] = _eigen_stepper(m)
-            step = cache[key]
-            if step is None:  # defective matrix: exact dense exponential instead
-                import scipy.linalg
-                p = scipy.linalg.expm(m * span) @ p
-            else:
-                w, vec, vinv = step
-                p = (vec @ (np.exp(w * span) * (vinv @ p))).real
-        elif backend == "rk45":
-            p = _DormandPrince(m, rtol, rtol * 1e-3).integrate(p, span)
-        else:
-            raise ValueError("backend must be 'rk45' or 'eigen'")
+        m = beta[:, None] * path.adjacency[k] - d
+        p = m @ p if mode == DT else scipy.linalg.expm(m * (times[k + 1] - times[k])) @ p
         norm = float(np.linalg.norm(p))
         if norm == 0:
             log_norm = -np.inf
@@ -467,6 +379,7 @@ class EmpiricalThresholdReport:
 
 
 _WORKER_STATE: dict = {}
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _empirical_init(payload):
@@ -493,6 +406,11 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
     TAG_PATH, path_id) and runs every grid beta at once on one edge
     trajectory with shared infection and recovery uniforms (common random
     numbers), so results are identical for any thread count.
+
+    With ``threads > 1`` the paths run on min(threads, paths) spawned
+    worker processes, each with one BLAS thread.  Spawned workers import
+    the caller's ``__main__`` module, so a script that calls this must keep
+    its entry point under ``if __name__ == "__main__":``.
     """
     beta_grid = np.sort(np.asarray(beta_grid, dtype=float))
     if not _dt_fast(graph):
@@ -503,9 +421,20 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
         "graph": graph, "beta": np.tile(beta_grid, (n, 1)), "delta": np.full(n, float(delta)),
         "steps": int(steps), "seed": int(seed), "x0": _init_mask(init_infected, n),
     }
-    if threads > 1:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(threads, initializer=_empirical_init, initargs=(payload,)) as pool:
+    workers = min(threads, paths)
+    if workers > 1:
+        # one BLAS thread per worker: the workers already fill the cores
+        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            pool = mp.get_context("spawn").Pool(workers, _empirical_init, (payload,))
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        with pool:
             results = list(pool.imap_unordered(_empirical_task, range(paths)))
     else:
         _empirical_init(payload)

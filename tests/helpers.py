@@ -9,6 +9,7 @@ cross-checked end to end.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, sample_edge_path, \
     stationary_distribution
@@ -199,6 +200,23 @@ def naive_lane_run(graph, beta, delta, steps, x0, reinfect, rng, record_states):
         if record_states:
             states.append(np.stack(xs, axis=1))
     return counts, reinfections, np.asarray(states) if record_states else None
+
+
+# ---------------------------------------------------------------------------
+# Dense reference for linear propagation
+# ---------------------------------------------------------------------------
+
+def reference_linear_propagation(path, beta, delta, p0):
+    """log ||p(t_k)|| of dp/dt = (B A(t) - D) p along a CT path: the product of
+    the segment propagators expm(M_k dt_k) ... expm(M_0 dt_0), applied to p0."""
+    n = path.adjacency.shape[1]
+    prop = np.eye(n)
+    logs = [np.log(np.linalg.norm(p0))]
+    for k, a in enumerate(path.adjacency):
+        m = np.diag(beta) @ a - np.diag(delta)
+        prop = scipy.linalg.expm(m * (path.times[k + 1] - path.times[k])) @ prop
+        logs.append(np.log(np.linalg.norm(prop @ p0)))
+    return np.asarray(logs)
 
 
 # ---------------------------------------------------------------------------

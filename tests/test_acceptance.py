@@ -320,8 +320,8 @@ def _decay_check(g, params, rep, n_traj=24):
     bound = rep.decay_rate_bound
     if g.time == "ct":
         horizon = float(np.clip(8.0 / bound, 20.0, 80.0))
-        trajs = [propagate_linear(sample_graph_path(g, horizon=horizon, seed=1000 + k),
-                                  params, backend="eigen") for k in range(n_traj)]
+        trajs = [propagate_linear(sample_graph_path(g, horizon=horizon, seed=1000 + k), params)
+                 for k in range(n_traj)]
     else:
         steps = int(np.clip(10.0 / bound, 60, 400))
         trajs = [propagate_linear(sample_graph_path(g, steps=steps, seed=1000 + k), params)

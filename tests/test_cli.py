@@ -116,6 +116,24 @@ class TestCliRuns:
         assert r.returncode == 1
         assert r.stderr.startswith("config error:"), r.stderr
 
+    # outside input that cannot be read ends in a config error, not a traceback
+    @pytest.mark.parametrize("args, threads_env", [
+        (["--config", "missing.json"], None),
+        (["--config", "bad.json"], None),
+        (["--graph-file", "bad.json"], None),
+        (["--preset", "iv", "--graph-param", "n=10"], "two"),
+    ], ids=["missing config", "malformed config", "malformed graph file", "threads env"])
+    def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                               args, threads_env):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text('{"task": ')
+        if threads_env is None:
+            monkeypatch.delenv("TEMPEST_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TEMPEST_THREADS", threads_env)
+        assert main(["empirical", *args, "--seed", "0"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_unknown_certificate_is_config_error(self, tmp_path):
         r = cli("threshold", "--preset", "complete_edge_markovian",
                 "--graph-param", "n=4", "--graph-param", "q=1.0", "--graph-param", "r=1.0",

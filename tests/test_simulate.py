@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -156,7 +158,7 @@ class TestPropagateLinear:
         g = DynamicGraphModel(3, AMEI, {})
         path = sample_graph_path(g, horizon=5.0, seed=0)
         delta = np.array([0.5, 1.0, 2.0])
-        traj = propagate_linear(path, (np.zeros(3), delta), p0=np.ones(3), backend="eigen")
+        traj = propagate_linear(path, (np.zeros(3), delta), p0=np.ones(3))
         expected = np.exp(-delta * 5.0)
         np.testing.assert_allclose(traj.values()[-1], expected, rtol=1e-9)
 
@@ -165,6 +167,18 @@ class TestPropagateLinear:
         path = sample_graph_path(g, steps=12, seed=0)
         traj = propagate_linear(path, (np.zeros(2), np.array([0.3, 0.6])))
         np.testing.assert_allclose(traj.values()[-1], [0.7 ** 12, 0.4 ** 12], rtol=1e-12)
+
+    def test_dt_trajectory_pinned(self):
+        # the DT recursion p <- (B A(k) + I - D) p with renormalization;
+        # values recorded before the CT step became one matrix exponential
+        g = helpers.random_amei_dt(np.random.default_rng(17), 5, p_edge=0.7)
+        path = sample_graph_path(g, steps=40, seed=33)
+        traj = propagate_linear(path, (np.full(5, 0.35), np.full(5, 0.45)))
+        assert [x.hex() for x in traj.log_norms[[10, 20, 40]]] == [
+            "0x1.6500883e3ef6cp+0", "0x1.4b1f95b6252a3p+1", "0x1.97763bdbb78f8p+2"]
+        assert [x.hex() for x in traj.unit_p[-1]] == [
+            "0x1.12b9c4f169542p-1", "0x1.c0901e8817395p-3", "0x1.e04629a70c135p-2",
+            "0x1.aca61579ecac5p-2", "0x1.0981948a8ce91p-1"]
 
     def test_single_switch_matches_expm_product(self):
         # one switch at t=1 between two fixed matrices; scaling-and-squaring oracle
@@ -179,11 +193,10 @@ class TestPropagateLinear:
         p0 = np.array([1.0, 0.5, 0.25, 1.0])
         oracle = scipy.linalg.expm((np.diag(beta) @ a1 - np.diag(delta)) * 1.5) @ \
             scipy.linalg.expm((np.diag(beta) @ a0 - np.diag(delta)) * 1.0) @ p0
-        for backend in ("rk45", "eigen"):
-            traj = propagate_linear(path, (beta, delta), p0=p0, backend=backend)
-            np.testing.assert_allclose(traj.values()[-1], oracle, rtol=1e-8, atol=1e-12)
+        traj = propagate_linear(path, (beta, delta), p0=p0)
+        np.testing.assert_allclose(traj.values()[-1], oracle, rtol=1e-8, atol=1e-12)
 
-    def test_eigen_backend_handles_defective_matrices(self):
+    def test_defective_matrix_matches_expm(self):
         # strictly triangular coupling makes beta*A - D non-diagonalizable
         from tempest.graphs import GraphPath
         a = np.zeros((3, 3))
@@ -191,21 +204,22 @@ class TestPropagateLinear:
         path = GraphPath(np.array([0.0, 2.0]), a[None, :, :], "ct")
         beta, delta = np.full(3, 0.5), np.ones(3)
         oracle = scipy.linalg.expm((np.diag(beta) @ a - np.eye(3)) * 2.0) @ np.ones(3)
-        traj = propagate_linear(path, (beta, delta), p0=np.ones(3), backend="eigen")
+        traj = propagate_linear(path, (beta, delta), p0=np.ones(3))
         np.testing.assert_allclose(traj.values()[-1], oracle, rtol=1e-9)
 
-    def test_backends_agree_on_random_path(self):
+    def test_random_path_matches_expm_reference(self):
         g = helpers.random_amei_ct(np.random.default_rng(10), 6, p_edge=0.6)
         path = sample_graph_path(g, horizon=8.0, seed=21)
-        params = (np.full(6, 0.3), np.full(6, 1.0))
-        t1 = propagate_linear(path, params, backend="rk45")
-        t2 = propagate_linear(path, params, backend="eigen")
-        np.testing.assert_allclose(t1.log_norms, t2.log_norms, atol=1e-8)
+        beta, delta = np.full(6, 0.3), np.full(6, 1.0)
+        traj = propagate_linear(path, (beta, delta))
+        reference = helpers.reference_linear_propagation(path, beta, delta, np.ones(6))
+        assert path.adjacency.shape[0] > 50  # many switches
+        np.testing.assert_allclose(traj.log_norms, reference, rtol=0, atol=1e-12)
 
     def test_nonnegative_along_trajectory(self):
         g = helpers.random_amei_ct(np.random.default_rng(13), 5, p_edge=0.7)
         path = sample_graph_path(g, horizon=12.0, seed=2)
-        traj = propagate_linear(path, (np.full(5, 0.5), np.full(5, 0.9)), backend="eigen")
+        traj = propagate_linear(path, (np.full(5, 0.5), np.full(5, 0.9)))
         assert traj.values().min() >= -1e-12
 
     def test_domination_of_exact_chain(self):
@@ -237,14 +251,10 @@ class TestDecayRate:
     def test_pure_decay_rate_exact(self):
         g = DynamicGraphModel(3, AMEI, {})
         path = sample_graph_path(g, horizon=10.0, seed=0)
-        trajs = [propagate_linear(path, (np.zeros(3), np.full(3, 0.8)), backend="eigen")
-                 for _ in range(20)]
+        trajs = [propagate_linear(path, (np.zeros(3), np.full(3, 0.8))) for _ in range(20)]
         est = decay_rate_estimate(trajs)
         assert est.rate == pytest.approx(0.8, abs=1e-9)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
-        rk = decay_rate_estimate(
-            [propagate_linear(path, (np.zeros(3), np.full(3, 0.8))) for _ in range(20)])
-        assert rk.rate == pytest.approx(0.8, abs=1e-7)
 
     def test_dt_contraction_rate(self):
         g = DynamicGraphModel(2, AMEI, {})
@@ -255,11 +265,15 @@ class TestDecayRate:
 
 
 class TestEmpiricalThreshold:
-    def test_small_instance_and_thread_invariance(self):
+    def test_small_instance_and_thread_invariance(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         g = tempest_iv_small()
         grid = [0.002, 0.02, 0.2]
         r1 = empirical_threshold(g, 0.3, grid, paths=6, steps=60, seed=5, threads=1)
         r2 = empirical_threshold(g, 0.3, grid, paths=6, steps=60, seed=5, threads=2)
+        # the workers' one-thread BLAS settings do not leak into the caller
+        assert os.environ["OMP_NUM_THREADS"] == "3" and "MKL_NUM_THREADS" not in os.environ
         np.testing.assert_array_equal(r1.final_counts, r2.final_counts)
         np.testing.assert_array_equal(r1.y_star, r2.y_star)
         assert (r1.y_star >= 1.0).all()  # re-infection keeps one node alive

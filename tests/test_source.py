@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import tempest
+from tempest import errors
 
 PACKAGE = Path(tempest.__file__).resolve().parent
 
@@ -16,3 +17,17 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_every_error_type_is_raised():
+    # an exception type nothing raises is dead API; TempestError is the base
+    raised = set()
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.TempestError)}
+    unused = sorted(defined - raised - {"TempestError"})
+    assert not unused, f"error types never raised in the package: {unused}"
