@@ -97,13 +97,16 @@ class ExperimentConfig:
             raise ConfigError(f"TEMPEST_THREADS must be an integer, got {env!r}") from None
 
 
-def load_json(path: str):
-    """Parse a user-named JSON file; a missing or malformed file is a ConfigError."""
+def load_json(path: str) -> dict:
+    """Parse a user-named JSON object; a missing or malformed file is a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or text encoding
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def config_hash(doc: dict) -> str:

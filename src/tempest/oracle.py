@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import rng as rngmod
 from .errors import NonMarkovEdge, TooManyConfigurations, TooManyEdges, WrongKind
 from .graphs import AMEI, MARKOV2, STATIC_ON, DynamicGraphModel, MeanMatrix
 from .markov import CT
-from .spectral import KappaParams, kappa, power_iteration_abscissa
+from .spectral import KappaParams, kappa, spectral_abscissa
 from .thresholds import EpidemicParams
 
 _EDGE_CAP = 20
@@ -61,16 +62,10 @@ class SubgraphEnumeration:
         return f
 
 
-def enumerate_subgraphs(graph: DynamicGraphModel) -> SubgraphEnumeration:
-    """Extract the hypercube structure from a graph of 2-state CT Markov edges."""
+def _check_two_state(graph: DynamicGraphModel) -> None:
     if graph.time != CT:
         raise WrongKind("subgraph enumeration applies to continuous-time graphs")
     table = graph.table
-    static_on = table.template == STATIC_ON
-    static_base = np.zeros((graph.n, graph.n))
-    static_base[table.i[static_on], table.j[static_on]] = 1.0
-    if graph.kind == AMEI:
-        static_base[table.j[static_on], table.i[static_on]] = 1.0
     stochastic = np.flatnonzero(table.template >= MARKOV2)
     multi_state = stochastic[np.isnan(table.q[stochastic])]
     if multi_state.size:
@@ -78,11 +73,32 @@ def enumerate_subgraphs(graph: DynamicGraphModel) -> SubgraphEnumeration:
         raise NonMarkovEdge(f"edge ({table.i[k]},{table.j[k]}) has "
                             f"{table.edge(k).chain.n_states} states; "
                             "the exact condition assumes plain 2-state Markov edges")
+
+
+def _enumerate(graph: DynamicGraphModel, nodes: np.ndarray) -> SubgraphEnumeration:
+    """Hypercube structure of the subgraph induced on ``nodes``, relabelled 0..len-1."""
+    table = graph.table
+    local = np.full(graph.n, -1)
+    local[nodes] = np.arange(nodes.size)
+    li, lj = local[table.i], local[table.j]
+    inside = (li >= 0) & (lj >= 0)
+    static_on = inside & (table.template == STATIC_ON)
+    static_base = np.zeros((nodes.size, nodes.size))
+    static_base[li[static_on], lj[static_on]] = 1.0
+    if graph.kind == AMEI:
+        static_base[lj[static_on], li[static_on]] = 1.0
+    stochastic = np.flatnonzero(inside & (table.template >= MARKOV2))
     if stochastic.size > _EDGE_CAP:
         raise TooManyEdges(f"{stochastic.size} stochastic edges exceeds the 2^m cap of {_EDGE_CAP}")
-    keys = list(zip(table.i[stochastic].tolist(), table.j[stochastic].tolist()))
-    return SubgraphEnumeration(graph.n, graph.kind, keys, table.q[stochastic],
+    keys = list(zip(li[stochastic].tolist(), lj[stochastic].tolist()))
+    return SubgraphEnumeration(nodes.size, graph.kind, keys, table.q[stochastic],
                                table.r[stochastic], static_base)
+
+
+def enumerate_subgraphs(graph: DynamicGraphModel) -> SubgraphEnumeration:
+    """Extract the hypercube structure from a graph of 2-state CT Markov edges."""
+    _check_two_state(graph)
+    return _enumerate(graph, np.arange(graph.n))
 
 
 def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
@@ -108,22 +124,14 @@ def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
     return (pi + sp.diags(diag)).tocsr()
 
 
-def assemble_exponential_generator(graph: DynamicGraphModel,
-                                   params: EpidemicParams) -> sp.csr_matrix:
-    """Sparse assembly of Pi (x) I_n + blockdiag_l (B F_l - D).
-
-    The hypercube stencil is built as one Kronecker product; the per-label
-    blocks are assembled per edge over the labels where that edge is
-    present, never materializing the dense n*2^m square.
-    """
-    enum = enumerate_subgraphs(graph)
+def _assemble(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> sp.csr_matrix:
     n, big_l = enum.n, enum.n_labels
     dim = n * big_l
     if dim > _DIM_CAP:
         raise TooManyEdges(f"matrix dimension {dim} exceeds cap {_DIM_CAP}")
     pi = pi_matrix(enum)
     mat = sp.kron(pi, sp.identity(n, format="csr"), format="csr")
-    base = params.beta[:, None] * enum.static_base - np.diag(params.delta)
+    base = beta[:, None] * enum.static_base - np.diag(delta)
     mat = mat + sp.kron(sp.identity(big_l, format="csr"), sp.csr_matrix(base), format="csr")
     rows, cols, data = [], [], []
     labels = np.arange(big_l, dtype=np.int64)
@@ -131,11 +139,11 @@ def assemble_exponential_generator(graph: DynamicGraphModel,
         sel = labels[((labels >> k) & 1) == 1]
         rows.append(sel * n + i)
         cols.append(sel * n + j)
-        data.append(np.full(sel.size, params.beta[i]))
+        data.append(np.full(sel.size, beta[i]))
         if enum.kind == AMEI:
             rows.append(sel * n + j)
             cols.append(sel * n + i)
-            data.append(np.full(sel.size, params.beta[j]))
+            data.append(np.full(sel.size, beta[j]))
     if rows:
         extra = sp.coo_matrix((np.concatenate(data),
                                (np.concatenate(rows), np.concatenate(cols))),
@@ -144,19 +152,63 @@ def assemble_exponential_generator(graph: DynamicGraphModel,
     return mat.tocsr()
 
 
+def assemble_exponential_generator(graph: DynamicGraphModel,
+                                   params: EpidemicParams) -> sp.csr_matrix:
+    """Sparse assembly of Pi (x) I_n + blockdiag_l (B F_l - D).
+
+    The hypercube stencil is built as one Kronecker product; the per-label
+    blocks are assembled per edge over the labels where that edge is
+    present, never materializing the dense n*2^m square.
+    """
+    return _assemble(enumerate_subgraphs(graph), params.beta, params.delta)
+
+
+def _coupling_components(graph: DynamicGraphModel, beta: np.ndarray) -> list:
+    """Strongly connected components of the infection coupling between nodes.
+
+    Arc i -> j when beta_i > 0 and edge (i, j) is stochastic or static-on,
+    both directions for AMEI.
+    """
+    table = graph.table
+    live = table.template >= STATIC_ON
+    src, dst = table.i[live], table.j[live]
+    if graph.kind == AMEI:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    keep = beta[src] > 0
+    arcs = sp.coo_matrix((np.ones(keep.sum()), (src[keep], dst[keep])),
+                         shape=(graph.n, graph.n))
+    count, labels = connected_components(arcs, directed=True, connection="strong")
+    return [np.flatnonzero(labels == c) for c in range(count)]
+
+
 def exponential_condition(graph: DynamicGraphModel, params: EpidemicParams):
     """Exact-chain stability condition of exponential size.
 
     Returns (stable, eta): the Hurwitz verdict and the spectral abscissa of
-    the assembled generator.  The matrix is Metzler, so the power-iteration
-    fast path applies beyond the dense cutoff.
+    Pi (x) I_n + blockdiag_l (B F_l - D), computed one irreducible block at
+    a time.  Ordered by the strongly connected components of the node
+    coupling, the generator is block-triangular; each diagonal block is the
+    Kronecker sum of its component's own generator (its nodes and internal
+    edges) with the generator of the other edges, whose abscissa is 0.  So
+    eta is the maximum over components, a singleton contributes -delta_i,
+    and the edge and dimension caps apply per component.  Blocks up to
+    dimension 512 are solved densely, larger ones by the certified ARPACK
+    route of ``spectral_abscissa`` (each block is irreducible Metzler).
     """
-    mat = assemble_exponential_generator(graph, params)
-    dim = mat.shape[0]
-    if dim <= _DENSE_DIM:
-        eta = float(np.linalg.eigvals(mat.toarray()).real.max())
-    else:
-        eta = power_iteration_abscissa(mat, tol=1e-10)
+    _check_two_state(graph)
+    components = _coupling_components(graph, params.beta)
+    # enumerate every block first, so that a cap fails before any solve
+    blocks = [(nodes, _enumerate(graph, nodes)) for nodes in components if nodes.size > 1]
+    eta = max((-params.delta[nodes[0]] for nodes in components if nodes.size == 1),
+              default=-np.inf)
+    for nodes, enum in blocks:
+        mat = _assemble(enum, params.beta[nodes], params.delta[nodes])
+        if mat.shape[0] <= _DENSE_DIM:
+            block = float(np.linalg.eigvals(mat.toarray()).real.max())
+        else:
+            block = spectral_abscissa(mat)
+        eta = max(eta, block)
+    eta = float(eta)
     return eta < 0.0, eta
 
 

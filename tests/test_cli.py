@@ -122,11 +122,15 @@ class TestCliRuns:
         (["--config", "bad.json"], None),
         (["--graph-file", "bad.json"], None),
         (["--preset", "iv", "--graph-param", "n=10"], "two"),
-    ], ids=["missing config", "malformed config", "malformed graph file", "threads env"])
+        (["--config", "list.json"], None),
+        (["--graph-file", "list.json"], None),
+    ], ids=["missing config", "malformed config", "malformed graph file", "threads env",
+            "non-object config", "non-object graph file"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                args, threads_env):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.json").write_text('{"task": ')
+        (tmp_path / "list.json").write_text("[1]")
         if threads_env is None:
             monkeypatch.delenv("TEMPEST_THREADS", raising=False)
         else:

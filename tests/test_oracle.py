@@ -1,5 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from tempest import (
@@ -8,6 +14,7 @@ from tempest import (
     DynamicGraphModel,
     EpidemicParams,
     RandomMatrixSampler,
+    assemble_exponential_generator,
     build_coxian_edge,
     build_edge_markovian,
     build_static_edge,
@@ -147,6 +154,150 @@ class TestExponentialCondition:
             verdicts.append(stable)
         flips = sum(a != b for a, b in zip(verdicts, verdicts[1:]))
         assert verdicts[0] and not verdicts[-1] and flips == 1
+
+
+def markov_graph(n, kind, pairs, q=1.0, r=0.5, static_on=()):
+    edges = {key: build_edge_markovian(q, r) for key in pairs}
+    edges.update({key: build_static_edge(True) for key in static_on})
+    return DynamicGraphModel(n, kind, edges)
+
+
+def full_dense_eta(g, params):
+    return float(np.linalg.eigvals(assemble_exponential_generator(g, params).toarray()).real.max())
+
+
+def state_block_eta(g, params):
+    """Dense eigvals of each irreducible diagonal block of the full generator.
+
+    The blocks are the strongly connected components of the assembled
+    matrix's own sparsity pattern, over (label, node) states.  Each Perron
+    root is then a simple eigenvalue, which dense eigvals resolves to
+    round-off; on the whole matrix, two blocks with equal roots coupled one
+    way make a defective eigenvalue that eigvals resolves only to about
+    sqrt(machine epsilon).
+    """
+    mat = assemble_exponential_generator(g, params)
+    count, labels = connected_components(mat != 0, directed=True, connection="strong")
+    dense = mat.toarray()
+    return max(float(np.linalg.eigvals(dense[np.ix_(idx, idx)]).real.max())
+               for idx in (np.flatnonzero(labels == c) for c in range(count)))
+
+
+# Union graph: a 7-node component and the isolated node 7 (dimension 4,096).
+FAULT_PAIRS = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6), (4, 6)]
+
+
+class TestReducibleGenerators:
+    """Graphs whose generator is reducible: the maximum over coupling blocks."""
+
+    def test_isolated_node_fault_graph(self):
+        g = markov_graph(8, AMEI, FAULT_PAIRS)
+        params = EpidemicParams.homogeneous(0.3, 1.0, 8)
+        mat = assemble_exponential_generator(g, params)
+        assert mat.shape[0] == 4096
+        stable, eta = exponential_condition(g, params)
+        arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-13,
+                                 return_eigenvectors=False).real.max())
+        assert eta == pytest.approx(arpack, abs=1e-9)
+        assert stable == (eta < 0)
+
+    @pytest.mark.parametrize("case", ["two components", "isolated node",
+                                      "weakly connected amai", "zero beta"])
+    def test_dense_agreement(self, case):
+        rs = np.random.default_rng(7)
+        if case == "two components":
+            # node 2 joins {0, 1} through a static-on edge only
+            g = markov_graph(5, AMEI, [(0, 1), (3, 4)], q=0.8, r=1.3, static_on=[(1, 2)])
+            beta, delta = rs.uniform(0.5, 1.5, 5), rs.uniform(0.5, 1.5, 5)
+        elif case == "isolated node":
+            # the isolated node recovers slowest, so -delta_3 is the answer
+            g = markov_graph(4, AMEI, [(0, 1), (1, 2), (0, 2)])
+            beta, delta = np.full(4, 0.2), np.array([1.0, 1.2, 0.9, 0.05])
+        elif case == "weakly connected amai":
+            # a 3-cycle feeding a 2-node tail: components {0,1,2}, {3}, {4}
+            g = markov_graph(5, AMAI, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], q=1.4, r=0.6)
+            beta, delta = rs.uniform(0.8, 2.0, 5), rs.uniform(0.3, 1.0, 5)
+        else:
+            # beta_2 = 0: node 2 is infected but infects nobody, a component of
+            # its own.  EpidemicParams rejects a zero rate, so the fields are
+            # passed on a plain object.
+            g = markov_graph(4, AMEI, [(0, 1), (1, 2), (2, 3), (0, 3)])
+            beta, delta = np.array([0.9, 0.7, 0.0, 1.1]), rs.uniform(0.2, 0.6, 4)
+        params = (SimpleNamespace(beta=beta, delta=delta) if case == "zero beta"
+                  else EpidemicParams(beta, delta))
+        assert assemble_exponential_generator(g, params).shape[0] <= 512
+        stable, eta = exponential_condition(g, params)
+        assert eta == pytest.approx(full_dense_eta(g, params), abs=1e-9)
+        assert stable == (eta < 0)
+        if case == "isolated node":
+            assert eta == -0.05
+
+    def test_edge_cap_applies_per_component(self):
+        # two disjoint 6-node components with 12 edges each: 24 stochastic
+        # edges over the whole-graph cap, 12 per block
+        picks = np.random.default_rng(4).permutation(15)[:12]
+        iu, ju = np.triu_indices(6, k=1)
+        pairs = sorted(zip(iu[picks].tolist(), ju[picks].tolist()))
+        left = markov_graph(6, AMEI, pairs, q=1.0, r=0.5)
+        right = markov_graph(6, AMEI, pairs, q=0.6, r=1.1)
+        edges = dict(left.edges)
+        edges.update({(i + 6, j + 6): e for (i, j), e in right.edges.items()})
+        g = DynamicGraphModel(12, AMEI, edges)
+        with pytest.raises(TooManyEdges):
+            enumerate_subgraphs(g)
+        beta, delta = np.full(12, 0.25), np.full(12, 1.0)
+        _, eta = exponential_condition(g, EpidemicParams(beta, delta))
+        per_block = []
+        for block in (left, right):
+            params = EpidemicParams(beta[:6], delta[:6])
+            mat = assemble_exponential_generator(block, params)
+            arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-13,
+                                     return_eigenvectors=False).real.max())
+            per_block.append(exponential_condition(block, params)[1])
+            assert per_block[-1] == pytest.approx(arpack, abs=1e-9)
+        assert eta == max(per_block)
+
+    def test_one_large_component_still_capped(self):
+        g = markov_graph(8, AMEI, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+        with pytest.raises(TooManyEdges):
+            exponential_condition(g, EpidemicParams.homogeneous(0.1, 1.0, 8))
+
+    def test_repeated_calls_bit_identical(self):
+        # a connected 8-node graph with 13 edges (a path and six chords):
+        # dimension 65,536, ARPACK route
+        pairs = [(k, k + 1) for k in range(7)] + [(0, 2), (1, 4), (2, 5), (3, 6), (4, 7), (0, 7)]
+        g = markov_graph(8, AMEI, pairs)
+        params = EpidemicParams.homogeneous(0.3, 1.0, 8)
+        first = exponential_condition(g, params)[1]
+        assert exponential_condition(g, params)[1] == first  # bit-identical
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_valid_input_never_fails_to_converge(self, data):
+        n = data.draw(st.integers(2, 9), label="n")
+        kind = data.draw(st.sampled_from([AMEI, AMAI]), label="kind")
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and (kind == AMAI or i < j)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14),
+                           label="edges")
+        rates = st.floats(0.1, 3.0)
+        edges = {}
+        for k, key in enumerate(chosen):
+            if k < 10:
+                edges[key] = build_edge_markovian(data.draw(rates), data.draw(rates))
+            else:
+                edges[key] = build_static_edge(data.draw(st.booleans()))
+        g = DynamicGraphModel(n, kind, edges)
+        beta = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+                                           min_size=n, max_size=n), label="beta"))
+        delta = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n),
+                                   label="delta"))
+        params = EpidemicParams(beta, delta)
+        stable, eta = exponential_condition(g, params)  # never ConvergenceFailure
+        assert np.isfinite(eta) and stable == (eta < 0)
+        assert eta >= -delta.min() - 1e-9  # B F - D >= -D in the Metzler order
+        if assemble_exponential_generator(g, params).shape[0] <= 512:
+            assert eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
 
 
 class TestSamplers:

@@ -31,3 +31,16 @@ def test_every_error_type_is_raised():
                if isinstance(obj, type) and issubclass(obj, errors.TempestError)}
     unused = sorted(defined - raised - {"TempestError"})
     assert not unused, f"error types never raised in the package: {unused}"
+
+
+def test_arpack_calls_pass_v0():
+    # ARPACK's default start vector is random: without v0 results move in
+    # their last bits from call to call
+    found = []
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("eigs", "eigsh") and "v0" not in {k.arg for k in node.keywords}:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found, f"ARPACK calls without v0: {found}"

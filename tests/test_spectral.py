@@ -142,6 +142,25 @@ class TestSpectralAbscissa:
         assert power_iteration_abscissa(sparse) == pytest.approx(dense, abs=1e-8)
         assert spectral_abscissa(sparse) == pytest.approx(dense, abs=1e-8)
 
+    def test_sparse_route_is_one_certified_arpack_solve(self, rng, monkeypatch):
+        import scipy.sparse as sp
+        import tempest.spectral as spectral
+
+        def no_power_iteration(*args, **kwargs):
+            raise AssertionError("the certified route must not need the power iteration")
+
+        m = random_metzler(rng, 120, density=0.1)
+        dense = float(np.linalg.eigvals(m).real.max())
+        monkeypatch.setattr(spectral, "power_iteration_abscissa", no_power_iteration)
+        assert spectral_abscissa(sp.csr_matrix(m)) == pytest.approx(dense, abs=1e-10)
+
+    def test_wide_bracket_falls_back_to_power_iteration(self, rng, monkeypatch):
+        import scipy.sparse as sp
+        import tempest.spectral as spectral
+        m = sp.csr_matrix(random_metzler(rng, 120, density=0.1))
+        monkeypatch.setattr(spectral, "_collatz_wielandt_bracket", lambda m, x: (-1.0, 1.0))
+        assert spectral_abscissa(m) == pytest.approx(power_iteration_abscissa(m), abs=1e-9)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             spectral_abscissa(np.zeros((2, 3)))
