@@ -236,9 +236,11 @@ class EdgeTable:
         s = np.zeros(self.m, dtype=np.intp)
         u = np.zeros(self.m)
         stationary = [t for t, edge in enumerate(self.chains) if edge.chain.initial_state is None]
-        draws = np.isin(self.template, [MARKOV2] + [CHAIN0 + t for t in stationary])
-        u[draws] = rng.random(int(draws.sum()))
         two = self.template == MARKOV2
+        draws = two
+        if stationary:
+            draws = two | np.isin(self.template, [CHAIN0 + t for t in stationary])
+        u[draws] = rng.random(int(draws.sum()))
         s[two] = u[two] >= self.r[two] / (self.q[two] + self.r[two])
         for t, edge in enumerate(self.chains):
             sel, chain = self.template == CHAIN0 + t, edge.chain

@@ -9,6 +9,7 @@ tail bound that powers every linear-size certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,6 +257,8 @@ class RandomMatrixSampler:
         rand = (a[ii, jj] > 0) & (a[ii, jj] < 1)
         self._ri, self._rj = ii[rand], jj[rand]
         self._rp = a[self._ri, self._rj]
+        self._rows = (self._ri * n + self._rj).tolist()
+        self._rows_t = (self._rj * n + self._ri).tolist()
         base = np.zeros((n, n))
         det = a[ii, jj] == 1.0
         self._fill(base, ii[det], jj[det], np.ones(det.sum()))
@@ -320,17 +323,33 @@ class RandomMatrixSampler:
         return float((self.beta * (w @ self.beta)).max())
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        h = rng.random((count, self._ri.size)) < self._rp
-        return self.from_bits(h.astype(float))
+        return self.from_bits(self._draw_bits(rng, count))
+
+    def _draw_bits(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.random((count, self._ri.size)) < self._rp
 
     def from_bits(self, bits: np.ndarray) -> np.ndarray:
         """Matrices for explicit support configurations (bits: (..., r))."""
-        out = np.broadcast_to(self._base, bits.shape[:-1] + (self.n, self.n)).copy()
-        w = self._rw * bits
-        # index pairs are unique, so fancy-indexed += accumulates correctly
-        out[..., self._ri, self._rj] += w
-        if self.symmetric:
-            out[..., self._rj, self._ri] += w
+        bits = np.asarray(bits)
+        lead = bits.shape[:-1]
+        cols = self._columns(bits.reshape(math.prod(lead), bits.shape[-1]))
+        return np.ascontiguousarray(cols.T).reshape(lead + (self.n, self.n))
+
+    def _columns(self, bits: np.ndarray) -> np.ndarray:
+        """(n*n, draws) array whose column d is the matrix of bits[d], flattened.
+
+        In this layout each random pair updates one contiguous row (two for
+        the symmetric families) with w * bits.
+        """
+        out = np.empty((self.n * self.n, bits.shape[0]))
+        out[:] = self._base.reshape(-1, 1)
+        pairs = np.ascontiguousarray(bits.T)
+        symmetric = self.symmetric
+        for h, w, row, row_t in zip(pairs, self._rw.tolist(), self._rows, self._rows_t):
+            add = w * h
+            out[row] += add
+            if symmetric:
+                out[row_t] += add
         return out
 
     def statistic(self, mats: np.ndarray) -> np.ndarray:
@@ -400,7 +419,11 @@ def expected_certificate(sampler: RandomMatrixSampler, mode: str = "exhaustive",
 
 @dataclass
 class ChungTailCheck:
-    """Empirical tail frequencies against the concentration bound, per s."""
+    """Empirical tail frequencies against the concentration bound, per s.
+
+    ``exact_draws`` counts the draws the bracket screen left open at some
+    threshold, whose top eigenvalue was then computed by ``eigvalsh``.
+    """
 
     s: np.ndarray
     empirical: np.ndarray
@@ -408,9 +431,36 @@ class ChungTailCheck:
     stderr: np.ndarray
     eta_mean: float
     draws: int
+    exact_draws: int
 
     def rows(self):
         return list(zip(self.s, self.empirical, self.bound, self.stderr))
+
+
+_SCREEN_STEPS = 10     # power steps per batch before the brackets are read
+_SCREEN_FLOOR = 1e-3   # start-vector floor, relative to its largest entry
+_SCREEN_MARGIN = 1e-9  # decision margin, relative to ||X + cI||_inf times c/extra
+
+
+def _perron_brackets(cols: np.ndarray, x0: np.ndarray, shift: float):
+    """Certified lo <= eta(X) <= hi for symmetric Metzler X, one per draw.
+
+    ``cols`` is (n, n, draws).  ``shift`` exceeds every |X_ii|, so X + cI
+    is nonnegative with a positive diagonal and the power steps from the
+    positive ``x0`` keep x positive.  For any nonnegative matrix and
+    positive x, reducible ones included, the Collatz-Wielandt ratios
+    ((X + cI)x)_i / x_i bracket rho(X + cI) = eta(X) + c.  The Rayleigh
+    quotient of the symmetric X is a second lower bound, the one that
+    closes on reducible draws.
+    """
+    x = np.broadcast_to(x0[:, None], cols.shape[1:])
+    for _ in range(_SCREEN_STEPS):
+        y = np.einsum("ijd,jd->id", cols, x) + shift * x
+        x = y / y.max(axis=0)
+    y = np.einsum("ijd,jd->id", cols, x) + shift * x
+    ratio = y / x
+    lo = np.maximum(ratio.min(axis=0), (x * y).sum(axis=0) / (x * x).sum(axis=0))
+    return lo - shift, ratio.max(axis=0) - shift
 
 
 def chung_tail_check(sampler: RandomMatrixSampler, s_grid, draws: int = 10_000,
@@ -420,19 +470,52 @@ def chung_tail_check(sampler: RandomMatrixSampler, s_grid, draws: int = 10_000,
     Applies to the symmetric families (M2/M3/M4); C and v^2 are the values
     used in the certificate proofs (C = beta_max or 1, v^2 = the family's
     Delta).
+
+    Each batch is screened before any eigensolve.  Every draw starts from
+    the Perron vector of E[X], floored so that no entry is zero, and takes
+    a fixed number of power steps on X + cI, c = max|X_ii| plus the largest
+    off-diagonal entry a draw can take; the Collatz-Wielandt ratios and the
+    Rayleigh quotient then bracket eta(X).  A draw is decided at threshold
+    t = eta(E[X]) + s when its bracket clears t by a margin far above
+    rounding error; a draw left open at any threshold gets its top
+    eigenvalue from ``eigvalsh`` and is counted with the strict ``>``.  The
+    counts therefore equal those of running ``eigvalsh`` on every draw.
     """
     if not sampler.symmetric:
         raise ValueError("the tail bound check applies to symmetric families (M2/M3/M4)")
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    eta_mean = float(np.linalg.eigvalsh(sampler.expectation())[-1])
+    mean = sampler.expectation()
+    eta_mean = float(np.linalg.eigvalsh(mean)[-1])
+    thresholds = eta_mean + s_grid
+    x0 = np.abs(np.linalg.eigh(mean)[1][:, -1])
+    x0 = np.maximum(x0, _SCREEN_FLOOR * x0.max())
+    # every draw lies entrywise between the base and the all-present matrix
+    top = sampler.from_bits(np.ones(sampler.n_random_pairs))
+    off = (top - np.diag(np.diag(top))).max()
+    extra = off if off > 0 else 1.0
+    shift = np.abs(np.diag(top)).max() + extra
+    # rounding moves a ratio by about n*eps*(shift/extra) relative, as X_ii x_i
+    # cancels against c x_i, and eigvalsh's eta by about n*eps*||X||
+    margin = _SCREEN_MARGIN * (shift + np.abs(top).sum(axis=1).max()) * shift / extra
     rng = rngmod.generator(seed, rngmod.TAG_DRAW)
+    n = sampler.n
     exceed = np.zeros(s_grid.size, dtype=np.int64)
+    exact_draws = 0
     for start in range(0, draws, batch):
         k = min(batch, draws - start)
-        etas = np.linalg.eigvalsh(sampler.sample_batch(rng, k))[:, -1]
-        exceed += (etas[:, None] > eta_mean + s_grid[None, :]).sum(axis=0)
+        # the draws of sample_batch, left in the (n*n, draws) layout from_bits builds
+        cols = sampler._columns(sampler._draw_bits(rng, k))
+        lo, hi = _perron_brackets(cols.reshape(n, n, k), x0, shift)
+        above = lo[:, None] > thresholds + margin
+        open_ = ~(above | (hi[:, None] < thresholds - margin)).all(axis=1)
+        if open_.any():
+            mats = np.ascontiguousarray(cols[:, open_].T).reshape(-1, n, n)
+            etas = np.linalg.eigvalsh(mats)[:, -1]
+            above[open_] = etas[:, None] > thresholds
+            exact_draws += int(open_.sum())
+        exceed += above.sum(axis=0)
     freq = exceed / draws
     kp = KappaParams(sampler.bound_c(), sampler.variance_proxy(), sampler.n)
     bound = kappa(kp, s_grid)
     stderr = np.sqrt(freq * (1.0 - freq) / draws)
-    return ChungTailCheck(s_grid, freq, bound, stderr, eta_mean, draws)
+    return ChungTailCheck(s_grid, freq, bound, stderr, eta_mean, draws, exact_draws)

@@ -84,6 +84,9 @@ class SimulationTrace:
 # Continuous-time exact simulation (Gillespie over the joint process)
 # ---------------------------------------------------------------------------
 
+_MARKOV2_JUMPS = jump_tables(np.array([[-1.0, 1.0], [1.0, -1.0]]))  # off <-> on
+
+
 def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
                       init_infected="all", seed=0,
                       record_states: bool = False) -> SimulationTrace:
@@ -113,7 +116,7 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
     two = table.template == MARKOV2
     exit_rate[two, 0], exit_rate[two, 1], output[two, 1] = table.q[two], table.r[two], 1.0
     output[table.template == STATIC_ON, 0] = 1.0
-    jumps = {MARKOV2: jump_tables(np.array([[-1.0, 1.0], [1.0, -1.0]]))}  # off <-> on
+    jumps = {MARKOV2: _MARKOV2_JUMPS}
     for t, edge in enumerate(table.chains):
         sel, k = table.template == CHAIN0 + t, edge.chain.n_states
         exit_rate[sel, :k] = -np.diag(edge.chain.matrix)

@@ -195,15 +195,22 @@ def _certified_abscissa(m) -> float:
 def spectral_abscissa(m) -> float:
     """Maximum real part of the eigenvalues (the Perron root for Metzler input).
 
-    Sparse input must be Metzler: above 2x2 it takes one ARPACK solve
-    certified by the Collatz-Wielandt bracket, with the shifted power
-    iteration as fallback.  Dense symmetric input goes through the
-    symmetric eigensolver; larger dense Metzler matrices take the power
-    iteration with a dense fallback, and everything else is solved densely.
+    Sparse input must be Metzler, or ValueError is raised: above 2x2 it
+    takes one ARPACK solve certified by the Collatz-Wielandt bracket, with
+    the shifted power iteration as fallback.  Dense symmetric input goes
+    through the symmetric eigensolver; larger dense Metzler matrices take
+    the power iteration with a dense fallback, and everything else is
+    solved densely.
     """
     if sp.issparse(m):
+        m = m.tocsr()
+        # a negative entry off the diagonal has a column other than its row
+        neg = np.flatnonzero(m.data < 0)
+        rows = np.searchsorted(m.indptr, neg, side="right") - 1
+        if (m.indices[neg] != rows).any():
+            raise ValueError("sparse input to spectral_abscissa must be Metzler")
         if m.shape[0] > 2:  # ARPACK needs k = 1 < n - 1
-            return _certified_abscissa(m.tocsr())
+            return _certified_abscissa(m)
         m = m.toarray()
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -203,6 +203,36 @@ def naive_lane_run(graph, beta, delta, steps, x0, reinfect, rng, record_states):
 
 
 # ---------------------------------------------------------------------------
+# References for the certificate random matrices and the tail check
+# ---------------------------------------------------------------------------
+
+def reference_from_bits(sampler, bits):
+    """Support configurations to matrices by fancy-indexed += over the last two axes."""
+    bits = np.asarray(bits, dtype=float)
+    out = np.broadcast_to(sampler._base, bits.shape[:-1] + (sampler.n, sampler.n)).copy()
+    w = sampler._rw * bits
+    # index pairs are unique, so fancy-indexed += accumulates correctly
+    out[..., sampler._ri, sampler._rj] += w
+    if sampler.symmetric:
+        out[..., sampler._rj, sampler._ri] += w
+    return out
+
+
+def reference_tail_counts(sampler, s_grid, draws, seed, batch=2048):
+    """Exceedance counts of chung_tail_check with eigvalsh on every draw."""
+    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
+    eta_mean = float(np.linalg.eigvalsh(sampler.expectation())[-1])
+    rng = rngmod.generator(seed, rngmod.TAG_DRAW)
+    exceed = np.zeros(s_grid.size, dtype=np.int64)
+    for start in range(0, draws, batch):
+        k = min(batch, draws - start)
+        h = rng.random((k, sampler.n_random_pairs)) < sampler._rp
+        etas = np.linalg.eigvalsh(reference_from_bits(sampler, h))[:, -1]
+        exceed += (etas[:, None] > eta_mean + s_grid[None, :]).sum(axis=0)
+    return exceed
+
+
+# ---------------------------------------------------------------------------
 # Dense reference for linear propagation
 # ---------------------------------------------------------------------------
 

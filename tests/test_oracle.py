@@ -342,6 +342,36 @@ class TestSamplers:
         m2 = sample_certificate_matrix(s2, seed=4)
         np.testing.assert_array_equal(m2, m2.T)
 
+    @pytest.mark.parametrize("which", ["M1", "M2", "M3", "M4"])
+    @pytest.mark.parametrize("lead", [(), (6,), (3, 4)], ids=["single", "batch", "3x4"])
+    def test_from_bits_matches_fancy_index_reference(self, which, lead):
+        rng = np.random.default_rng(11)
+        n = 6
+        abar = np.where(rng.random((n, n)) < 0.2, 1.0, rng.uniform(0.0, 1.0, (n, n)))
+        abar[rng.random((n, n)) < 0.2] = 0.0
+        if which != "M1":
+            abar = np.triu(abar, 1) + np.triu(abar, 1).T
+        np.fill_diagonal(abar, 0.0)
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n), rng.uniform(0.5, 1.5, n))
+        assert s.n_random_pairs > 0
+        bits = (rng.random(lead + (s.n_random_pairs,)) < 0.5).astype(float)
+        out = s.from_bits(bits)
+        assert out.shape == lead + (n, n) and out.flags.c_contiguous
+        assert np.array_equal(out, helpers.reference_from_bits(s, bits))
+        h = np.random.default_rng(5).random((7, s.n_random_pairs)) < s._rp
+        assert np.array_equal(s.sample_batch(np.random.default_rng(5), 7),
+                              helpers.reference_from_bits(s, h))
+
+    @pytest.mark.parametrize("which", ["M1", "M2"])
+    def test_from_bits_without_random_pairs(self, which):
+        abar = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        s = RandomMatrixSampler(which, abar, np.array([0.2, 0.5, 0.7]), np.full(3, 0.9))
+        assert s.n_random_pairs == 0
+        bits = np.zeros((3, 4, 0))
+        out = s.from_bits(bits)
+        assert out.shape == (3, 4, 3, 3)
+        assert np.array_equal(out, helpers.reference_from_bits(s, bits))
+
     def test_m4_nonnegative_when_delta_below_one(self, rng):
         abar = 0.4 * (1.0 - np.eye(4))
         s = RandomMatrixSampler("M4", abar, np.full(4, 0.3), np.full(4, 0.8))
@@ -479,3 +509,80 @@ class TestChungTailCheck:
         grid = np.linspace(0.0, 6.0, 20)
         check = chung_tail_check(s, grid, draws=20_000, seed=3)
         assert (check.empirical <= check.bound + 3 * check.stderr + 1e-12).all()
+
+    @staticmethod
+    def _assert_reference_counts(sampler, grid, draws, seed, batch=2048):
+        check = chung_tail_check(sampler, grid, draws=draws, seed=seed, batch=batch)
+        counts = helpers.reference_tail_counts(sampler, grid, draws, seed, batch=batch)
+        assert np.array_equal(check.empirical, counts / draws)
+        assert 0 <= check.exact_draws <= draws
+        return check
+
+    @pytest.mark.parametrize("which", ["M2", "M3", "M4"])
+    def test_counts_equal_all_eigvalsh_reference(self, which):
+        rng = np.random.default_rng(21)
+        n = 12
+        abar = np.triu(rng.uniform(0.05, 0.95, (n, n)), 1)
+        abar[np.triu(rng.random((n, n)) < 0.15, 1)] = 1.0
+        abar = abar + abar.T
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.2, 0.8, n), rng.uniform(0.5, 1.5, n))
+        grid = np.concatenate([[0.0], np.linspace(0.05, 3.0, 12)])
+        check = self._assert_reference_counts(s, grid, draws=6_000, seed=4)
+        assert check.exact_draws < check.draws // 10   # the screen decides most draws
+
+    @pytest.mark.parametrize("reducible", ["isolated node", "two components"])
+    def test_reducible_mean(self, reducible):
+        n = 9
+        abar = 0.5 * (1.0 - np.eye(n))
+        if reducible == "isolated node":
+            abar[4, :] = abar[:, 4] = 0.0
+        else:
+            abar[:6, 6:] = abar[6:, :6] = 0.0
+        s = RandomMatrixSampler("M2", abar, np.linspace(0.4, 0.8, n), np.linspace(0.8, 1.2, n))
+        grid = np.linspace(0.0, 2.5, 11)
+        check = self._assert_reference_counts(s, grid, draws=5_000, seed=8)
+        # the Perron vector of the mean has zeros here; the floored start
+        # still lets the screen decide most draws
+        assert check.exact_draws < check.draws // 4
+
+    def test_thresholds_at_attainable_eigenvalues(self):
+        # M3 on the complete 5-node mean 1/2: eta(E[X]) = 2 and the draws'
+        # eta are adjacency eigenvalues of graphs on 5 nodes, so many draws
+        # sit exactly on s = 0 and on thresholds placed at their eigenvalues
+        n = 5
+        s = RandomMatrixSampler("M3", 0.5 * (1.0 - np.eye(n)), np.ones(n), np.ones(n))
+        configs = (np.arange(2 ** s.n_random_pairs)[:, None] >> np.arange(s.n_random_pairs)) & 1
+        etas, freq = np.unique(np.linalg.eigvalsh(s.from_bits(configs))[:, -1],
+                               return_counts=True)
+        eta_mean = float(np.linalg.eigvalsh(s.expectation())[-1])
+        above = etas >= eta_mean
+        etas, freq = etas[above], freq[above]
+        grid = [0.0]
+        for eta in etas[np.argsort(freq)[-6:]]:
+            step = eta - eta_mean
+            while eta_mean + step != eta:
+                step = np.nextafter(step, np.inf if eta_mean + step < eta else -np.inf)
+            grid += [max(np.nextafter(step, -np.inf), 0.0), step, np.nextafter(step, np.inf)]
+        check = self._assert_reference_counts(s, grid, draws=4_000, seed=5)
+        assert check.exact_draws > 0
+
+    @pytest.mark.parametrize("which", ["M2", "M3", "M4"])
+    def test_deterministic_draws_all_go_to_eigvalsh(self, which):
+        # every draw equals E[X]: at s = 0 the brackets straddle the
+        # threshold within rounding error, no draw may be decided, and the
+        # strict > counts none of them
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 9))
+            abar = np.triu((rng.random((n, n)) < 0.6).astype(float), 1)
+            s = RandomMatrixSampler(which, abar + abar.T, rng.uniform(0.2, 1.0, n),
+                                    rng.uniform(0.5, 1.5, n))
+            check = self._assert_reference_counts(s, [0.0], draws=50, seed=1)
+            assert check.exact_draws == 50 and check.empirical[0] == 0.0
+
+    @pytest.mark.parametrize("draws, batch", [(1_000, 300), (100, 2048)])
+    def test_partial_batches(self, draws, batch):
+        abar = 0.5 * (1.0 - np.eye(8))
+        s = RandomMatrixSampler("M4", abar, np.full(8, 0.4), np.full(8, 0.9))
+        self._assert_reference_counts(s, np.linspace(0.0, 2.0, 9), draws=draws, seed=6,
+                                      batch=batch)

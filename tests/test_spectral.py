@@ -142,6 +142,14 @@ class TestSpectralAbscissa:
         assert power_iteration_abscissa(sparse) == pytest.approx(dense, abs=1e-8)
         assert spectral_abscissa(sparse) == pytest.approx(dense, abs=1e-8)
 
+    def test_sparse_non_metzler_rejected(self):
+        # the sparse route assumes Metzler input; a symmetric Gaussian matrix
+        # used to come back as 12.17 against eigvalsh's 19.32
+        import scipy.sparse as sp
+        a = np.random.default_rng(0).standard_normal((50, 50))
+        with pytest.raises(ValueError, match="Metzler"):
+            spectral_abscissa(sp.csr_matrix(a + a.T))
+
     def test_sparse_route_is_one_certified_arpack_solve(self, rng, monkeypatch):
         import scipy.sparse as sp
         import tempest.spectral as spectral
