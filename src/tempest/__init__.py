@@ -66,8 +66,6 @@ from .thresholds import (  # noqa: F401
     certify_amei_ct,
     certify_amei_dt,
     certify_homogeneous,
-    static_ct_condition,
-    static_dt_condition,
     threshold_in_beta,
     xi_h_factor,
 )

@@ -29,8 +29,8 @@ from .markov import CT, DT
 from .oracle import RandomMatrixSampler, chung_tail_check, expected_certificate, \
     exponential_condition
 from .simulate import empirical_threshold, simulate_ct_exact, simulate_dt_exact
-from .thresholds import CERTIFICATES, EpidemicParams, _jsonable, certify, certify_amei_dt, \
-    threshold_in_beta, xi_h_factor
+from .thresholds import CERTIFICATES, EpidemicParams, _jsonable, certify, threshold_in_beta, \
+    xi_h_factor
 
 FIGURE3_PANELS = {"a": (100, 10.0), "b": (1000, 100.0), "c": (10000, 1000.0)}
 
@@ -77,16 +77,42 @@ def _epidemic(cfg: ExperimentConfig, n: int) -> EpidemicParams:
     delta = cfg.epidemic.get("delta")
     if beta is None or delta is None:
         raise ConfigError("this task needs epidemic.beta and epidemic.delta")
-    beta = np.full(n, beta) if np.isscalar(beta) else np.asarray(beta, dtype=float)
-    delta = np.full(n, delta) if np.isscalar(delta) else np.asarray(delta, dtype=float)
-    return EpidemicParams(beta, delta)
+    try:
+        return EpidemicParams(*(np.broadcast_to(np.asarray(v, dtype=float), (n,))
+                                for v in (beta, delta)))
+    except ValueError as exc:
+        raise ConfigError(f"epidemic.beta and epidemic.delta need one or {n} positive "
+                          f"values each: {exc}") from exc
 
 
 def _beta_grid(spec) -> np.ndarray:
-    if isinstance(spec, (list, tuple)):
-        return np.asarray(spec, dtype=float)
-    lo, hi, count = str(spec).split(":")
-    return np.linspace(float(lo), float(hi), int(count))
+    """The grid of a list of numbers or of a 'lo:hi:count' string."""
+    try:
+        if isinstance(spec, (list, tuple)):
+            return np.asarray(spec, dtype=float)
+        lo, hi, count = str(spec).split(":")
+        return np.linspace(float(lo), float(hi), int(count))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"beta grid must be lo:hi:count or a list of numbers, "
+                          f"got {spec!r}") from exc
+
+
+def _positive(cfg: ExperimentConfig, key: str, default, cast=int):
+    """Task parameter ``key``: a positive int (a count) or float (a horizon)."""
+    value = cfg.params.get(key, default)
+    try:
+        if 0 < cast(value) < math.inf:
+            return cast(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be a positive {cast.__name__}, got {value!r}")
+
+
+def _dt_graph(cfg: ExperimentConfig):
+    graph = build_graph(cfg)
+    if graph.time != DT:
+        raise ConfigError(f"{cfg.task} needs a discrete-time graph, got {graph.time.upper()}")
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +143,23 @@ def _run_threshold(cfg: ExperimentConfig):
         beta_hat = threshold_in_beta(mean, delta, cert, (lo, hi))
         result["beta_threshold"] = beta_hat
         result["search_bounds"] = [lo, hi]
-    # t4 takes the graph once, to check that every edge chain is aperiodic
-    result["report"] = certify(graph if cert == "t4" else mean, cert, beta_hat, delta).to_dict()
+    result["report"] = certify(mean, cert, beta_hat, delta).to_dict()
     return [_write_json(_out_path(cfg, "json"), cfg, result)]
 
 
 def _run_simulate(cfg: ExperimentConfig):
     graph = build_graph(cfg)
     params = _epidemic(cfg, graph.n)
-    paths = int(cfg.params.get("paths", 1))
+    paths = _positive(cfg, "paths", 1)
     reinfect = bool(cfg.params.get("reinfect", False))
     init = cfg.params.get("init", "all")
+    horizon, steps = _positive(cfg, "horizon", 100.0, float), _positive(cfg, "steps", 1000)
     rows = []
     for pid in range(paths):
         stream = rngmod.generator(cfg.seed, rngmod.TAG_PATH, pid)
         if graph.time == CT:
-            horizon = float(cfg.params.get("horizon", 100.0))
             trace = simulate_ct_exact(graph, params, horizon, init_infected=init, seed=stream)
         else:
-            steps = int(cfg.params.get("steps", 1000))
             trace = simulate_dt_exact(graph, params, steps, init_infected=init,
                                       reinfect=reinfect, seed=stream)
         rows.extend((pid, t, c) for t, c in zip(trace.times, trace.infected_counts))
@@ -143,11 +167,11 @@ def _run_simulate(cfg: ExperimentConfig):
 
 
 def _run_empirical(cfg: ExperimentConfig):
-    graph = build_graph(cfg)
+    graph = _dt_graph(cfg)
     delta = float(cfg.epidemic.get("delta", 0.05))
     grid = _beta_grid(cfg.params.get("beta_grid", "5e-4:10e-4:12"))
-    paths = int(cfg.params.get("paths", 100))
-    steps = int(cfg.params.get("steps", 1000))
+    paths = _positive(cfg, "paths", 100)
+    steps = _positive(cfg, "steps", 1000)
     report = empirical_threshold(graph, delta, grid, paths, steps, seed=cfg.seed,
                                  threads=cfg.resolve_threads())
     rows = list(zip(report.beta_grid, report.y_star, report.z_star))
@@ -169,7 +193,7 @@ def _run_oracle(cfg: ExperimentConfig):
     if which:
         sampler = RandomMatrixSampler.from_mean(which.upper(), mean_matrix(graph), params)
         est = expected_certificate(sampler, cfg.params.get("mode", "exhaustive"),
-                                   draws=int(cfg.params.get("draws", 10000)), seed=cfg.seed)
+                                   draws=_positive(cfg, "draws", 10000), seed=cfg.seed)
         result["expectation"] = {"statistic": est.statistic, "value": est.value,
                                  "stderr": est.stderr, "mode": est.mode, "count": est.count}
         rows[0].extend([est.statistic, est.value, est.stderr])
@@ -183,14 +207,14 @@ def _run_chung(cfg: ExperimentConfig):
     graph = build_graph(cfg)
     params = _epidemic(cfg, graph.n)
     family = cfg.params.get("family", "m2").upper()
-    draws = int(cfg.params.get("draws", 10_000))
+    draws = _positive(cfg, "draws", 10_000)
     sampler = RandomMatrixSampler.from_mean(family, mean_matrix(graph), params)
     if "s_grid" in cfg.params:
         s_grid = np.asarray(cfg.params["s_grid"], dtype=float)
     else:
         s_max = float(cfg.params.get("s_max", 4.0 * np.sqrt(sampler.variance_proxy())
                                      + 2.0 * sampler.bound_c()))
-        s_grid = np.linspace(0.0, s_max, int(cfg.params.get("s_count", 20)))
+        s_grid = np.linspace(0.0, s_max, _positive(cfg, "s_count", 20))
     check = chung_tail_check(sampler, s_grid, draws=draws, seed=cfg.seed)
     rows = list(zip(check.s, check.empirical, check.bound))
     return [_write_csv(_out_path(cfg, "csv"), cfg, ["s", "empirical", "bound"], rows)]
@@ -217,8 +241,8 @@ def _run_figure3(cfg: ExperimentConfig):
     if panel not in FIGURE3_PANELS:
         raise ConfigError("figure3 panel must be one of a, b, c")
     n, eta_sgn = FIGURE3_PANELS[panel]
-    dob_count = int(cfg.params.get("ratio_count", 20))
-    d3_count = int(cfg.params.get("delta3_count", 20))
+    dob_count = _positive(cfg, "ratio_count", 20)
+    d3_count = _positive(cfg, "delta3_count", 20)
     dobs = np.linspace(eta_sgn / dob_count, eta_sgn, dob_count)
     d3max = eta_sgn / 4.0
     d3s = np.linspace(0.0, d3max, d3_count)
@@ -232,20 +256,19 @@ def _run_figure3(cfg: ExperimentConfig):
 
 
 def _run_figure456(cfg: ExperimentConfig):
-    graph = build_graph(cfg)
+    graph = _dt_graph(cfg)
     mean = mean_matrix(graph)
     delta = float(cfg.epidemic.get("delta", 0.05))
     grid = _beta_grid(cfg.params.get("beta_grid", "5e-4:10e-4:12"))
-    paths = int(cfg.params.get("paths", 100))
-    steps = int(cfg.params.get("steps", 1000))
+    paths = _positive(cfg, "paths", 100)
+    steps = _positive(cfg, "steps", 1000)
     outdir = cfg.out or f"figure456_{cfg.seed}"
-    os.makedirs(outdir, exist_ok=True)
 
     eta = mean.eta_abar()
     static_thr = delta / eta if eta > 0 else math.inf
     t4_thr = threshold_in_beta(mean, delta, "t4", (1e-8, 2.0 * static_thr))
 
-    fig4 = fig4_csv(os.path.join(outdir, "fig4.csv"), cfg, mean, graph, delta, grid, t4_thr)
+    fig4 = fig4_csv(os.path.join(outdir, "fig4.csv"), cfg, mean, delta, grid, t4_thr)
     report = empirical_threshold(graph, delta, grid, paths, steps, seed=cfg.seed,
                                  threads=cfg.resolve_threads())
     return [fig4, fig5_csv(os.path.join(outdir, "fig5.csv"), cfg, report, t4_thr, static_thr),
@@ -256,15 +279,14 @@ def _run_figure456(cfg: ExperimentConfig):
 # Plot-data emitters (CSV per figure panel)
 # ---------------------------------------------------------------------------
 
-def fig4_csv(path, cfg, mean, graph, delta, beta_grid, t4_threshold):
+def fig4_csv(path, cfg, mean, delta, beta_grid, t4_threshold):
     """Columns (beta, gamma_D); a marker row carries the certified threshold.
 
     An empty beta grid produces a header-only file.
     """
     rows = []
     for beta in beta_grid:
-        params = EpidemicParams.homogeneous(float(beta), delta, mean.n)
-        rep = certify_amei_dt(mean, params)
+        rep = certify(mean, "t4", float(beta), delta)
         gamma = rep.intermediates.get("gamma_D", float("nan"))
         rows.append((float(beta), gamma if rep.stable else float("nan")))
     if rows:
@@ -393,7 +415,7 @@ def _assemble_config(args) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             if key == "beta_grid" and "," in str(value):
-                value = [float(x) for x in str(value).split(",")]
+                value = _beta_grid(str(value).split(",")).tolist()
             params[key] = value
     if not params:
         doc.pop("params")

@@ -115,25 +115,30 @@ def config_hash(doc: dict) -> str:
 
 
 def build_graph(cfg: ExperimentConfig) -> DynamicGraphModel:
-    """Resolve the config's graph block to a model (preset, inline spec, or file)."""
+    """Resolve the config's graph block to a model (preset, inline spec, or file);
+    a missing or malformed value in the block is a ConfigError."""
     g = cfg.graph
     if not g:
         raise ConfigError("this task needs a 'graph' block")
-    if "preset" in g:
-        p = dict(g.get("params", {}))
-        if g["preset"] == "iv":
+    p, preset = dict(g.get("params", {})), g.get("preset")
+    try:
+        if preset == "iv":
             return graph_er_iv(n=int(p.get("n", 500)), er_prob=float(p.get("er_prob", 0.2)),
                                seed=int(p.get("graph_seed", cfg.seed)),
                                gauss_mode=p.get("gauss_mode", "variance"))
-        if g["preset"] == "small_world":
+        if preset == "small_world":
             return graph_small_world(n=int(p["n"]), r=float(p["r"]),
                                      rate_scale=float(p.get("rate_scale", 1.0)))
-        if g["preset"] == "complete_edge_markovian":
+        if preset == "complete_edge_markovian":
             return graph_complete_edge_markovian(
                 n=int(p["n"]), q=float(p["q"]), r=float(p["r"]),
                 time=p.get("time", "ct"))
-    if "spec" in g:
-        return graph_from_json(g["spec"])
-    if "file" in g:
-        return graph_from_json(load_json(g["file"]))
+        if "spec" in g:
+            return graph_from_json(g["spec"])
+        if "file" in g:
+            return graph_from_json(load_json(g["file"]))
+    except KeyError as exc:
+        raise ConfigError(f"graph block is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid graph block: {exc}") from exc
     raise ConfigError("graph block needs one of: preset, spec, file")

@@ -292,11 +292,15 @@ class DynamicGraphModel:
 
 @dataclass
 class MeanMatrix:
-    """Stationary edge-presence probabilities (the aggregated static network)."""
+    """Stationary edge-presence probabilities (the aggregated static network).
+
+    ``periodic_edge``: the first (i, j) of a DT graph with a periodic chain, or None.
+    """
 
     a_bar: np.ndarray
     kind: str
     time: str = CT
+    periodic_edge: tuple | None = None
 
     def __post_init__(self):
         a = np.array(self.a_bar, dtype=float)
@@ -350,7 +354,16 @@ def mean_matrix(graph: DynamicGraphModel) -> MeanMatrix:
     a[table.i, table.j] = p
     if graph.kind == AMEI:
         a[table.j, table.i] = p
-    return MeanMatrix(a, graph.kind, graph.time)
+    periodic_edge = None
+    if graph.time == DT:
+        # a 2-state DT chain is periodic only when it always switches
+        periodic = (table.template == MARKOV2) & (table.q == 1.0) & (table.r == 1.0)
+        periodic |= np.isin(table.template, [CHAIN0 + t for t, edge in enumerate(table.chains)
+                                             if not edge.chain.is_aperiodic()])
+        if periodic.any():
+            k = int(np.argmax(periodic))
+            periodic_edge = (int(table.i[k]), int(table.j[k]))
+    return MeanMatrix(a, graph.kind, graph.time, periodic_edge)
 
 
 def support_matrix(mean: MeanMatrix) -> np.ndarray:

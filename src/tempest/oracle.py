@@ -20,13 +20,12 @@ from . import rng as rngmod
 from .errors import NonMarkovEdge, TooManyConfigurations, TooManyEdges, WrongKind
 from .graphs import AMEI, MARKOV2, STATIC_ON, DynamicGraphModel, MeanMatrix
 from .markov import CT
-from .spectral import KappaParams, kappa, spectral_abscissa
-from .thresholds import EpidemicParams
+from .spectral import kappa, spectral_abscissa
+from .thresholds import EpidemicParams, kappa_params
 
 _EDGE_CAP = 20
 _DIM_CAP = 2_000_000
 _CONFIG_CAP = 2 ** 20
-_DENSE_DIM = 512
 
 
 @dataclass
@@ -192,24 +191,17 @@ def exponential_condition(graph: DynamicGraphModel, params: EpidemicParams):
     Kronecker sum of its component's own generator (its nodes and internal
     edges) with the generator of the other edges, whose abscissa is 0.  So
     eta is the maximum over components, a singleton contributes -delta_i,
-    and the edge and dimension caps apply per component.  Blocks up to
-    dimension 512 are solved densely, larger ones by the certified ARPACK
-    route of ``spectral_abscissa`` (each block is irreducible Metzler).
+    and the edge and dimension caps apply per component.  Each block is
+    irreducible Metzler and goes to ``spectral_abscissa``.
     """
     _check_two_state(graph)
     components = _coupling_components(graph, params.beta)
     # enumerate every block first, so that a cap fails before any solve
     blocks = [(nodes, _enumerate(graph, nodes)) for nodes in components if nodes.size > 1]
-    eta = max((-params.delta[nodes[0]] for nodes in components if nodes.size == 1),
-              default=-np.inf)
-    for nodes, enum in blocks:
-        mat = _assemble(enum, params.beta[nodes], params.delta[nodes])
-        if mat.shape[0] <= _DENSE_DIM:
-            block = float(np.linalg.eigvals(mat.toarray()).real.max())
-        else:
-            block = spectral_abscissa(mat)
-        eta = max(eta, block)
-    eta = float(eta)
+    etas = [-params.delta[nodes[0]] for nodes in components if nodes.size == 1]
+    etas += [spectral_abscissa(_assemble(enum, params.beta[nodes], params.delta[nodes]))
+             for nodes, enum in blocks]
+    eta = float(max(etas, default=-np.inf))
     return eta < 0.0, eta
 
 
@@ -310,17 +302,11 @@ class RandomMatrixSampler:
 
     def bound_c(self) -> float:
         """Deviation bound C of the concentration inequality (beta_max; 1 for M3)."""
-        return 1.0 if self.which == "M3" else float(self.beta.max())
+        return kappa_params(self.which, self.abar, self.beta).b
 
     def variance_proxy(self) -> float:
         """v^2 = || sum Var(X_k) ||: Delta1, Delta2, or Delta3 of the family."""
-        w = self.abar * (1.0 - self.abar)
-        if self.which == "M1":
-            b2 = self.beta ** 2
-            return float((b2 * w.sum(axis=1) + w.T @ b2).max())
-        if self.which == "M3":
-            return float(w.sum(axis=1).max())
-        return float((self.beta * (w @ self.beta)).max())
+        return kappa_params(self.which, self.abar, self.beta).d
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.from_bits(self._draw_bits(rng, count))
@@ -515,7 +501,6 @@ def chung_tail_check(sampler: RandomMatrixSampler, s_grid, draws: int = 10_000,
             exact_draws += int(open_.sum())
         exceed += above.sum(axis=0)
     freq = exceed / draws
-    kp = KappaParams(sampler.bound_c(), sampler.variance_proxy(), sampler.n)
-    bound = kappa(kp, s_grid)
+    bound = kappa(kappa_params(sampler.which, sampler.abar, sampler.beta), s_grid)
     stderr = np.sqrt(freq * (1.0 - freq) / draws)
     return ChungTailCheck(s_grid, freq, bound, stderr, eta_mean, draws, exact_draws)

@@ -332,7 +332,10 @@ class DecayEstimate:
     rates: np.ndarray
 
 
-def decay_rate_estimate(trajectories, burn_in: float = 0.2) -> DecayEstimate:
+_BURN_IN = 0.2  # leading fraction of each trajectory left out of the fit
+
+
+def decay_rate_estimate(trajectories) -> DecayEstimate:
     """Per-trajectory least-squares slope of log||p|| after burn-in.
 
     Needs at least 20 independent trajectories; returns the mean decay rate
@@ -343,7 +346,7 @@ def decay_rate_estimate(trajectories, burn_in: float = 0.2) -> DecayEstimate:
     rates = []
     for traj in trajectories:
         t, y = traj.times, traj.log_norms
-        cutoff = t[0] + burn_in * (t[-1] - t[0])
+        cutoff = t[0] + _BURN_IN * (t[-1] - t[0])
         mask = (t >= cutoff) & np.isfinite(y)
         if mask.sum() < 2:
             # sparse-switch trajectory: fall back to the final stretch
@@ -416,6 +419,9 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
     its entry point under ``if __name__ == "__main__":``.
     """
     beta_grid = np.sort(np.asarray(beta_grid, dtype=float))
+    if paths < 1 or steps < 1:
+        raise ValueError(f"empirical threshold needs paths >= 1 and steps >= 1, "
+                         f"got {paths} and {steps}")
     if not _dt_fast(graph):
         raise ValueError("empirical threshold needs a discrete-time graph with "
                          "2-state or static edges")

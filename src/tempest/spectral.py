@@ -12,13 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceFailure, DivergenceDetected, DomainError, EmptyInterval, NumericalFailure
 
 _DENSE_FALLBACK_DIM = 64
 _POWER_MAX_ITER = 100_000
+_POWER_TOL = 1e-10
 _ARPACK_TOL = 1e-12
 _CERTIFY_RTOL = 1e-10
+_DIVERGENCE_CAP = 1e15  # an objective value above this counts as divergence
+_REFINE_BRACKETS = 3    # golden-section refinements around the best grid points
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,15 @@ def kappa(params: KappaParams, s):
     if d == 0:
         out = np.where(s_arr == 0, float(n), 0.0)
         return out if s_arr.ndim else float(out)
-    z = (b * s_arr + d) / (b * b)
-    log_k = np.log(n) + s_arr / b - z * np.log1p(b * s_arr / d)
-    out = np.exp(log_k)
+    out = np.exp(_log_kappa(params, s_arr))
     return out if s_arr.ndim else float(out)
+
+
+def _log_kappa(params: KappaParams, s):
+    """log kappa_{b,d}(s) for d > 0; the one formula of kappa and its inverse."""
+    b, d, n = params.b, params.d, params.n
+    z = (b * s + d) / (b * b)
+    return np.log(n) + s / b - z * np.log1p(b * s / d)
 
 
 def kappa_inv_at_one(params: KappaParams) -> float:
@@ -67,14 +76,8 @@ def kappa_inv_at_one(params: KappaParams) -> float:
         raise DomainError("kappa_inv_at_one needs d > 0 (d = 0 is routed upstream)")
     if params.n == 1:
         return 0.0
-    b, d, n = params.b, params.d, params.n
-
-    def log_kappa(s):
-        z = (b * s + d) / (b * b)
-        return np.log(n) + s / b - z * np.log1p(b * s / d)
-
-    hi = b
-    while log_kappa(hi) > 0:
+    hi = params.b
+    while _log_kappa(params, hi) > 0:
         hi *= 2.0
         if hi > 1e300:
             raise NumericalFailure("kappa inverse bracket exploded")
@@ -83,7 +86,7 @@ def kappa_inv_at_one(params: KappaParams) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if log_kappa(mid) > 0:
+        if _log_kappa(params, mid) > 0:
             lo = mid
         else:
             hi = mid
@@ -105,7 +108,7 @@ def _is_metzler(m: np.ndarray) -> bool:
     return off.size == 0 or off.min() >= 0
 
 
-def power_iteration_abscissa(m, tol: float = 1e-10, max_iter: int = _POWER_MAX_ITER) -> float:
+def power_iteration_abscissa(m) -> float:
     """Spectral abscissa of a Metzler matrix by shifted power iteration.
 
     Iterates on M + cI with c = max_i |M_ii| plus a small positive margin;
@@ -131,7 +134,7 @@ def power_iteration_abscissa(m, tol: float = 1e-10, max_iter: int = _POWER_MAX_I
     x = np.full(n, 1.0 / np.sqrt(n))
     bracket = (np.nan, np.nan)
     width_checkpoint = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         y = a @ x
         ymax = y.max()
         if ymax <= 0:
@@ -141,7 +144,7 @@ def power_iteration_abscissa(m, tol: float = 1e-10, max_iter: int = _POWER_MAX_I
         lo, hi = float(ratios.min()), float(ratios.max())
         bracket = (lo - shift, hi - shift)
         width = hi - lo
-        if width <= tol * max(1.0, abs(hi)):
+        if width <= _POWER_TOL * max(1.0, abs(hi)):
             return 0.5 * (lo + hi) - shift
         if it % 500 == 0:
             # reducible inputs (e.g. disjoint blocks with distinct roots) keep
@@ -154,8 +157,8 @@ def power_iteration_abscissa(m, tol: float = 1e-10, max_iter: int = _POWER_MAX_I
         x = y / np.linalg.norm(y)
         x[x < 0] = 0.0  # round-off guard; iterates of a nonnegative matrix stay >= 0
     raise ConvergenceFailure(
-        f"power iteration did not converge in {max_iter} iterations",
-        iterations=max_iter, bracket=bracket)
+        f"power iteration did not converge in {_POWER_MAX_ITER} iterations",
+        iterations=_POWER_MAX_ITER, bracket=bracket)
 
 
 def _collatz_wielandt_bracket(m, x: np.ndarray):
@@ -173,34 +176,41 @@ def _certified_abscissa(m) -> float:
     ARPACK returns the rightmost Ritz vector; with its sign fixed so its sum
     is positive and every entry positive, the Collatz-Wielandt bracket
     bounds the true root and its midpoint is returned once the bracket is
-    narrower than 1e-10 relative.  Otherwise the shifted power iteration
-    decides.  The start vector is fixed: ARPACK's default one is random,
-    which would move the result in its last bits from call to call.
+    narrower than 1e-10 relative.  The start vector is fixed: ARPACK's
+    default one is random, which would move the result in its last bits.
+    Otherwise the matrix, block-triangular in the order of the strongly
+    connected components of its support, gives the largest abscissa of its
+    diagonal blocks; only an irreducible one takes the power iteration.
     """
-    n = m.shape[0]
     try:
-        _, vecs = spla.eigs(m, k=1, which="LR", tol=_ARPACK_TOL, v0=np.ones(n))
+        _, vecs = spla.eigs(m, k=1, which="LR", tol=_ARPACK_TOL, v0=np.ones(m.shape[0]))
     except spla.ArpackError:
+        pass
+    else:
+        x = vecs[:, 0].real
+        if x.sum() < 0:
+            x = -x
+        if x.min() > 0:
+            lo, hi = _collatz_wielandt_bracket(m, x)
+            if hi - lo <= _CERTIFY_RTOL * max(1.0, abs(hi)):
+                return 0.5 * (lo + hi)
+    count, labels = connected_components(m != 0, directed=True, connection="strong")
+    if count == 1:
         return power_iteration_abscissa(m)
-    x = vecs[:, 0].real
-    if x.sum() < 0:
-        x = -x
-    if x.min() > 0:
-        lo, hi = _collatz_wielandt_bracket(m, x)
-        if hi - lo <= _CERTIFY_RTOL * max(1.0, abs(hi)):
-            return 0.5 * (lo + hi)
-    return power_iteration_abscissa(m)
+    return max(spectral_abscissa(m[nodes][:, nodes])
+               for nodes in (np.flatnonzero(labels == c) for c in range(count)))
 
 
 def spectral_abscissa(m) -> float:
     """Maximum real part of the eigenvalues (the Perron root for Metzler input).
 
     Sparse input must be Metzler, or ValueError is raised: above 2x2 it
-    takes one ARPACK solve certified by the Collatz-Wielandt bracket, with
-    the shifted power iteration as fallback.  Dense symmetric input goes
-    through the symmetric eigensolver; larger dense Metzler matrices take
-    the power iteration with a dense fallback, and everything else is
-    solved densely.
+    takes one ARPACK solve certified by the Collatz-Wielandt bracket; when
+    that fails, reducible input is split into its irreducible diagonal
+    blocks and irreducible input takes the shifted power iteration.  Dense
+    symmetric input goes through the symmetric eigensolver; larger dense
+    Metzler matrices take the power iteration with a dense fallback, and
+    everything else is solved densely.
     """
     if sp.issparse(m):
         m = m.tocsr()
@@ -248,9 +258,8 @@ class ScalarMaximizeResult:
             raise ValueError("maximizer must lie in (lo, hi]")
 
 
-def maximize_on_interval(objective, lo: float, hi: float, budget: int = 4096,
-                         divergence_cap: float = 1e15,
-                         refine_brackets: int = 3) -> ScalarMaximizeResult:
+def maximize_on_interval(objective, lo: float, hi: float,
+                         budget: int = 4096) -> ScalarMaximizeResult:
     """Maximize a scalar objective on the half-open interval (lo, hi].
 
     Dense grid of ``budget`` points, geometrically clustered towards lo
@@ -272,7 +281,7 @@ def maximize_on_interval(objective, lo: float, hi: float, budget: int = 4096,
     vals = np.asarray(objective(xs), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError("objective must be vectorized over s")
-    if np.any(vals > divergence_cap) or np.any(np.isposinf(vals)):
+    if np.any(vals > _DIVERGENCE_CAP) or np.any(np.isposinf(vals)):
         raise DivergenceDetected("objective exceeds the divergence cap near lo")
     finite = np.isfinite(vals)
     if not finite.any():
@@ -286,7 +295,7 @@ def maximize_on_interval(objective, lo: float, hi: float, budget: int = 4096,
     best_x = float(xs[order[0]])
     best_v = float(vals[order[0]])
     seen = set()
-    for k in order[:max(1, refine_brackets)]:
+    for k in order[:_REFINE_BRACKETS]:
         k = int(k)
         if k in seen or not np.isfinite(vals[k]):
             continue
@@ -296,7 +305,7 @@ def maximize_on_interval(objective, lo: float, hi: float, budget: int = 4096,
         x, v = _golden_max(scalar, float(a), float(b))
         if v > best_v and lo < x <= hi:
             best_x, best_v = x, v
-        if v > divergence_cap:
+        if v > _DIVERGENCE_CAP:
             raise DivergenceDetected("objective exceeds the divergence cap near lo")
     return ScalarMaximizeResult(best_x, best_v, (lo, hi))
 

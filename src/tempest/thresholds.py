@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BracketError, DivergenceDetected, NonIrreducible, ParamRange, \
     ReducibleChain, WrongKind
-from .graphs import AMAI, AMEI, CHAIN0, MARKOV2, DynamicGraphModel, MeanMatrix, mean_matrix
+from .graphs import AMAI, AMEI, MeanMatrix, mean_matrix
 from .markov import CT, DT
 from .spectral import KappaParams, c_minus, kappa, kappa_inv_at_one, matrix_measure, \
     maximize_on_interval, spectral_abscissa
@@ -130,11 +130,11 @@ def _jsonable(v):
     return v
 
 
-def _as_mean(graph_or_mean) -> MeanMatrix:
-    if isinstance(graph_or_mean, MeanMatrix):
-        return graph_or_mean
+def _as_mean(source) -> MeanMatrix:
+    if isinstance(source, MeanMatrix):
+        return source
     try:
-        return mean_matrix(graph_or_mean)
+        return mean_matrix(source)
     except ReducibleChain as exc:
         raise NonIrreducible(str(exc)) from exc
 
@@ -169,38 +169,30 @@ def _eta_mix(mean: MeanMatrix, params: EpidemicParams, *, support: bool,
     return spectral_abscissa(m)
 
 
-def _variability(mean: MeanMatrix) -> np.ndarray:
-    return mean.a_bar * (1.0 - mean.a_bar)
+def kappa_params(family: str, a_bar: np.ndarray, beta: np.ndarray) -> KappaParams:
+    """C and v^2 of the bound kappa_{C,v^2} of family M1..M4, w = Abar (1 - Abar):
+
+    Delta1 = max_i (beta_i^2 sum_j w_ij + sum_j w_ji beta_j^2) for M1 (T1),
+    Delta2 = max_i beta_i sum_j w_ij beta_j for M2 and M4 (T2, T4), and
+    Delta3 = max_i sum_j w_ij for M3 (T3).  C is beta_max, and 1 for M3.
+    """
+    w = a_bar * (1.0 - a_bar)
+    n = a_bar.shape[0]
+    if family == "M3":
+        return KappaParams(1.0, float(w.sum(axis=1).max()), n)
+    if family == "M1":
+        b2 = beta ** 2
+        d = (b2 * w.sum(axis=1) + w.T @ b2).max()
+    elif family in ("M2", "M4"):
+        d = (beta * (w @ beta)).max()
+    else:
+        raise ValueError(f"unknown random-matrix family {family!r}")
+    return KappaParams(float(beta.max()), float(d), n)
 
 
 # ---------------------------------------------------------------------------
 # Static baselines
 # ---------------------------------------------------------------------------
-
-def static_ct_condition(a: np.ndarray, params: EpidemicParams):
-    """Continuous-time static condition on adjacency ``a``.
-
-    Homogeneous rates: beta/delta < 1/eta(a) (exact threshold).
-    Heterogeneous: the sufficient Hurwitz condition eta(BA - D) < 0.
-    Returns (stable, margin) with margin = threshold - lhs.
-    """
-    a = np.asarray(a, dtype=float)
-    if params.is_homogeneous:
-        eta_a = spectral_abscissa(a)
-        lhs = float(params.beta[0] / params.delta[0])
-        threshold = math.inf if eta_a <= 0 else 1.0 / eta_a
-        return lhs < threshold, threshold - lhs
-    lhs = spectral_abscissa(params.beta[:, None] * a - np.diag(params.delta))
-    return lhs < 0.0, -lhs
-
-
-def static_dt_condition(a: np.ndarray, params: EpidemicParams):
-    """Discrete-time static condition: eta(BA + I - D) < 1."""
-    a = np.asarray(a, dtype=float)
-    params.require_dt()
-    lhs = spectral_abscissa(params.beta[:, None] * a + np.diag(1.0 - params.delta))
-    return lhs < 1.0, 1.0 - lhs
-
 
 def _static_report(mean: MeanMatrix, params: EpidemicParams, time: str, **inter) -> ThresholdReport:
     """Exact static condition on the mean matrix (homogeneous rates use the
@@ -224,6 +216,30 @@ def _support_trivial_report(lhs: float, decay: float, inter: dict) -> ThresholdR
     return ThresholdReport(SUPPORT_TRIVIAL, lhs, math.inf, float("nan"), decay, True, inter)
 
 
+def _maximized_report(cert, tau_key, lhs, sgn, kp, s0, sbar, objective, decay_at, inter):
+    """T1/T2 verdict from the objective on (s0, sbar]: SUPPORT_TRIVIAL when the
+    support graph's measure ``sgn`` is negative or the objective diverges,
+    no certificate on an empty interval, else the maximum tau as threshold."""
+    res = None
+    if sgn >= 0.0:
+        if sbar <= s0:
+            inter.update({tau_key: -math.inf, "s_star": float("nan"), "interval_empty": True})
+            return ThresholdReport(cert, lhs, -math.inf, float("nan"), None, False, inter)
+        try:
+            res = maximize_on_interval(objective, s0, sbar)
+        except DivergenceDetected:
+            pass
+    if res is None:
+        inter.update({tau_key: math.inf, "s_star": float("nan"), "decay_bound": -sgn})
+        return _support_trivial_report(lhs, -sgn, inter)
+    tau, s_star = res.value, res.s_star
+    stable = lhs < tau
+    k_star = kappa(kp, s_star)
+    decay = decay_at(s_star, k_star) if stable else None
+    inter.update({tau_key: tau, "s_star": s_star, "kappa_s_star": k_star, "decay_bound": decay})
+    return ThresholdReport(cert, lhs, tau, s_star, decay, stable, inter)
+
+
 # ---------------------------------------------------------------------------
 # T1: continuous-time, arc-independent certificate
 # ---------------------------------------------------------------------------
@@ -231,45 +247,25 @@ def _support_trivial_report(lhs: float, decay: float, inter: dict) -> ThresholdR
 def certify_amai_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
     mean = _as_mean(graph_or_mean)
     _check(mean, params, AMAI, CT)
-    b2 = params.beta ** 2
-    w = _variability(mean)
-    delta1 = float((b2 * w.sum(axis=1) + w.T @ b2).max())
-    if delta1 == 0.0:
+    kp = kappa_params("M1", mean.a_bar, params.beta)
+    if kp.d == 0.0:
         return _static_report(mean, params, mean.time, routed_from=T1, deterministic=True)
 
     lhs = matrix_measure(params.beta[:, None] * mean.a_bar - np.diag(params.delta))
     mu_sgn = matrix_measure(params.beta[:, None] * mean.support() - np.diag(params.delta))
-    kp = KappaParams(params.beta_max, delta1, mean.n)
     s0 = kappa_inv_at_one(kp)
     c1 = mu_sgn - s0 / 2.0
     sbar1 = 2.0 * params.delta_min + 2.0 * c_minus(c1)
-    inter = {"Delta1": delta1, "c1": c1, "sbar1": sbar1, "kappa_inv_1": s0,
+    inter = {"Delta1": kp.d, "c1": c1, "sbar1": sbar1, "kappa_inv_1": s0,
              "mu_BAbar_minus_D": lhs, "mu_Bsgn_minus_D": mu_sgn,
              "beta_max": params.beta_max, "delta_min": params.delta_min}
-
-    if mu_sgn < 0.0:  # objective diverges at the left endpoint: trivially stable
-        inter.update(tau_A=math.inf, s_star=float("nan"), decay_bound=-mu_sgn)
-        return _support_trivial_report(lhs, -mu_sgn, inter)
-    if sbar1 <= s0:
-        inter.update(tau_A=-math.inf, s_star=float("nan"), interval_empty=True)
-        return ThresholdReport(T1, lhs, -math.inf, float("nan"), None, False, inter)
 
     def objective(s):
         k = kappa(kp, s)
         return -(s + 2.0 * c1 * k) / (2.0 * (1.0 - k))
 
-    try:
-        res = maximize_on_interval(objective, s0, sbar1)
-    except DivergenceDetected:
-        inter.update(tau_A=math.inf, s_star=float("nan"), decay_bound=-mu_sgn)
-        return _support_trivial_report(lhs, -mu_sgn, inter)
-    tau_a, s_star = res.value, res.s_star
-    stable = lhs < tau_a
-    k_star = kappa(kp, s_star)
-    decay = (-lhs * (1.0 - k_star) - s_star / 2.0 - c1 * k_star) if stable else None
-    inter.update(tau_A=tau_a, s_star=s_star, kappa_s_star=k_star,
-                 decay_bound=decay if stable else None)
-    return ThresholdReport(T1, lhs, tau_a, s_star, decay, stable, inter)
+    return _maximized_report(T1, "tau_A", lhs, mu_sgn, kp, s0, sbar1, objective,
+                             lambda s, k: -lhs * (1.0 - k) - s / 2.0 - c1 * k, inter)
 
 
 # ---------------------------------------------------------------------------
@@ -279,44 +275,25 @@ def certify_amai_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
 def certify_amei_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
     mean = _as_mean(graph_or_mean)
     _check(mean, params, AMEI, CT)
-    w = _variability(mean)
-    delta2 = float((params.beta * (w @ params.beta)).max())
-    if delta2 == 0.0:
+    kp = kappa_params("M2", mean.a_bar, params.beta)
+    if kp.d == 0.0:
         return _static_report(mean, params, mean.time, routed_from=T2, deterministic=True)
 
     lhs = _eta_mix(mean, params, support=False)
     eta_sgn = _eta_mix(mean, params, support=True)
-    kp = KappaParams(params.beta_max, delta2, mean.n)
     s0 = kappa_inv_at_one(kp)
     c2 = eta_sgn - s0
     sbar2 = params.delta_min + c_minus(c2)
-    inter = {"Delta2": delta2, "c2": c2, "sbar2": sbar2, "kappa_inv_1": s0,
+    inter = {"Delta2": kp.d, "c2": c2, "sbar2": sbar2, "kappa_inv_1": s0,
              "eta_BAbar_minus_D": lhs, "eta_Bsgn_minus_D": eta_sgn,
              "beta_max": params.beta_max, "delta_min": params.delta_min}
-
-    if eta_sgn < 0.0:
-        inter.update(tau_E=math.inf, s_star=float("nan"), decay_bound=-eta_sgn)
-        return _support_trivial_report(lhs, -eta_sgn, inter)
-    if sbar2 <= s0:
-        inter.update(tau_E=-math.inf, s_star=float("nan"), interval_empty=True)
-        return ThresholdReport(T2, lhs, -math.inf, float("nan"), None, False, inter)
 
     def objective(s):
         k = kappa(kp, s)
         return -(s + c2 * k) / (1.0 - k)
 
-    try:
-        res = maximize_on_interval(objective, s0, sbar2)
-    except DivergenceDetected:
-        inter.update(tau_E=math.inf, s_star=float("nan"), decay_bound=-eta_sgn)
-        return _support_trivial_report(lhs, -eta_sgn, inter)
-    tau_e, s_star = res.value, res.s_star
-    stable = lhs < tau_e
-    k_star = kappa(kp, s_star)
-    decay = (-lhs * (1.0 - k_star) - s_star - c2 * k_star) if stable else None
-    inter.update(tau_E=tau_e, s_star=s_star, kappa_s_star=k_star,
-                 decay_bound=decay if stable else None)
-    return ThresholdReport(T2, lhs, tau_e, s_star, decay, stable, inter)
+    return _maximized_report(T2, "tau_E", lhs, eta_sgn, kp, s0, sbar2, objective,
+                             lambda s, k: -lhs * (1.0 - k) - s - c2 * k, inter)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +336,9 @@ def certify_homogeneous(graph_or_mean, beta: float, delta: float) -> ThresholdRe
     params = EpidemicParams.homogeneous(beta, delta, mean.n)
     _check(mean, params, AMEI, CT)
     beta, delta = float(beta), float(delta)
-    w = _variability(mean)
-    delta3 = float(w.sum(axis=1).max())
-    if delta3 == 0.0:
-        lam3 = mean.eta_abar()
+    kp = kappa_params("M3", mean.a_bar, params.beta)
+    lam3 = mean.eta_abar()
+    if kp.d == 0.0:
         lhs = beta / delta
         threshold = math.inf if lam3 <= 0 else 1.0 / lam3
         stable = lhs < threshold
@@ -370,23 +346,20 @@ def certify_homogeneous(graph_or_mean, beta: float, delta: float) -> ThresholdRe
         inter = {"Delta3": 0.0, "lambda3": lam3, "routed_from": T3, "deterministic": True}
         return ThresholdReport(STATIC_CT, lhs, threshold, float("nan"), decay, stable, inter)
 
-    lam3 = mean.eta_abar()
     eta_sgn = mean.eta_support()
     dob = delta / beta
-    kp = KappaParams(1.0, delta3, mean.n)
     s0 = kappa_inv_at_one(kp)
     c3 = eta_sgn - s0
     sbar3 = dob + c_minus(c3)
-    trivial = beta / delta < 1.0 / eta_sgn
-    inter = {"Delta3": delta3, "c3": c3, "sbar3": sbar3, "kappa_inv_1": s0,
+    inter = {"Delta3": kp.d, "c3": c3, "sbar3": sbar3, "kappa_inv_1": s0,
              "lambda3": lam3, "eta_sgn": eta_sgn, "beta": beta, "delta": delta}
 
-    if trivial:
+    if beta / delta < 1.0 / eta_sgn:
         decay = delta - beta * eta_sgn
         inter.update(xi_H=math.inf, s_star=float("nan"), decay_bound=decay)
         return _support_trivial_report(beta / delta, decay, inter)
 
-    xi_h, s_star = xi_h_factor(mean.n, eta_sgn, dob, delta3)
+    xi_h, s_star = xi_h_factor(mean.n, eta_sgn, dob, kp.d)
     lhs = beta / delta
     if not math.isfinite(xi_h):  # empty interval: cannot certify
         inter.update(xi_H=xi_h, s_star=float("nan"), interval_empty=True)
@@ -409,46 +382,34 @@ def certify_homogeneous(graph_or_mean, beta: float, delta: float) -> ThresholdRe
 # ---------------------------------------------------------------------------
 
 def certify_amei_dt(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
-    if isinstance(graph_or_mean, DynamicGraphModel) and graph_or_mean.time == DT:
-        table = graph_or_mean.table
-        # a 2-state DT chain is periodic only when it always switches
-        periodic = (table.template == MARKOV2) & (table.q == 1.0) & (table.r == 1.0)
-        periodic |= np.isin(table.template, [CHAIN0 + t for t, edge in enumerate(table.chains)
-                                             if not edge.chain.is_aperiodic()])
-        if periodic.any():
-            k = int(np.argmax(periodic))
-            raise NonIrreducible(f"edge ({table.i[k]},{table.j[k]}) chain is periodic; "
-                                 "the discrete-time certificate needs aperiodic chains")
     mean = _as_mean(graph_or_mean)
+    if mean.periodic_edge is not None:
+        i, j = mean.periodic_edge
+        raise NonIrreducible(f"edge ({i},{j}) chain is periodic; "
+                             "the discrete-time certificate needs aperiodic chains")
     _check(mean, params, AMEI, DT)
     params.require_dt()
-    w = _variability(mean)
-    delta2 = float((params.beta * (w @ params.beta)).max())
-    if delta2 == 0.0:
+    kp = kappa_params("M4", mean.a_bar, params.beta)
+    if kp.d == 0.0:
         return _static_report(mean, params, mean.time, routed_from=T4, deterministic=True)
 
     lam4 = _eta_mix(mean, params, support=False, plus_identity=True)
     eta_max = _eta_mix(mean, params, support=True, plus_identity=True)
-    inter = {"Delta2": delta2, "lambda4": lam4, "eta_Mmax": eta_max,
+    inter = {"Delta2": kp.d, "lambda4": lam4, "eta_Mmax": eta_max,
              "beta_max": params.beta_max, "delta_min": params.delta_min}
     if lam4 >= 1.0:
         inter.update(tau_D=-math.inf, s_star=float("nan"), interval_empty=True)
         return ThresholdReport(T4, lam4, -math.inf, float("nan"), None, False, inter)
 
-    kp = KappaParams(params.beta_max, delta2, mean.n)
     log_ratio = math.log(lam4 / eta_max)  # <= 0 by Metzler monotonicity
 
     def objective(s):
         return np.exp(kappa(kp, s) * log_ratio) - s
 
-    hi = 1.0 - lam4
     # the interval is closed at s = 0 (kappa(0) = n); evaluate it separately
     g0 = math.exp(mean.n * log_ratio)
-    res = maximize_on_interval(objective, 0.0, hi)
-    if res.value >= g0:
-        tau_d, s_star = res.value, res.s_star
-    else:
-        tau_d, s_star = g0, 0.0
+    res = maximize_on_interval(objective, 0.0, 1.0 - lam4)
+    tau_d, s_star = (res.value, res.s_star) if res.value >= g0 else (g0, 0.0)
     stable = lam4 < tau_d
     k_star = kappa(kp, s_star)
     gamma_d = -math.log(lam4 + s_star) + k_star * log_ratio

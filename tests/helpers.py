@@ -281,6 +281,18 @@ def _mu_dense(m):
     return _eta_dense(0.5 * (m + m.T))
 
 
+def static_ct_dense(a, beta, delta):
+    """CT static condition eta(B A - D) < 0 by a dense eigvals solve: (stable, eta)."""
+    eta = _eta_dense(np.asarray(beta)[:, None] * a - np.diag(delta))
+    return eta < 0.0, eta
+
+
+def static_dt_dense(a, beta, delta):
+    """DT static condition eta(B A + I - D) < 1 by a dense eigvals solve: (stable, eta)."""
+    eta = _eta_dense(np.asarray(beta)[:, None] * a + np.diag(1.0 - np.asarray(delta)))
+    return eta < 1.0, eta
+
+
 def _grid_max(f, lo, hi, grid=GRID):
     ss = np.linspace(lo, hi, grid)[1:]  # exclude the open left endpoint
     vals = f(ss)

@@ -116,27 +116,57 @@ class TestCliRuns:
         assert r.returncode == 1
         assert r.stderr.startswith("config error:"), r.stderr
 
-    # outside input that cannot be read ends in a config error, not a traceback
+    # outside input that cannot be read or is out of range ends in a config
+    # error, not a traceback, and no output file is written
+    CT4 = ["--preset", "complete_edge_markovian", "--graph-param", "n=4",
+           "--graph-param", "q=0.5", "--graph-param", "r=0.5"]
+
     @pytest.mark.parametrize("args, threads_env", [
-        (["--config", "missing.json"], None),
-        (["--config", "bad.json"], None),
-        (["--graph-file", "bad.json"], None),
-        (["--preset", "iv", "--graph-param", "n=10"], "two"),
-        (["--config", "list.json"], None),
-        (["--graph-file", "list.json"], None),
+        (["empirical", "--config", "missing.json"], None),
+        (["empirical", "--config", "bad.json"], None),
+        (["empirical", "--graph-file", "bad.json"], None),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10"], "two"),
+        (["empirical", "--config", "list.json"], None),
+        (["empirical", "--graph-file", "list.json"], None),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10", "--beta-grid", "1:2"], None),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10", "--beta-grid", "a,b"], None),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10", "--paths", "0"], None),
+        (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "horizon=-1"], None),
+        (["simulate", *CT4, "--graph-param", 'time="dt"', "--beta", "0.1", "--delta", "0.5",
+          "--steps", "-3"], None),
+        (["spectra", "--preset", "complete_edge_markovian", "--graph-param", "n=5",
+          "--graph-param", "q=0.5"], None),
+        (["simulate", *CT4, "--config", "short_beta.json"], None),
+        (["empirical", *CT4], None),
     ], ids=["missing config", "malformed config", "malformed graph file", "threads env",
-            "non-object config", "non-object graph file"])
+            "non-object config", "non-object graph file", "beta grid without count",
+            "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
+            "missing preset parameter", "beta vector length", "empirical on ct graph"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                args, threads_env):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.json").write_text('{"task": ')
         (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "short_beta.json").write_text(
+            json.dumps({"epidemic": {"beta": [0.1, 0.2], "delta": 1.0}}))
+        inputs = set(tmp_path.iterdir())
         if threads_env is None:
             monkeypatch.delenv("TEMPEST_THREADS", raising=False)
         else:
             monkeypatch.setenv("TEMPEST_THREADS", threads_env)
-        assert main(["empirical", *args, "--seed", "0"]) == 1
+        assert main([*args, "--seed", "0"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+        assert set(tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("task", ["threshold", "figure456"])
+    def test_periodic_dt_graph_is_refused(self, tmp_path, monkeypatch, capsys, task):
+        # q = r = 1 in DT: every edge chain is periodic, which T4 cannot certify
+        monkeypatch.chdir(tmp_path)
+        assert main([task, "--preset", "complete_edge_markovian", "--graph-param", "n=6",
+                     "--graph-param", "q=1.0", "--graph-param", "r=1.0",
+                     "--graph-param", 'time="dt"', "--delta", "0.5", "--seed", "0"]) == 1
+        assert "edge (0,1) chain is periodic" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_certificate_is_config_error(self, tmp_path):
         r = cli("threshold", "--preset", "complete_edge_markovian",

@@ -303,6 +303,12 @@ class TestEmpiricalThreshold:
         one = empirical_threshold(g, 0.5, [0.05], paths=1, steps=20, seed=9)
         assert np.isnan(one.z_stderr).all()
 
+    @pytest.mark.parametrize("paths, steps", [(0, 20), (4, 0)])
+    def test_empty_protocol_rejected(self, paths, steps):
+        # no path or no step has no metastable level to report
+        with pytest.raises(ValueError, match="paths >= 1 and steps >= 1"):
+            empirical_threshold(tempest_iv_small(), 0.5, [0.05], paths=paths, steps=steps)
+
     def test_grid_below_certified_threshold_stays_low(self):
         # a beta grid entirely below the certified threshold keeps z* < 0.1
         # (the compensated metastable level only vanishes well inside the

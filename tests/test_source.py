@@ -44,3 +44,23 @@ def test_arpack_calls_pass_v0():
                 if name in ("eigs", "eigsh") and "v0" not in {k.arg for k in node.keywords}:
                     found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, f"ARPACK calls without v0: {found}"
+
+
+def _referenced_names(module: str) -> set:
+    """Every name and attribute the module refers to, imported names included."""
+    tree = ast.parse((PACKAGE / module).read_text())
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))} \
+        | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+           for alias in node.names}
+
+
+def test_cli_reaches_certificates_through_the_registry():
+    # certify, CERTIFICATES and threshold_in_beta are the CLI's one door to a verdict
+    direct = {"certify_amai_ct", "certify_amei_ct", "certify_amei_dt", "certify_homogeneous"}
+    assert not direct & _referenced_names("cli.py")
+
+
+def test_oracle_leaves_the_abscissa_solver_to_spectral():
+    # spectral_abscissa alone picks between dense and iterative solvers
+    assert "eigvals" not in _referenced_names("oracle.py")

@@ -186,6 +186,28 @@ class TestSpectralAbscissa:
         assert exc.value.iterations < 5000
         assert spectral_abscissa(m) == pytest.approx(2.0, abs=1e-9)
 
+    def test_reducible_sparse_input_splits_into_blocks(self):
+        # ARPACK's Ritz vector of a reducible matrix has zero entries, and the
+        # power iteration's bracket stalls; the split decides by the blocks
+        import scipy.sparse as sp
+        a = np.array([[-1.33, 0, 0, 0, 0, 0], [0, -0.99, 0, 0, 0.86, 0],
+                      [0, 0.39, -1.9, 0.69, 0, 0.66], [0.23, 0, 0, 0.91, 0, 0],
+                      [0, 0.06, 0, 0, -0.31, 0], [0.66, 0, 0, 0.57, 0, -1.76]])
+        assert spectral_abscissa(sp.csr_matrix(a)) == pytest.approx(0.91, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sparse_metzler_matches_eigvals(self, data):
+        # reducible (sparse support) and irreducible (dense support) input alike
+        import scipy.sparse as sp
+        n = data.draw(st.integers(3, 11), label="n")
+        density = data.draw(st.sampled_from([0.15, 0.3, 1.0]), label="density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0)
+        np.fill_diagonal(m, rng.uniform(-2.0, 1.0, n))
+        dense = float(np.linalg.eigvals(m).real.max())
+        assert spectral_abscissa(sp.csr_matrix(m)) == pytest.approx(dense, abs=1e-9)
+
     def test_periodic_support_bipartite(self):
         assert power_iteration_abscissa(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0, abs=1e-9)
         path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)

@@ -8,6 +8,7 @@ from tempest import (
     AMEI,
     DynamicGraphModel,
     EpidemicParams,
+    MeanMatrix,
     ThresholdReport,
     build_edge_markovian,
     build_static_edge,
@@ -17,41 +18,47 @@ from tempest import (
     certify_homogeneous,
     graph_complete_edge_markovian,
     mean_matrix,
-    static_ct_condition,
-    static_dt_condition,
     threshold_in_beta,
     xi_h_factor,
 )
 from tempest.errors import BracketError, NonIrreducible, WrongKind
-from tempest.thresholds import _jsonable, certify
+from tempest.thresholds import CERTIFICATES, _jsonable, certify, kappa_params
 
 
 def homog(beta, delta, n):
     return EpidemicParams.homogeneous(beta, delta, n)
 
 
+def static_report(a, params, time="ct", kind=AMEI):
+    """The registry's static verdict on the adjacency ``a`` taken as a mean matrix."""
+    return CERTIFICATES[f"static_{time}"](MeanMatrix(a, kind, time), params)
+
+
 class TestStaticConditions:
     def test_zero_adjacency_always_stable(self):
-        stable, margin = static_ct_condition(np.zeros((4, 4)), homog(5.0, 0.01, 4))
-        assert stable and margin == math.inf
+        rep = static_report(np.zeros((4, 4)), homog(5.0, 0.01, 4))
+        assert rep.stable and rep.lhs == -0.01 and rep.decay_rate_bound == 0.01
 
     def test_triangle_threshold_boundary(self):
         # eta(K3) = 2, so the homogeneous threshold is beta/delta = 1/2
         a = np.ones((3, 3)) - np.eye(3)
-        assert static_ct_condition(a, homog(0.4, 1.0, 3))[0] is True
-        assert static_ct_condition(a, homog(0.6, 1.0, 3))[0] is False
+        assert static_report(a, homog(0.4, 1.0, 3)).stable is True
+        assert static_report(a, homog(0.6, 1.0, 3)).stable is False
 
     def test_heterogeneous_hurwitz_route(self):
-        a = np.ones((3, 3)) - np.eye(3)
+        # the symmetric similarity (AMEI) and the general abscissa (AMAI, one arc cut)
         params = EpidemicParams(np.array([0.1, 0.2, 0.1]), np.array([1.0, 2.0, 1.5]))
-        stable, margin = static_ct_condition(a, params)
-        eta = float(np.linalg.eigvals(np.diag(params.beta) @ a - np.diag(params.delta)).real.max())
-        assert stable == (eta < 0) and margin == pytest.approx(-eta)
+        for kind, cut in ((AMEI, 0.0), ("amai", 1.0)):
+            a = np.ones((3, 3)) - np.eye(3)
+            a[0, 1] -= cut
+            rep = static_report(a, params, kind=kind)
+            stable, eta = helpers.static_ct_dense(a, params.beta, params.delta)
+            assert rep.stable == stable and rep.threshold - rep.lhs == pytest.approx(-eta)
 
     def test_static_dt(self):
         a = np.ones((4, 4)) - np.eye(4)
-        assert static_dt_condition(a, homog(0.01, 0.5, 4))[0] is True
-        assert static_dt_condition(a, homog(0.4, 0.5, 4))[0] is False
+        assert static_report(a, homog(0.01, 0.5, 4), "dt").stable is True
+        assert static_report(a, homog(0.4, 0.5, 4), "dt").stable is False
 
 
 class TestCertifyAmaiCt:
@@ -358,8 +365,8 @@ class TestStaticVerdicts:
     """Homogeneous static verdicts from the cached eta(Abar) against dense solves."""
 
     @pytest.mark.parametrize("time, certificate, condition", [
-        ("ct", "static_ct", static_ct_condition),
-        ("dt", "static_dt", static_dt_condition),
+        ("ct", "static_ct", helpers.static_ct_dense),
+        ("dt", "static_dt", helpers.static_dt_dense),
     ])
     def test_cached_route_matches_dense_condition(self, time, certificate, condition):
         g = graph_complete_edge_markovian(9, 0.3, 0.5, time=time)
@@ -369,6 +376,46 @@ class TestStaticVerdicts:
         for beta in cut * np.array([1e-3, 0.5, 0.99, 1.01, 1.5]):
             if time == "dt" and beta > 1:
                 continue
-            dense = condition(mean.a_bar, homog(beta, delta, 9))[0]
+            dense = condition(mean.a_bar, np.full(9, beta), np.full(9, delta))[0]
             assert certify(mean, certificate, beta, delta).stable == dense
 
+
+
+class TestPeriodicMeanMatrix:
+    """A periodic DT edge chain is refused by T4 through every door to a verdict."""
+
+    # q = r = 1: every edge of the complete DT graph switches at every step
+    @staticmethod
+    def periodic_graph():
+        return graph_complete_edge_markovian(6, 1.0, 1.0, time="dt")
+
+    def test_mean_matrix_records_first_periodic_edge(self):
+        assert mean_matrix(self.periodic_graph()).periodic_edge == (0, 1)
+        assert mean_matrix(graph_complete_edge_markovian(6, 1.0, 0.5, time="dt")) \
+            .periodic_edge is None
+        assert mean_matrix(graph_complete_edge_markovian(6, 1.0, 1.0)).periodic_edge is None
+
+    @pytest.mark.parametrize("as_mean", [False, True], ids=["graph", "mean"])
+    def test_threshold_search_refuses(self, as_mean):
+        g = self.periodic_graph()
+        with pytest.raises(NonIrreducible, match=r"edge \(0,1\)"):
+            threshold_in_beta(mean_matrix(g) if as_mean else g, 0.5, "t4", (1e-6, 0.5))
+
+    def test_certify_refuses(self):
+        with pytest.raises(NonIrreducible, match=r"edge \(0,1\)"):
+            certify(mean_matrix(self.periodic_graph()), "t4", 0.05, 0.5)
+
+
+class TestKappaParams:
+    def test_families_share_one_definition(self):
+        g = helpers.random_amei_ct(np.random.default_rng(3), 6)
+        mean = mean_matrix(g)
+        beta = np.linspace(0.1, 0.6, 6)
+        w = mean.a_bar * (1.0 - mean.a_bar)
+        m2, m4 = kappa_params("M2", mean.a_bar, beta), kappa_params("M4", mean.a_bar, beta)
+        assert m2 == m4 and m2.b == beta.max() and m2.n == 6
+        assert m2.d == pytest.approx(max(beta[i] * (w[i] @ beta) for i in range(6)), rel=1e-14)
+        m3 = kappa_params("M3", mean.a_bar, beta)
+        assert m3.b == 1.0 and m3.d == pytest.approx(w.sum(axis=1).max(), rel=1e-14)
+        with pytest.raises(ValueError, match="M5"):
+            kappa_params("M5", mean.a_bar, beta)
