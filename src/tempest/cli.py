@@ -85,21 +85,20 @@ def _epidemic(cfg: ExperimentConfig, n: int) -> EpidemicParams:
                           f"values each: {exc}") from exc
 
 
-def _beta_grid(spec) -> np.ndarray:
-    """The grid of a list of numbers or of a 'lo:hi:count' string."""
+def _grid(spec, name="beta grid") -> np.ndarray:
+    """The grid of a number, a list of numbers or a 'lo:hi:count' string."""
     try:
-        if isinstance(spec, (list, tuple)):
-            return np.asarray(spec, dtype=float)
+        if isinstance(spec, (list, tuple, int, float)):
+            return np.atleast_1d(np.asarray(spec, dtype=float))
         lo, hi, count = str(spec).split(":")
         return np.linspace(float(lo), float(hi), int(count))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"beta grid must be lo:hi:count or a list of numbers, "
-                          f"got {spec!r}") from exc
+        raise ConfigError(f"{name} must be lo:hi:count or numbers, got {spec!r}") from exc
 
 
-def _positive(cfg: ExperimentConfig, key: str, default, cast=int):
-    """Task parameter ``key``: a positive int (a count) or float (a horizon)."""
-    value = cfg.params.get(key, default)
+def _positive(cfg: ExperimentConfig, key: str, default, cast=int, section="params"):
+    """Parameter ``key`` of ``cfg.<section>``: a positive int or finite float."""
+    value = getattr(cfg, section).get(key, default)
     try:
         if 0 < cast(value) < math.inf:
             return cast(value)
@@ -108,11 +107,22 @@ def _positive(cfg: ExperimentConfig, key: str, default, cast=int):
     raise ConfigError(f"{key} must be a positive {cast.__name__}, got {value!r}")
 
 
-def _dt_graph(cfg: ExperimentConfig):
+def _choice(cfg: ExperimentConfig, key: str, default, choices):
+    """Task parameter ``key``, lower-cased: one of ``choices``."""
+    value = str(cfg.params.get(key, default)).lower()
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _protocol(cfg: ExperimentConfig):
+    """DT graph, delta, beta grid, paths and steps of the re-infection protocol."""
     graph = build_graph(cfg)
     if graph.time != DT:
         raise ConfigError(f"{cfg.task} needs a discrete-time graph, got {graph.time.upper()}")
-    return graph
+    return (graph, _positive(cfg, "delta", 0.05, float, "epidemic"),
+            _grid(cfg.params.get("beta_grid", "5e-4:10e-4:12")),
+            _positive(cfg, "paths", 100), _positive(cfg, "steps", 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +132,18 @@ def _dt_graph(cfg: ExperimentConfig):
 def _run_threshold(cfg: ExperimentConfig):
     graph = build_graph(cfg)
     mean = mean_matrix(graph)
-    cert = cfg.params.get("certificate", "t4" if graph.time == DT else "t2").lower()
-    if cert not in CERTIFICATES:
-        raise ConfigError(f"unknown certificate {cert!r}")
-    delta = cfg.epidemic.get("delta")
-    if delta is None or not np.isscalar(delta):
-        raise ConfigError("threshold search needs a scalar epidemic.delta")
-    delta = float(delta)
+    cert = _choice(cfg, "certificate", "t4" if graph.time == DT else "t2", CERTIFICATES)
+    delta = _positive(cfg, "delta", None, float, "epidemic")
     result = {"certificate": cert, "delta": delta, "n": graph.n,
               "eta_abar": mean.eta_abar(), "eta_support": mean.eta_support()}
 
-    beta = cfg.epidemic.get("beta")
-    if beta is not None and np.isscalar(beta):
-        beta_hat = float(beta)
+    if np.isscalar(cfg.epidemic.get("beta")):
+        beta_hat = _positive(cfg, "beta", None, float, "epidemic")
     else:
         eta = mean.eta_abar()
         hi_default = 2.0 * delta / eta if eta > 0 else 1.0
-        lo = float(cfg.params.get("search_lo", 1e-8))
-        hi = float(cfg.params.get("search_hi", hi_default))
+        lo = _positive(cfg, "search_lo", 1e-8, float)
+        hi = _positive(cfg, "search_hi", hi_default, float)
         beta_hat = threshold_in_beta(mean, delta, cert, (lo, hi))
         result["beta_threshold"] = beta_hat
         result["search_bounds"] = [lo, hi]
@@ -167,11 +171,7 @@ def _run_simulate(cfg: ExperimentConfig):
 
 
 def _run_empirical(cfg: ExperimentConfig):
-    graph = _dt_graph(cfg)
-    delta = float(cfg.epidemic.get("delta", 0.05))
-    grid = _beta_grid(cfg.params.get("beta_grid", "5e-4:10e-4:12"))
-    paths = _positive(cfg, "paths", 100)
-    steps = _positive(cfg, "steps", 1000)
+    graph, delta, grid, paths, steps = _protocol(cfg)
     report = empirical_threshold(graph, delta, grid, paths, steps, seed=cfg.seed,
                                  threads=cfg.resolve_threads())
     rows = list(zip(report.beta_grid, report.y_star, report.z_star))
@@ -188,12 +188,13 @@ def _run_oracle(cfg: ExperimentConfig):
     stable, eta = exponential_condition(graph, params)
     rows = [[0, eta, "stable" if stable else "unstable"]]
     columns = ["instance_id", "eta", "verdict"]
-    which = cfg.params.get("expect")
     result = {"eta": eta, "stable": stable}
-    if which:
-        sampler = RandomMatrixSampler.from_mean(which.upper(), mean_matrix(graph), params)
-        est = expected_certificate(sampler, cfg.params.get("mode", "exhaustive"),
-                                   draws=_positive(cfg, "draws", 10000), seed=cfg.seed)
+    if cfg.params.get("expect"):
+        which = _choice(cfg, "expect", None, ("m1", "m2", "m3", "m4")).upper()
+        mode = _choice(cfg, "mode", "exhaustive", ("exhaustive", "montecarlo"))
+        sampler = RandomMatrixSampler.from_mean(which, mean_matrix(graph), params)
+        est = expected_certificate(sampler, mode, draws=_positive(cfg, "draws", 10000),
+                                   seed=cfg.seed)
         result["expectation"] = {"statistic": est.statistic, "value": est.value,
                                  "stderr": est.stderr, "mode": est.mode, "count": est.count}
         rows[0].extend([est.statistic, est.value, est.stderr])
@@ -206,14 +207,14 @@ def _run_oracle(cfg: ExperimentConfig):
 def _run_chung(cfg: ExperimentConfig):
     graph = build_graph(cfg)
     params = _epidemic(cfg, graph.n)
-    family = cfg.params.get("family", "m2").upper()
+    family = _choice(cfg, "family", "m2", ("m2", "m3", "m4")).upper()
     draws = _positive(cfg, "draws", 10_000)
     sampler = RandomMatrixSampler.from_mean(family, mean_matrix(graph), params)
     if "s_grid" in cfg.params:
-        s_grid = np.asarray(cfg.params["s_grid"], dtype=float)
+        s_grid = _grid(cfg.params["s_grid"], "s_grid")
     else:
-        s_max = float(cfg.params.get("s_max", 4.0 * np.sqrt(sampler.variance_proxy())
-                                     + 2.0 * sampler.bound_c()))
+        s_max = _positive(cfg, "s_max", 4.0 * np.sqrt(sampler.variance_proxy())
+                          + 2.0 * sampler.bound_c(), float)
         s_grid = np.linspace(0.0, s_max, _positive(cfg, "s_count", 20))
     check = chung_tail_check(sampler, s_grid, draws=draws, seed=cfg.seed)
     rows = list(zip(check.s, check.empirical, check.bound))
@@ -237,9 +238,7 @@ def _run_spectra(cfg: ExperimentConfig):
 
 
 def _run_figure3(cfg: ExperimentConfig):
-    panel = cfg.params.get("panel", "a")
-    if panel not in FIGURE3_PANELS:
-        raise ConfigError("figure3 panel must be one of a, b, c")
+    panel = _choice(cfg, "panel", "a", FIGURE3_PANELS)
     n, eta_sgn = FIGURE3_PANELS[panel]
     dob_count = _positive(cfg, "ratio_count", 20)
     d3_count = _positive(cfg, "delta3_count", 20)
@@ -256,12 +255,8 @@ def _run_figure3(cfg: ExperimentConfig):
 
 
 def _run_figure456(cfg: ExperimentConfig):
-    graph = _dt_graph(cfg)
+    graph, delta, grid, paths, steps = _protocol(cfg)
     mean = mean_matrix(graph)
-    delta = float(cfg.epidemic.get("delta", 0.05))
-    grid = _beta_grid(cfg.params.get("beta_grid", "5e-4:10e-4:12"))
-    paths = _positive(cfg, "paths", 100)
-    steps = _positive(cfg, "steps", 1000)
     outdir = cfg.out or f"figure456_{cfg.seed}"
 
     eta = mean.eta_abar()
@@ -415,7 +410,7 @@ def _assemble_config(args) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             if key == "beta_grid" and "," in str(value):
-                value = _beta_grid(str(value).split(",")).tolist()
+                value = _grid(str(value).split(",")).tolist()
             params[key] = value
     if not params:
         doc.pop("params")

@@ -19,9 +19,8 @@ import scipy.linalg
 
 from . import rng as rngmod
 from .errors import InsufficientData, ParamRange
-from .graphs import AMEI, CHAIN0, MARKOV2, STATIC_ON, DynamicGraphModel, GraphPath, \
-    sample_graph_path
-from .markov import CT, DT, jump_tables
+from .graphs import AMEI, CHAIN0, MARKOV2, STATIC_ON, DynamicGraphModel, GraphPath
+from .markov import CT, DT, jump_tables, stationary_distribution
 from .thresholds import EpidemicParams
 
 
@@ -180,12 +179,6 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
 # Discrete-time exact simulation
 # ---------------------------------------------------------------------------
 
-def _dt_fast(graph: DynamicGraphModel) -> bool:
-    """Whether the vectorized DT runner applies: only 2-state and static edges."""
-    table = graph.table
-    return graph.time == DT and not np.isnan(table.q[table.template >= MARKOV2]).any()
-
-
 def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
                       init_infected="all", reinfect: bool = False, seed=0,
                       edge_path: GraphPath | None = None,
@@ -209,10 +202,6 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
         raise ParamRange("discrete-time probabilities must lie in [0, 1]")
     x0 = _init_mask(init_infected, n)
     rng, seed = _stream(seed)
-
-    if edge_path is None and not _dt_fast(graph):
-        # multi-state chains walk their own (seed, TAG_EDGE, i, j) streams
-        edge_path = sample_graph_path(graph, steps=steps, seed=seed)
     if edge_path is not None and edge_path.adjacency.shape[0] < steps:
         raise ValueError("edge path shorter than the requested step count")
     counts, reinf, states = _dt_run(graph, beta[:, None], delta, steps, x0, reinfect, rng,
@@ -221,15 +210,40 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
                            states[:, :, 0] if record_states else None)
 
 
+def _cut_points(table, rows):
+    """Cut points of the switching ``rows``: their cumulative laws, states listed
+    on-states first, as a (width - 1, rows (width + 1)) array padded with inf.
+    Column law[k] - 1 holds row k's initial law (stationary, or a point mass at
+    a declared initial state), column law[k] + s its law from state s; n_on[k]
+    counts its on-states.  A row moves to the count of cut points <= its uniform."""
+    template = table.template[rows]
+    chains = [(t, table.chains[t - CHAIN0]) for t in np.unique(template[template >= CHAIN0])]
+    width = max([2] + [edge.output.size for _, edge in chains])
+    cuts, n_on = np.full((rows.size, width + 1, width - 1), np.inf), np.ones(rows.size, np.intp)
+    q, r = table.q[rows], table.r[rows]  # every 2-state row; NaN for larger chains
+    cuts[:, :3, 0] = np.stack([q / (q + r), 1.0 - r, q], axis=1)
+    for t, edge in chains:
+        chain, sel, order = edge.chain, template == t, np.argsort(1 - edge.output, kind="stable")
+        k, n_on[sel] = order.size, edge.output.sum()
+        if k > 2:
+            cuts[sel, 1:k + 1, :k - 1] = np.cumsum(chain.matrix[np.ix_(order, order)], 1)[:, :-1]
+        if chain.initial_state is not None:
+            cuts[sel, 0, :k - 1] = np.cumsum(order == chain.index(chain.initial_state))[:-1]
+        elif k > 2:
+            cuts[sel, 0, :k - 1] = np.cumsum(stationary_distribution(chain)[order])[:-1]
+    return cuts.reshape(-1, width - 1).T.copy(), np.arange(rows.size) * (width + 1) + 1, n_on
+
+
 def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, record_states,
             edge_path: GraphPath | None = None):
     """Synchronous SIS steps of G lanes, one per column of the (n, G) ``beta``,
-    on one edge trajectory: the graph's 2-state and static edges, kept in a
-    dense adjacency A so that all lanes' contacts are one product A @ X, or
-    the adjacency of ``edge_path``.  Per step the lanes share one infection
-    and then one recovery uniform per node; each extinct lane then draws its
-    re-infected node, in lane order; the edges draw last.  One lane thus
-    draws as a single run.  Returns the (steps + 1, G) infected counts, the
+    on one edge trajectory: the graph's edges, one integer chain state each,
+    kept in a dense adjacency A so that all lanes' contacts are one product
+    A @ X, or the adjacency of ``edge_path``.  Per step the edges draw first,
+    one uniform each (from their initial law at step 0); the lanes then share
+    one infection and then one recovery uniform per node; each extinct lane
+    then draws its re-infected node, in lane order.  One lane thus draws as a
+    single run.  Returns the (steps + 1, G) infected counts, the
     re-infections per lane and, if recorded, the (steps + 1, n, G) states."""
     n, lanes = beta.shape
     table, adj = graph.table, np.zeros((n, n), dtype=np.float32)  # exact counts below 2**24
@@ -237,10 +251,10 @@ def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, rec
     cells = [table.i * n + table.j] + ([table.j * n + table.i] if graph.kind == AMEI else [])
     for cell in cells:
         flat[cell[table.template == STATIC_ON]] = 1.0
-    stochastic = (table.template >= MARKOV2) & (edge_path is None)
-    cells = [cell[stochastic] for cell in cells]
-    q, r = table.q[stochastic], table.r[stochastic]
-    s_on, stay = rng.random(q.size) < q / (q + r), 1.0 - r
+    rows = np.flatnonzero((table.template >= MARKOV2) & (edge_path is None))
+    cells = [cell[rows] for cell in cells]
+    cuts, law, n_on = _cut_points(table, rows)
+    state = np.full(rows.size, -1)  # column law - 1: each row's initial law
     with np.errstate(divide="ignore"):
         log1m_beta = np.log1p(-beta)
     x = np.repeat(x0[:, None], lanes, axis=1)
@@ -249,8 +263,11 @@ def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, rec
     states = [x] if record_states else None
     reinfections = np.zeros(lanes, dtype=np.int64)
     for k in range(steps):
+        u, cols = rng.random(rows.size), law + state
+        state = sum((u >= cut[cols] for cut in cuts[1:]), (u >= cuts[0][cols]).astype(np.intp))
+        on = (state < n_on).astype(np.float32)
         for cell in cells:
-            flat[cell] = s_on.astype(np.float32)
+            flat[cell] = on
         a = adj if edge_path is None else edge_path.adjacency[k]
         contacts = a @ x.astype(a.dtype)
         with np.errstate(invalid="ignore"):
@@ -261,7 +278,6 @@ def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, rec
         for g in np.flatnonzero(~x.any(axis=0)) if reinfect else ():
             x[rng.integers(n), g] = True
             reinfections[g] += 1
-        s_on = rng.random(q.size) < np.where(s_on, stay, q)
         counts[k + 1] = x.sum(axis=0)
         if record_states:
             states.append(x)
@@ -422,9 +438,8 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
     if paths < 1 or steps < 1:
         raise ValueError(f"empirical threshold needs paths >= 1 and steps >= 1, "
                          f"got {paths} and {steps}")
-    if not _dt_fast(graph):
-        raise ValueError("empirical threshold needs a discrete-time graph with "
-                         "2-state or static edges")
+    if graph.time != DT:
+        raise ValueError("empirical threshold needs a discrete-time graph")
     n = graph.n
     payload = {
         "graph": graph, "beta": np.tile(beta_grid, (n, 1)), "delta": np.full(n, float(delta)),

@@ -8,6 +8,8 @@ cross-checked end to end.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -110,13 +112,65 @@ def reference_graph_path(n, kind, edges, *, horizon=None, steps=None, seed=0):
     return GraphPath(times, adj, "ct" if steps is None else "dt")
 
 
-def _two_state_rows(graph):
-    """Endpoints and rates of the 2-state rows, endpoints of the static-on rows."""
-    from tempest.graphs import MARKOV2, STATIC_ON
+@functools.lru_cache(maxsize=16)
+def _edge_laws(graph, stepped):
+    """Endpoints, first law row, on-state count and laws of the switching rows
+    (none unless ``stepped``), laid out as ``_SwitchingEdges`` reads them."""
+    from tempest.graphs import MARKOV2
     table = graph.table
-    stochastic, static_on = table.template >= MARKOV2, table.template == STATIC_ON
-    return ([a[stochastic] for a in (table.i, table.j, table.q, table.r)],
-            table.i[static_on], table.j[static_on])
+    rows = np.flatnonzero(table.template >= MARKOV2) if stepped else np.zeros(0, dtype=int)
+    laws, first, n_on = [], [], []
+    for k in rows:
+        edge = table.edge(k)
+        chain = edge.chain
+        order = np.concatenate([np.flatnonzero(edge.output == 1), np.flatnonzero(edge.output == 0)])
+        if chain.initial_state is not None:
+            init = (order == chain.index(chain.initial_state)).astype(float)
+        elif chain.n_states == 2:
+            init = np.array([table.q[k], table.r[k]]) / (table.q[k] + table.r[k])
+        else:
+            init = stationary_distribution(chain)[order]
+        first.append(len(laws))
+        n_on.append(int(edge.output.sum()))
+        laws += [np.cumsum(init)] + list(np.cumsum(chain.matrix[np.ix_(order, order)], axis=1))
+    keys = np.concatenate([np.zeros(0, dtype=complex)]
+                          + [row_id + 1j * law for row_id, law in enumerate(laws)])
+    size = np.array([law.size for law in laws], dtype=int)
+    start = np.concatenate([[0], np.cumsum(size)[:-1]]).astype(int)
+    return (table.i[rows], table.j[rows], np.array(first, dtype=int), np.array(n_on, dtype=int),
+            keys, start, size)
+
+
+class _SwitchingEdges:
+    """The switching rows of an edge table, stepped edge by edge.  Each edge
+    has a cumulative initial law and one cumulative transition row per state,
+    its chain's states listed on-states first.  The rows lie end to end as
+    complex keys (row id + 1j * cumulative value), so one ``np.searchsorted``
+    finds, inside every edge's own row, the first state whose cumulative law
+    exceeds the edge's uniform (the last state if round-off leaves the law
+    short of 1)."""
+
+    def __init__(self, graph, stepped=True):
+        (self.i, self.j, self.first, self.n_on, self.keys, self.start,
+         self.size) = _edge_laws(graph, stepped)
+        self.state = None
+
+    def draw(self, rng):
+        """One uniform per edge: initial states on the first call, then one step."""
+        u = rng.random(self.first.size)
+        rows = self.first if self.state is None else self.first + 1 + self.state
+        pos = np.searchsorted(self.keys, rows + 1j * u, side="right") - self.start[rows]
+        self.state = np.minimum(pos, self.size[rows] - 1)
+
+    @property
+    def on(self):
+        return self.state < self.n_on
+
+
+def _static_on_rows(graph):
+    from tempest.graphs import STATIC_ON
+    table = graph.table
+    return table.i[table.template == STATIC_ON], table.j[table.template == STATIC_ON]
 
 
 def _bincount_contacts(graph, ei, ej, s_on, si, sj, x):
@@ -137,10 +191,12 @@ def _bincount_contacts(graph, ei, ej, s_on, si, sj, x):
 def reference_dt_run(graph, beta, delta, steps, x0, reinfect, rng, record_states,
                      edge_path=None):
     """One DT run at one beta vector: the per-beta bincount runner the
-    lane-batched kernel replaced.  Returns (x, counts, reinfections, states)."""
-    (ei, ej, q, r), si, sj = _two_state_rows(graph)
-    m = 0 if edge_path is not None else ei.size
-    s_on = rng.random(m) < (q / (q + r)) if m else np.zeros(0, dtype=bool)
+    lane-batched kernel replaced, its switching edges stepped one at a time.
+    The edges draw their initial states, then once at the end of every step:
+    the kernel's sequence of draws, which has each step's edges draw first.
+    Returns (x, counts, reinfections, states)."""
+    edges, (si, sj) = _SwitchingEdges(graph, edge_path is None), _static_on_rows(graph)
+    edges.draw(rng)
     n, x = x0.size, x0.copy()
     with np.errstate(divide="ignore"):
         log1m_beta = np.log1p(-beta)
@@ -152,7 +208,7 @@ def reference_dt_run(graph, beta, delta, steps, x0, reinfect, rng, record_states
         if edge_path is not None:
             c = edge_path.adjacency[k] @ x
         else:
-            c = _bincount_contacts(graph, ei, ej, s_on, si, sj, x)
+            c = _bincount_contacts(graph, edges.i, edges.j, edges.on, si, sj, x)
         with np.errstate(invalid="ignore"):
             p_inf = np.where(c > 0, -np.expm1(c * log1m_beta), 0.0)
         new_inf = (~x) & (rng.random(n) < p_inf)
@@ -161,8 +217,7 @@ def reference_dt_run(graph, beta, delta, steps, x0, reinfect, rng, record_states
         if reinfect and not x.any():
             x[int(rng.integers(n))] = True
             reinfections += 1
-        if m:
-            s_on = rng.random(m) < np.where(s_on, 1.0 - r, q)
+        edges.draw(rng)
         counts[k + 1] = x.sum()
         if record_states:
             states.append(x.copy())
@@ -175,9 +230,9 @@ def naive_lane_run(graph, beta, delta, steps, x0, reinfect, rng, record_states):
     uniform per node, one re-infection node per extinct lane in lane order,
     then the edges.  Returns (counts, reinfections, states) shaped like the
     kernel's."""
-    (ei, ej, q, r), si, sj = _two_state_rows(graph)
-    m, (n, lanes) = ei.size, beta.shape
-    s_on = rng.random(m) < (q / (q + r)) if m else np.zeros(0, dtype=bool)
+    edges, (si, sj) = _SwitchingEdges(graph), _static_on_rows(graph)
+    edges.draw(rng)
+    n, lanes = beta.shape
     xs = [x0.copy() for _ in range(lanes)]
     counts = np.empty((steps + 1, lanes), dtype=np.int64)
     counts[0] = [x.sum() for x in xs]
@@ -186,7 +241,7 @@ def naive_lane_run(graph, beta, delta, steps, x0, reinfect, rng, record_states):
     for k in range(steps):
         u_inf, u_rec = rng.random(n), rng.random(n)
         for g in range(lanes):
-            c = _bincount_contacts(graph, ei, ej, s_on, si, sj, xs[g])
+            c = _bincount_contacts(graph, edges.i, edges.j, edges.on, si, sj, xs[g])
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_inf = np.where(c > 0, -np.expm1(c * np.log1p(-beta[:, g])), 0.0)
             xs[g] = (xs[g] & ~(u_rec < delta)) | (~xs[g] & (u_inf < p_inf))
@@ -194,8 +249,7 @@ def naive_lane_run(graph, beta, delta, steps, x0, reinfect, rng, record_states):
             if reinfect and not xs[g].any():
                 xs[g][int(rng.integers(n))] = True
                 reinfections[g] += 1
-        if m:
-            s_on = rng.random(m) < np.where(s_on, 1.0 - r, q)
+        edges.draw(rng)
         counts[k + 1] = [x.sum() for x in xs]
         if record_states:
             states.append(np.stack(xs, axis=1))

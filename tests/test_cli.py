@@ -138,10 +138,26 @@ class TestCliRuns:
           "--graph-param", "q=0.5"], None),
         (["simulate", *CT4, "--config", "short_beta.json"], None),
         (["empirical", *CT4], None),
+        (["threshold", *CT4, "--delta", "1", "--param", "search_lo=abc"], None),
+        (["threshold", *CT4, "--delta", "1", "--param", "search_hi=abc"], None),
+        (["threshold", *CT4, "--delta", "1", "--beta", "0"], None),
+        (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "s_max=abc"], None),
+        (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", 's_grid=["a"]'], None),
+        (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "family=m1"], None),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10", "--config", "delta_list.json"],
+         None),
+        (["figure456", "--preset", "iv", "--graph-param", "n=10", "--config", "delta_list.json"],
+         None),
+        (["oracle", *CT4, "--beta", "0.1", "--delta", "1", "--param", "expect=m2",
+          "--param", "mode=bogus"], None),
+        (["oracle", *CT4, "--beta", "0.1", "--delta", "1", "--param", "expect=m9"], None),
     ], ids=["missing config", "malformed config", "malformed graph file", "threads env",
             "non-object config", "non-object graph file", "beta grid without count",
             "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
-            "missing preset parameter", "beta vector length", "empirical on ct graph"])
+            "missing preset parameter", "beta vector length", "empirical on ct graph",
+            "threshold search_lo", "threshold search_hi", "threshold beta zero",
+            "chung s_max", "chung s_grid", "chung family m1", "empirical delta list",
+            "figure456 delta list", "oracle mode", "oracle expect m9"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                args, threads_env):
         monkeypatch.chdir(tmp_path)
@@ -149,6 +165,7 @@ class TestCliRuns:
         (tmp_path / "list.json").write_text("[1]")
         (tmp_path / "short_beta.json").write_text(
             json.dumps({"epidemic": {"beta": [0.1, 0.2], "delta": 1.0}}))
+        (tmp_path / "delta_list.json").write_text(json.dumps({"epidemic": {"delta": [0.1, 0.2]}}))
         inputs = set(tmp_path.iterdir())
         if threads_env is None:
             monkeypatch.delenv("TEMPEST_THREADS", raising=False)

@@ -1,10 +1,13 @@
 """The lane-batched discrete-time kernel against references kept in ``helpers``.
 
 One lane (G = 1) must reproduce the per-beta bincount runner draw for draw;
-G lanes must reproduce a per-lane loop over the same shared draws; the lanes
-are coupled monotonically in beta except where a node recovers in a higher
-lane while the lower lane infects it; and each lane's final counts follow
-the distribution of independent single-beta runs.
+G lanes must reproduce a per-lane loop over the same shared draws (both
+references step the edges one at a time: a switching edge moves to the
+first state, on-states first, whose cumulative law exceeds its uniform);
+multi-state edges follow their chain's law; the lanes are coupled
+monotonically in beta except where a node recovers in a higher lane while
+the lower lane infects it; and each lane's final counts follow the
+distribution of independent single-beta runs.
 """
 
 import numpy as np
@@ -21,9 +24,11 @@ from tempest import (
     build_edge_markovian,
     build_static_edge,
     empirical_threshold,
+    graph_complete_edge_markovian,
     graph_er_iv,
     sample_graph_path,
     simulate_dt_exact,
+    stationary_distribution,
 )
 from tempest import rng as rngmod
 from tempest.simulate import _dt_run
@@ -65,6 +70,20 @@ def amai_random(n=9, seed=4):
     return DynamicGraphModel(n, AMAI, edges)
 
 
+def three_state_edge(output, initial_state=None):
+    return EdgeProcessModel(MarkovChainSpec(("a", "b", "c"), "dt", P3, initial_state),
+                            np.array(output))
+
+
+def three_state():
+    """3-state chains with on-states listed first and last, next to 2-state and static edges."""
+    up, down = three_state_edge([0, 1, 1]), three_state_edge([1, 0, 0])
+    return DynamicGraphModel(6, AMEI, {
+        (0, 1): up, (1, 2): down, (2, 3): build_edge_markovian(0.4, 0.3, "dt"), (3, 4): up,
+        (0, 5): build_static_edge(True, "dt"), (4, 5): down, (1, 4): two_state_chain(0.3, 0.5),
+    })
+
+
 def static_only():
     return DynamicGraphModel(4, AMEI, {(0, 1): build_static_edge(True, "dt"),
                                        (1, 2): build_static_edge(True, "dt"),
@@ -76,6 +95,7 @@ GRAPHS = {
     "amei er": lambda: graph_er_iv(30, 0.4, seed=123),
     "amai": amai_random,
     "static only": static_only,
+    "three state": three_state,
 }
 
 
@@ -131,13 +151,15 @@ class TestOneLaneMatchesReference:
         assert_same_run(trace, ref)
 
     def test_multi_state_chain_runs_on_its_sampled_path(self):
-        edge = EdgeProcessModel(MarkovChainSpec(("a", "b", "c"), "dt", P3), np.array([0, 1, 1]))
+        edge = three_state_edge([0, 1, 1])
         g = DynamicGraphModel(4, AMEI, {(0, 1): edge, (1, 2): build_edge_markovian(0.4, 0.3, "dt"),
                                         (2, 3): build_static_edge(True, "dt"), (0, 3): edge})
-        trace = simulate_dt_exact(g, (0.4, 0.3), 30, reinfect=True, seed=6, record_states=True)
+        path = sample_graph_path(g, steps=30, seed=6)
+        trace = simulate_dt_exact(g, (0.4, 0.3), 30, reinfect=True, seed=6, edge_path=path,
+                                  record_states=True)
         ref = helpers.reference_dt_run(g, np.full(4, 0.4), np.full(4, 0.3), 30,
                                        np.ones(4, dtype=bool), True, rngmod.generator(6), True,
-                                       edge_path=sample_graph_path(g, steps=30, seed=6))
+                                       edge_path=path)
         assert_same_run(trace, ref)
 
     def test_generator_seed_is_the_same_stream(self):
@@ -187,14 +209,14 @@ class TestMonotoneCoupling:
                                rngmod.generator(seed), True)
         return states
 
-    @pytest.mark.parametrize("name", ["amei er", "amai", "amei mixed"])
+    @pytest.mark.parametrize("name", ["amei er", "amai", "amei mixed", "three state"])
     def test_nested_without_recovery(self, name):
         g = GRAPHS[name]()
         for seed in range(5):
             states = self.lanes(g, 0.0, seed)
             assert (states[:, :, :-1] <= states[:, :, 1:]).all()
 
-    @pytest.mark.parametrize("name", ["amei er", "amai", "amei mixed"])
+    @pytest.mark.parametrize("name", ["amei er", "amai", "amei mixed", "three state"])
     def test_nesting_breaks_only_where_the_higher_lane_recovers(self, name):
         # The lanes share one infection uniform and one recovery uniform per
         # node.  A node susceptible in the lower lane and infected in the
@@ -236,3 +258,87 @@ class TestLaneDistributions:
                                    np.ones(g.n, dtype=bool), True,
                                    rngmod.generator(5, rngmod.TAG_PATH, pid), False)
             np.testing.assert_array_equal(rep.final_counts[:, pid], counts[-1])
+
+    def test_protocol_steps_multi_state_chains(self):
+        g = three_state()
+        grid = [0.05, 0.3]
+        rep = empirical_threshold(g, 0.3, grid, paths=3, steps=40, seed=5)
+        for pid in range(3):
+            counts, _, _ = _dt_run(g, np.tile(grid, (g.n, 1)), np.full(g.n, 0.3), 40,
+                                   np.ones(g.n, dtype=bool), True,
+                                   rngmod.generator(5, rngmod.TAG_PATH, pid), False)
+            np.testing.assert_array_equal(rep.final_counts[:, pid], counts[-1])
+        two = empirical_threshold(g, 0.3, grid, paths=3, steps=40, seed=5, threads=2)
+        np.testing.assert_array_equal(two.final_counts, rep.final_counts)
+        with pytest.raises(ValueError):
+            empirical_threshold(graph_complete_edge_markovian(4, 0.5, 0.5), 0.3, grid, paths=3,
+                                steps=40)
+
+
+class TestMultiStateLaw:
+    @pytest.mark.parametrize("output", [(0, 1, 1), (1, 0, 0), (0, 1, 0)])
+    def test_first_on_time_follows_the_chain(self, output):
+        # Arc (2e + 1, 2e) carries the infection of node 2e, infected for good
+        # (delta = 0), into node 2e + 1 with beta = 1: node 2e + 1 is infected
+        # at step k + 1 exactly when its edge is on for the first time at k.
+        edge, on = three_state_edge(output), np.array(output, dtype=bool)
+        edges, runs, steps = 40, 500, 8
+        g = DynamicGraphModel(2 * edges, AMAI, {(2 * e + 1, 2 * e): edge for e in range(edges)})
+        x0 = np.zeros(2 * edges, dtype=bool)
+        x0[::2] = True
+        first = []
+        for run in range(runs):
+            _, _, states = _dt_run(g, np.ones((2 * edges, 1)), np.zeros(2 * edges), steps, x0,
+                                   False, rngmod.generator(13, rngmod.TAG_PATH, run), True)
+            hit = states[1:, 1::2, 0]
+            first.append(np.where(hit.any(axis=0), hit.argmax(axis=0), steps))
+        freq = np.bincount(np.concatenate(first), minlength=steps + 1)[:steps] / (edges * runs)
+        # exact law of the first on-step from the stationary start
+        pi = stationary_distribution(edge.chain)
+        law, alpha = [pi[on].sum()], pi[~on]
+        for _ in range(1, steps):
+            law.append(alpha @ P3[np.ix_(~on, on)].sum(axis=1))
+            alpha = alpha @ P3[np.ix_(~on, ~on)]
+        law = np.array(law)
+        assert (np.abs(freq - law) < 4 * np.sqrt(law * (1 - law) / (edges * runs))).all()
+
+
+    def test_run_matches_the_per_edge_walk_in_law(self):
+        # the kernel's multi-state edges against the per-edge (seed, TAG_EDGE,
+        # i, j) walk of sample_graph_path, the runner's path before the fold:
+        # final counts and extinction steps agree in distribution
+        g, steps, runs = three_state(), 40, 300
+        beta, delta = np.full(g.n, 0.3), np.full(g.n, 0.3)
+        kernel, walk = [], []
+        for s in range(runs):
+            kernel.append(simulate_dt_exact(g, (beta, delta), steps,
+                                            seed=rngmod.generator(21, rngmod.TAG_PATH, s)))
+            walk.append(simulate_dt_exact(g, (beta, delta), steps,
+                                          seed=rngmod.generator(22, rngmod.TAG_PATH, s),
+                                          edge_path=sample_graph_path(g, steps=steps, seed=s)))
+        for stat in (lambda t: t.final_count,
+                     lambda t: int(np.argmin(t.infected_counts)) if t.extinct else steps + 1):
+            assert ks_2samp([stat(t) for t in kernel], [stat(t) for t in walk]).pvalue > 0.01
+
+
+class TestDeclaredInitialState:
+    # a sticky chain that starts off (on) keeps node 1 susceptible (infected)
+    # at step 1 whatever the seed
+    STICKY = np.array([[0.99, 0.01], [0.01, 0.99]])
+
+    @pytest.mark.parametrize("states, output, start, infected", [
+        (("off", "on"), [0, 1], "off", 0),
+        (("off", "on"), [0, 1], "on", 400),
+        (("a", "b", "c"), [0, 1, 1], "a", 0),
+        (("a", "b", "c"), [0, 1, 1], "c", 400),
+        (("a", "b", "c"), [1, 0, 0], "a", 400),
+        (("a", "b", "c"), [1, 0, 0], "b", 0),
+    ], ids=["2-state off", "2-state on", "3-state off", "3-state on", "3-state on first",
+            "3-state off last"])
+    def test_first_step_follows_the_declared_state(self, states, output, start, infected):
+        p = self.STICKY if len(states) == 2 else P3
+        edge = EdgeProcessModel(MarkovChainSpec(states, "dt", p, start), np.array(output))
+        g = DynamicGraphModel(2, AMEI, {(0, 1): edge})
+        hits = sum(simulate_dt_exact(g, (1.0, 0.0), 1, init_infected=[0], seed=s).final_count == 2
+                   for s in range(400))
+        assert hits == infected

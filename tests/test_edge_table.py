@@ -35,6 +35,7 @@ from tempest import (
     simulate_ct_exact,
     simulate_dt_exact,
 )
+from tempest import rng as rngmod
 from tempest.errors import InvalidRates, NonIrreducible, ReducibleChain
 from tempest.graphs import CHAIN0, MARKOV2
 
@@ -203,11 +204,18 @@ class TestPathsAndSimulation:
             51, 1275.0,
             [30, 21, 18, 10, 13, 13, 9, 9, 7, 5, 6, 6, 6, 5, 5, 5, 3, 2, 1, 1, 1, 1, 2, 4, 5,
              5, 4, 2, 1, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1], 8)
+        # multi-state edges step in the kernel on the run stream; these values
+        # record the per-edge (seed, TAG_EDGE, i, j) walk, replayed on its path
         g = DynamicGraphModel(4, AMEI, dt_three_state_edges())
-        assert summary(simulate_dt_exact(g, (0.4, 0.3), 30, reinfect=True, seed=6)) == (
-            31, 465.0,
-            [4, 3, 4, 1, 1, 2, 3, 3, 3, 2, 3, 4, 2, 3, 2, 2, 1, 1, 2, 2, 2, 2, 3, 1, 1, 1, 1,
-             1, 2, 3, 3], 1)
+        path = sample_graph_path(g, steps=30, seed=6)
+        _, counts, reinfections, _ = helpers.reference_dt_run(
+            g, np.full(4, 0.4), np.full(4, 0.3), 30, np.ones(4, dtype=bool), True,
+            rngmod.generator(6), False, edge_path=path)
+        pinned = [4, 3, 4, 1, 1, 2, 3, 3, 3, 2, 3, 4, 2, 3, 2, 2, 1, 1, 2, 2, 2, 2, 3, 1, 1, 1, 1,
+                  1, 2, 3, 3]
+        assert (counts.tolist(), reinfections) == (pinned, 1)
+        assert summary(simulate_dt_exact(g, (0.4, 0.3), 30, reinfect=True, seed=6,
+                                         edge_path=path)) == (31, 465.0, pinned, 1)
 
 
 class TestBoundary:

@@ -64,3 +64,8 @@ def test_cli_reaches_certificates_through_the_registry():
 def test_oracle_leaves_the_abscissa_solver_to_spectral():
     # spectral_abscissa alone picks between dense and iterative solvers
     assert "eigvals" not in _referenced_names("oracle.py")
+
+
+def test_one_discrete_time_path():
+    # every DT edge steps in the lane kernel: no dense sampled path, no fork
+    assert not {"sample_graph_path", "_dt_fast"} & _referenced_names("simulate.py")
