@@ -28,7 +28,7 @@ from .graphs import mean_matrix
 from .markov import CT, DT
 from .oracle import RandomMatrixSampler, chung_tail_check, expected_certificate, \
     exponential_condition
-from .simulate import empirical_threshold, simulate_ct_exact, simulate_dt_exact
+from .simulate import _init_mask, empirical_threshold, simulate_ct_exact, simulate_dt_exact
 from .thresholds import CERTIFICATES, EpidemicParams, _jsonable, certify, threshold_in_beta, \
     xi_h_factor
 
@@ -120,8 +120,10 @@ def _protocol(cfg: ExperimentConfig):
     graph = build_graph(cfg)
     if graph.time != DT:
         raise ConfigError(f"{cfg.task} needs a discrete-time graph, got {graph.time.upper()}")
-    return (graph, _positive(cfg, "delta", 0.05, float, "epidemic"),
-            _grid(cfg.params.get("beta_grid", "5e-4:10e-4:12")),
+    grid = _grid(cfg.params.get("beta_grid", "5e-4:10e-4:12"))
+    if not ((grid >= 0) & (grid <= 1)).all():
+        raise ConfigError(f"beta grid must lie in [0, 1], got {grid.tolist()}")
+    return (graph, _positive(cfg, "delta", 0.05, float, "epidemic"), grid,
             _positive(cfg, "paths", 100), _positive(cfg, "steps", 1000))
 
 
@@ -157,6 +159,10 @@ def _run_simulate(cfg: ExperimentConfig):
     paths = _positive(cfg, "paths", 1)
     reinfect = bool(cfg.params.get("reinfect", False))
     init = cfg.params.get("init", "all")
+    try:
+        _init_mask(init, graph.n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"init: {exc}") from exc
     horizon, steps = _positive(cfg, "horizon", 100.0, float), _positive(cfg, "steps", 1000)
     rows = []
     for pid in range(paths):

@@ -19,6 +19,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import InvalidRates, ReducibleChain
 from .markov import CT, DT, MarkovChainSpec, sample_chain_path_ct, sample_chain_path_dt, stationary_distribution
+from .spectral import matrix_measure, spectral_abscissa
 
 AMEI = "amei"
 AMAI = "amai"
@@ -314,8 +315,7 @@ class MeanMatrix:
             raise ValueError("AMEI mean matrix must be symmetric")
         a.setflags(write=False)
         self.a_bar = a
-        self._eta_abar = None
-        self._eta_support = None
+        self._cache = {}
 
     @property
     def n(self) -> int:
@@ -324,19 +324,24 @@ class MeanMatrix:
     def support(self) -> np.ndarray:
         return support_matrix(self)
 
-    # Spectral abscissas of a_bar and sgn(a_bar) are reused heavily by
-    # homogeneous-rate certificates; cache them (matrices are read-only).
+    # Spectra of a_bar and sgn(a_bar) (fn: spectral_abscissa or matrix_measure) are
+    # reused heavily by homogeneous-rate certificates; cache them (matrices are read-only).
+    def spectrum(self, fn, support: bool) -> float:
+        if (fn, support) not in self._cache:
+            self._cache[fn, support] = fn(self.support() if support else self.a_bar)
+        return self._cache[fn, support]
+
     def eta_abar(self) -> float:
-        if self._eta_abar is None:
-            from .spectral import spectral_abscissa
-            self._eta_abar = spectral_abscissa(self.a_bar)
-        return self._eta_abar
+        return self.spectrum(spectral_abscissa, False)
 
     def eta_support(self) -> float:
-        if self._eta_support is None:
-            from .spectral import spectral_abscissa
-            self._eta_support = spectral_abscissa(self.support())
-        return self._eta_support
+        return self.spectrum(spectral_abscissa, True)
+
+    def variance(self) -> np.ndarray:
+        """a_bar (1 - a_bar), the variance of each edge's presence; cached."""
+        if "variance" not in self._cache:
+            self._cache["variance"] = self.a_bar * (1.0 - self.a_bar)
+        return self._cache["variance"]
 
 
 def edge_on_probability(edge: EdgeProcessModel) -> float:

@@ -52,10 +52,12 @@ def _init_mask(init_infected, n: int) -> np.ndarray:
     if isinstance(init_infected, str) and init_infected == "all":
         return np.ones(n, dtype=bool)
     mask = np.zeros(n, dtype=bool)
-    ids = list(init_infected)
-    if not ids:
+    ids = np.asarray(list(init_infected))
+    if not ids.size:
         raise ValueError("init_infected must be nonempty")
-    mask[np.asarray(ids, dtype=int)] = True
+    if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= n:
+        raise ValueError(f"init_infected must hold node ids in [0, {n}), got {ids.tolist()}")
+    mask[ids] = True
     return mask
 
 
@@ -440,6 +442,8 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
                          f"got {paths} and {steps}")
     if graph.time != DT:
         raise ValueError("empirical threshold needs a discrete-time graph")
+    if not ((beta_grid >= 0) & (beta_grid <= 1)).all():
+        raise ParamRange(f"discrete-time beta grid must lie in [0, 1], got {beta_grid.tolist()}")
     n = graph.n
     payload = {
         "graph": graph, "beta": np.tile(beta_grid, (n, 1)), "delta": np.full(n, float(delta)),

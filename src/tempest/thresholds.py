@@ -6,12 +6,12 @@ edge-independent one) plus the static baselines.  Each produces a
 ThresholdReport carrying the verdict, the certified threshold, the
 optimizer, a decay-rate lower bound, and every named intermediate.
 
-All certificates are sufficient conditions: the maximizer reports a grid +
-golden-section lower bound on the true supremum, so verdicts may be
-conservative but never unsound.  When the certificate objective diverges at
-the left interval endpoint, the always-on support graph is itself stable
-and the verdict is returned as SUPPORT_TRIVIAL with the support-bound decay
-rate.
+All certificates are sufficient conditions: the maximizer reports a value
+attained at a point of its grid or zoom passes, a lower bound on the true
+supremum, so verdicts may be conservative but never unsound.  When the
+certificate objective diverges at the left interval endpoint, the always-on
+support graph is itself stable and the verdict is returned as
+SUPPORT_TRIVIAL with the support-bound decay rate.
 """
 
 from __future__ import annotations
@@ -148,38 +148,39 @@ def _check(mean: MeanMatrix, params: EpidemicParams, kind: str, time: str):
         raise ValueError("epidemic params length does not match node count")
 
 
-def _eta_mix(mean: MeanMatrix, params: EpidemicParams, *, support: bool,
-             plus_identity: bool = False) -> float:
-    """eta(B*M - D [+ I]) with M = a_bar or sgn(a_bar).
+def _mix(mean: MeanMatrix, params: EpidemicParams, *, support: bool,
+         plus_identity: bool = False, measure: bool = False) -> float:
+    """eta(B*M - D [+ I]), or mu(B*M - D) with ``measure``, for M = a_bar or sgn(a_bar).
 
-    Homogeneous rates reduce to beta*eta(M) - delta [+ 1] using the cached
-    spectra; heterogeneous AMEI inputs go through the similarity
-    B^{-1/2}(BM - D)B^{1/2} = B^{1/2} M B^{1/2} - D, which is symmetric.
+    Homogeneous rates reduce to beta*eta(M) - delta [+ 1] (beta*mu(M) -
+    delta) using the cached spectra; heterogeneous AMEI abscissas go through
+    the similarity B^{-1/2}(BM - D)B^{1/2} = B^{1/2} M B^{1/2} - D, which is
+    symmetric.
     """
     shift = 1.0 if plus_identity else 0.0
+    solver = matrix_measure if measure else spectral_abscissa
     if params.is_homogeneous:
-        eta_m = mean.eta_support() if support else mean.eta_abar()
-        return float(params.beta[0]) * eta_m - float(params.delta[0]) + shift
+        return float(params.beta[0]) * mean.spectrum(solver, support) \
+            - float(params.delta[0]) + shift
     a = mean.support() if support else mean.a_bar
-    if mean.kind == AMEI:
+    if mean.kind == AMEI and not measure:
         sb = np.sqrt(params.beta)
         m = sb[:, None] * a * sb[None, :] - np.diag(params.delta - shift)
         return float(np.linalg.eigvalsh(m)[-1])
-    m = params.beta[:, None] * a - np.diag(params.delta - shift)
-    return spectral_abscissa(m)
+    return solver(params.beta[:, None] * a - np.diag(params.delta - shift))
 
 
-def kappa_params(family: str, a_bar: np.ndarray, beta: np.ndarray) -> KappaParams:
+def kappa_params(family: str, a_bar, beta: np.ndarray) -> KappaParams:
     """C and v^2 of the bound kappa_{C,v^2} of family M1..M4, w = Abar (1 - Abar):
 
     Delta1 = max_i (beta_i^2 sum_j w_ij + sum_j w_ji beta_j^2) for M1 (T1),
     Delta2 = max_i beta_i sum_j w_ij beta_j for M2 and M4 (T2, T4), and
     Delta3 = max_i sum_j w_ij for M3 (T3).  C is beta_max, and 1 for M3.
+    ``a_bar`` is an array or a MeanMatrix, whose cached w is then used.
     """
-    w = a_bar * (1.0 - a_bar)
-    n = a_bar.shape[0]
+    w = a_bar.variance() if isinstance(a_bar, MeanMatrix) else a_bar * (1.0 - a_bar)
     if family == "M3":
-        return KappaParams(1.0, float(w.sum(axis=1).max()), n)
+        return KappaParams(1.0, float(w.sum(axis=1).max()), len(w))
     if family == "M1":
         b2 = beta ** 2
         d = (b2 * w.sum(axis=1) + w.T @ b2).max()
@@ -187,7 +188,7 @@ def kappa_params(family: str, a_bar: np.ndarray, beta: np.ndarray) -> KappaParam
         d = (beta * (w @ beta)).max()
     else:
         raise ValueError(f"unknown random-matrix family {family!r}")
-    return KappaParams(float(beta.max()), float(d), n)
+    return KappaParams(float(beta.max()), float(d), len(w))
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +199,14 @@ def _static_report(mean: MeanMatrix, params: EpidemicParams, time: str, **inter)
     """Exact static condition on the mean matrix (homogeneous rates use the
     cached eta(Abar)): eta(B Abar - D) < 0 in CT, eta(B Abar + I - D) < 1 in DT."""
     if time == CT:
-        lhs = _eta_mix(mean, params, support=False)
+        lhs = _mix(mean, params, support=False)
         stable = lhs < 0.0
         inter["eta_BAbar_minus_D"] = lhs
         return ThresholdReport(STATIC_CT, lhs, 0.0, float("nan"),
                                -lhs if stable else None, stable, inter)
     params.require_dt()
-    lam4 = _eta_mix(mean, params, support=False, plus_identity=True)
+    # spectra first: the support's eigensolve never overlaps the cached w
+    lam4 = _mix(mean, params, support=False, plus_identity=True)
     stable = lam4 < 1.0
     inter["lambda4"] = lam4
     decay = (-math.log(lam4) if lam4 > 0 else math.inf) if stable else None
@@ -247,12 +249,12 @@ def _maximized_report(cert, tau_key, lhs, sgn, kp, s0, sbar, objective, decay_at
 def certify_amai_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
     mean = _as_mean(graph_or_mean)
     _check(mean, params, AMAI, CT)
-    kp = kappa_params("M1", mean.a_bar, params.beta)
+    kp = kappa_params("M1", mean, params.beta)
     if kp.d == 0.0:
         return _static_report(mean, params, mean.time, routed_from=T1, deterministic=True)
 
-    lhs = matrix_measure(params.beta[:, None] * mean.a_bar - np.diag(params.delta))
-    mu_sgn = matrix_measure(params.beta[:, None] * mean.support() - np.diag(params.delta))
+    lhs = _mix(mean, params, support=False, measure=True)
+    mu_sgn = _mix(mean, params, support=True, measure=True)
     s0 = kappa_inv_at_one(kp)
     c1 = mu_sgn - s0 / 2.0
     sbar1 = 2.0 * params.delta_min + 2.0 * c_minus(c1)
@@ -275,12 +277,12 @@ def certify_amai_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
 def certify_amei_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
     mean = _as_mean(graph_or_mean)
     _check(mean, params, AMEI, CT)
-    kp = kappa_params("M2", mean.a_bar, params.beta)
+    kp = kappa_params("M2", mean, params.beta)
     if kp.d == 0.0:
         return _static_report(mean, params, mean.time, routed_from=T2, deterministic=True)
 
-    lhs = _eta_mix(mean, params, support=False)
-    eta_sgn = _eta_mix(mean, params, support=True)
+    lhs = _mix(mean, params, support=False)
+    eta_sgn = _mix(mean, params, support=True)
     s0 = kappa_inv_at_one(kp)
     c2 = eta_sgn - s0
     sbar2 = params.delta_min + c_minus(c2)
@@ -336,7 +338,7 @@ def certify_homogeneous(graph_or_mean, beta: float, delta: float) -> ThresholdRe
     params = EpidemicParams.homogeneous(beta, delta, mean.n)
     _check(mean, params, AMEI, CT)
     beta, delta = float(beta), float(delta)
-    kp = kappa_params("M3", mean.a_bar, params.beta)
+    kp = kappa_params("M3", mean, params.beta)
     lam3 = mean.eta_abar()
     if kp.d == 0.0:
         lhs = beta / delta
@@ -389,12 +391,13 @@ def certify_amei_dt(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
                              "the discrete-time certificate needs aperiodic chains")
     _check(mean, params, AMEI, DT)
     params.require_dt()
-    kp = kappa_params("M4", mean.a_bar, params.beta)
+    # spectra first: the support's eigensolve never overlaps the cached w
+    lam4 = _mix(mean, params, support=False, plus_identity=True)
+    eta_max = _mix(mean, params, support=True, plus_identity=True)
+    kp = kappa_params("M4", mean, params.beta)
     if kp.d == 0.0:
         return _static_report(mean, params, mean.time, routed_from=T4, deterministic=True)
 
-    lam4 = _eta_mix(mean, params, support=False, plus_identity=True)
-    eta_max = _eta_mix(mean, params, support=True, plus_identity=True)
     inter = {"Delta2": kp.d, "lambda4": lam4, "eta_Mmax": eta_max,
              "beta_max": params.beta_max, "delta_min": params.delta_min}
     if lam4 >= 1.0:

@@ -16,6 +16,8 @@ import scipy.linalg
 from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, sample_edge_path, \
     stationary_distribution
 from tempest import rng as rngmod
+from tempest.errors import DivergenceDetected, EmptyInterval, NumericalFailure
+from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeResult, _log_kappa
 from tempest.graphs import GraphPath
 
 
@@ -301,6 +303,92 @@ def reference_linear_propagation(path, beta, delta, p0):
         prop = scipy.linalg.expm(m * (path.times[k + 1] - path.times[k])) @ prop
         logs.append(np.log(np.linalg.norm(prop @ p0)))
     return np.asarray(logs)
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the certificate maximizer and the kappa root
+# ---------------------------------------------------------------------------
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_maximize_on_interval(objective, lo, hi, budget=4096):
+    """Grid plus golden-section refinement of up to 3 brackets, one point a call."""
+    if not hi > lo:
+        raise EmptyInterval(f"need hi > lo, got ({lo}, {hi}]")
+    if budget < 4:
+        raise ValueError("grid budget must be at least 4")
+    span = hi - lo
+    ts = np.geomspace(1e-9, 1.0, budget)
+    xs = lo + span * ts
+    xs[-1] = hi
+    vals = np.asarray(objective(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ValueError("objective must be vectorized over s")
+    if np.any(vals > _DIVERGENCE_CAP) or np.any(np.isposinf(vals)):
+        raise DivergenceDetected("objective exceeds the divergence cap near lo")
+    finite = np.isfinite(vals)
+    if not finite.any():
+        raise NumericalFailure("objective returned no finite values on the grid")
+    vals = np.where(finite, vals, -np.inf)
+
+    def scalar(x):
+        return float(np.asarray(objective(np.array([x])), dtype=float)[0])
+
+    order = np.argsort(vals)[::-1]
+    best_x = float(xs[order[0]])
+    best_v = float(vals[order[0]])
+    seen = set()
+    for k in order[:_REFINE_BRACKETS]:
+        k = int(k)
+        if k in seen or not np.isfinite(vals[k]):
+            continue
+        seen.update((k - 1, k, k + 1))
+        a = xs[k - 1] if k > 0 else lo + span * 1e-12
+        b = xs[k + 1] if k + 1 < budget else hi
+        x, v = _golden_max(scalar, float(a), float(b))
+        if v > best_v and lo < x <= hi:
+            best_x, best_v = x, v
+        if v > _DIVERGENCE_CAP:
+            raise DivergenceDetected("objective exceeds the divergence cap near lo")
+    return ScalarMaximizeResult(best_x, best_v, (lo, hi))
+
+
+def _golden_max(f, a, b, iters=80):
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def reference_kappa_inv_at_one(params):
+    """kappa's root at 1 by bisection on the numpy log kappa of the package."""
+    if params.n == 1:
+        return 0.0
+    hi = params.b
+    while _log_kappa(params, hi) > 0:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _log_kappa(params, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -151,13 +151,26 @@ class TestCliRuns:
         (["oracle", *CT4, "--beta", "0.1", "--delta", "1", "--param", "expect=m2",
           "--param", "mode=bogus"], None),
         (["oracle", *CT4, "--beta", "0.1", "--delta", "1", "--param", "expect=m9"], None),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10",
+          "--param", "beta_grid=[-0.1,0.1]"], None),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10",
+          "--param", "beta_grid=[0.1,2]"], None),
+        (["figure456", "--preset", "iv", "--graph-param", "n=10",
+          "--param", "beta_grid=[0.1,2]"], None),
+        (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "init=[]"], None),
+        (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "init=[42]"], None),
+        (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "init=[-1]"], None),
+        (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", 'init=["a"]'], None),
     ], ids=["missing config", "malformed config", "malformed graph file", "threads env",
             "non-object config", "non-object graph file", "beta grid without count",
             "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
             "missing preset parameter", "beta vector length", "empirical on ct graph",
             "threshold search_lo", "threshold search_hi", "threshold beta zero",
             "chung s_max", "chung s_grid", "chung family m1", "empirical delta list",
-            "figure456 delta list", "oracle mode", "oracle expect m9"])
+            "figure456 delta list", "oracle mode", "oracle expect m9",
+            "empirical negative beta", "empirical beta above one", "figure456 beta above one",
+            "simulate init empty", "simulate init out of range", "simulate init negative",
+            "simulate init not an id"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                args, threads_env):
         monkeypatch.chdir(tmp_path)

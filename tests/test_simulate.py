@@ -15,6 +15,7 @@ from tempest import (
     decay_rate_estimate,
     empirical_threshold,
     graph_complete_edge_markovian,
+    graph_er_iv,
     mean_matrix,
     propagate_linear,
     sample_graph_path,
@@ -134,6 +135,14 @@ class TestDiscreteTimeSimulation:
         g = helpers.random_amei_dt(np.random.default_rng(3), 4)
         with pytest.raises(ParamRange):
             simulate_dt_exact(g, (np.full(4, 1.5), np.full(4, 0.5)), steps=5, seed=0)
+
+    @pytest.mark.parametrize("init", [[], [-1], [10], [1.5], ["a"], [True]])
+    def test_initial_ids_must_be_nodes(self, init):
+        # a negative id used to wrap around and infect the last node
+        with pytest.raises(ValueError, match="init_infected"):
+            simulate_dt_exact(graph_er_iv(10, 0.5, 1), (0.1, 0.5), 3, init_infected=init)
+        with pytest.raises(ValueError, match="init_infected"):
+            simulate_ct_exact(static_complete(10), (0.1, 0.5), 1.0, init_infected=init)
 
     def test_reproducible_and_conserving(self):
         g = helpers.random_amei_dt(np.random.default_rng(4), 8, p_edge=0.7)
@@ -308,6 +317,13 @@ class TestEmpiricalThreshold:
         # no path or no step has no metastable level to report
         with pytest.raises(ValueError, match="paths >= 1 and steps >= 1"):
             empirical_threshold(tempest_iv_small(), 0.5, [0.05], paths=paths, steps=steps)
+
+    @pytest.mark.parametrize("grid", [[-0.1, 0.1, 2.0], [0.1, np.nan], [0.1, np.inf]])
+    def test_grid_outside_the_unit_interval_rejected(self, grid):
+        # a negative beta gives negative infection probabilities, and beta > 1
+        # a NaN log1p(-beta) lane that never infects
+        with pytest.raises(ParamRange, match="beta grid"):
+            empirical_threshold(graph_er_iv(10, 0.5, 1), 0.05, grid, paths=2, steps=20)
 
     def test_grid_below_certified_threshold_stays_low(self):
         # a beta grid entirely below the certified threshold keeps z* < 0.1

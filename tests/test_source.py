@@ -69,3 +69,9 @@ def test_oracle_leaves_the_abscissa_solver_to_spectral():
 def test_one_discrete_time_path():
     # every DT edge steps in the lane kernel: no dense sampled path, no fork
     assert not {"sample_graph_path", "_dt_fast"} & _referenced_names("simulate.py")
+
+
+def test_one_certificate_maximizer():
+    # the zoom refines every bracket in one vectorized call per pass; the
+    # one-point golden-section search is gone
+    assert "_golden_max" not in _referenced_names("spectral.py")

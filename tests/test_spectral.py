@@ -15,7 +15,7 @@ from tempest import (
     power_iteration_abscissa,
     spectral_abscissa,
 )
-from tempest.errors import DivergenceDetected, DomainError, EmptyInterval
+from tempest.errors import DivergenceDetected, DomainError, EmptyInterval, NumericalFailure
 from tempest import graph_complete_edge_markovian, graph_small_world
 
 
@@ -287,3 +287,75 @@ class TestMaximize:
         kk = oracle_kappa(n, bmax, d2, ss)
         vals = -(ss + c2 * kk) / (1.0 - kk)
         assert res.value == pytest.approx(float(vals.max()), abs=1e-8)
+
+
+def _certificate_objective(kind, n, b, d, eta, ratio):
+    """A certificate objective of kind T1, T2, T4 or xi_H and its interval.
+
+    ``eta`` stands for the support graph's eta or mu, and ``ratio`` in (0, 1]
+    for delta/beta over eta (xi_H) or for lambda4 / eta_max (T4).
+    """
+    p = KappaParams(b, d, n)
+    if kind == "T4":
+        lam4 = 1.0 - b / 2.0
+        log_ratio = np.log(ratio)
+        return (lambda s: np.exp(kappa(p, s) * log_ratio) - s), 0.0, 1.0 - lam4
+    s0 = kappa_inv_at_one(p)
+    if kind == "T1":
+        c1 = eta - s0 / 2.0
+        return (lambda s: -(s + 2.0 * c1 * kappa(p, s)) / (2.0 * (1.0 - kappa(p, s))),
+                s0, 2.0 * b + 2.0 * c_minus(c1) + s0)
+    if kind == "T2":
+        c2 = eta - s0
+        return (lambda s: -(s + c2 * kappa(p, s)) / (1.0 - kappa(p, s))), s0, b + c_minus(c2) + s0
+    c3, dob = eta - s0, eta * ratio
+    return (lambda s: (1.0 - (s + c3 * kappa(p, s)) / dob) / (1.0 - kappa(p, s))), \
+        s0, dob + c_minus(c3) + s0
+
+
+class TestMaximizerMatchesGoldenSection:
+    @settings(max_examples=50, deadline=None)
+    @given(kind=st.sampled_from(["T1", "T2", "T4", "xi_H"]), n=st.integers(2, 2000),
+           b=st.floats(0.01, 1.9), d=st.floats(1e-4, 10.0), eta=st.floats(0.01, 50.0),
+           ratio=st.floats(0.01, 1.0))
+    def test_value_never_below_the_golden_section_reference(self, kind, n, b, d, eta, ratio):
+        from helpers import reference_maximize_on_interval
+        objective, lo, hi = _certificate_objective(kind, n, b, d, eta, ratio)
+        try:
+            ref = reference_maximize_on_interval(objective, lo, hi)
+        except (DivergenceDetected, NumericalFailure) as exc:
+            with pytest.raises(type(exc)):
+                maximize_on_interval(objective, lo, hi)
+            return
+        res = maximize_on_interval(objective, lo, hi)
+        assert res.value >= ref.value - 1e-12 * max(1.0, abs(ref.value))
+        assert objective(np.array([res.s_star]))[0] == res.value
+        assert lo < res.s_star <= hi
+
+    def test_kappa_root_is_the_numpy_bisection_bit_for_bit(self, rng):
+        from helpers import reference_kappa_inv_at_one
+        cases = [KappaParams(1, 1, 2), KappaParams(2, 3, 7)] + [
+            KappaParams(float(rng.uniform(1e-3, 5)), float(10 ** rng.uniform(-8, 1)),
+                        int(rng.integers(2, 100_000))) for _ in range(2000)]
+        for p in cases:
+            assert kappa_inv_at_one(p) == reference_kappa_inv_at_one(p), p
+
+    @pytest.mark.parametrize("lo, hi, peak", [(0.0, 1.0, 0.3), (0.0, 1.0, 1e-7),
+                                              (2.0, 50.0, 49.9), (-3.0, 1.0, -1.234567)])
+    def test_maximizer_is_resolved_to_the_stopping_width(self, lo, hi, peak):
+        # the zoom stops once a bracket is no wider than 1e-14*max(1, |a|, |b|)
+        res = maximize_on_interval(lambda s: -(s - peak) ** 2, lo, hi)
+        assert abs(res.s_star - peak) <= 1e-14 * max(1.0, abs(peak))
+
+    def test_objective_calls_are_one_per_zoom_pass(self):
+        # a perf guard without a timer: the golden-section search made about
+        # 240 one-point calls on this objective, the zoom one call per pass
+        objective, lo, hi = _certificate_objective("T2", 120, 1.0 / 60, 0.004, 60.0, 1.0)
+        sizes = []
+
+        def counted(s):
+            sizes.append(np.size(s))
+            return objective(s)
+
+        maximize_on_interval(counted, lo, hi)
+        assert len(sizes) <= 12 and sizes[0] == 4096

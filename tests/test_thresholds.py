@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,10 +19,14 @@ from tempest import (
     certify_amei_dt,
     certify_homogeneous,
     graph_complete_edge_markovian,
+    graph_er_iv,
+    graph_small_world,
+    matrix_measure,
     mean_matrix,
     threshold_in_beta,
     xi_h_factor,
 )
+from tempest import thresholds
 from tempest.errors import BracketError, NonIrreducible, WrongKind
 from tempest.thresholds import CERTIFICATES, _jsonable, certify, kappa_params
 
@@ -320,6 +326,47 @@ class TestThresholdInBeta:
         assert count >= 50
 
 
+class TestSearchMatchesGoldenSection:
+    """The certify workload's graph families at reduced n: every search driven by
+    the zoom equals the one driven by the golden-section reference bit for bit."""
+
+    FAMILIES = {
+        "er_iv": (lambda: graph_er_iv(60, 0.2, 3), 0.05),
+        "small_world": (lambda: graph_small_world(20, 0.3), 1.0),
+        "complete": (lambda: graph_complete_edge_markovian(15, 0.8, 1.2), 1.0),
+    }
+
+    @pytest.mark.parametrize("family, certificate", [
+        ("er_iv", "t4"), ("er_iv", "static_dt"), ("small_world", "t1"),
+        ("complete", "t2"), ("complete", "t3")])
+    def test_threshold_is_bit_identical(self, monkeypatch, family, certificate):
+        build, delta = self.FAMILIES[family]
+        mean = mean_matrix(build())
+        bounds = (1e-6 * delta / mean.eta_abar(), 2 * delta / mean.eta_abar())
+        fast = threshold_in_beta(mean, delta, certificate, bounds)
+        monkeypatch.setattr(thresholds, "maximize_on_interval",
+                            helpers.reference_maximize_on_interval)
+        assert threshold_in_beta(mean_matrix(build()), delta, certificate, bounds) == fast
+        assert bounds[0] < fast < bounds[1]
+
+    def test_t1_cached_measures_match_dense(self):
+        mean = mean_matrix(graph_small_world(20, 0.3))
+        beta, delta = 0.02, 1.0
+        rep = certify(mean, "t1", beta, delta)
+        dense = [matrix_measure(beta * a - delta * np.eye(20))
+                 for a in (mean.a_bar, mean.support())]
+        assert rep.intermediates["mu_BAbar_minus_D"] == pytest.approx(dense[0], rel=1e-12)
+        assert rep.intermediates["mu_Bsgn_minus_D"] == pytest.approx(dense[1], rel=1e-12)
+
+    def test_caches_die_with_the_mean_matrix(self):
+        mean = mean_matrix(graph_small_world(20, 0.3))
+        threshold_in_beta(mean, 1.0, "t1", (1e-6, 0.5))
+        a_bar = weakref.ref(mean.a_bar)
+        del mean
+        gc.collect()
+        assert a_bar() is None
+
+
 class TestReports:
     def test_reports_are_deterministic(self):
         g = helpers.random_amei_ct(np.random.default_rng(3), 9, p_edge=0.5)
@@ -419,3 +466,11 @@ class TestKappaParams:
         assert m3.b == 1.0 and m3.d == pytest.approx(w.sum(axis=1).max(), rel=1e-14)
         with pytest.raises(ValueError, match="M5"):
             kappa_params("M5", mean.a_bar, beta)
+
+    def test_mean_matrix_gives_the_array_constants(self):
+        # a MeanMatrix argument reads its cached w = Abar (1 - Abar)
+        mean = mean_matrix(helpers.random_amai_ct(np.random.default_rng(4), 7))
+        beta = np.linspace(0.1, 0.7, 7)
+        for family in ("M1", "M2", "M3", "M4"):
+            assert kappa_params(family, mean, beta) == kappa_params(family, mean.a_bar, beta)
+        assert mean.variance() is mean.variance()
