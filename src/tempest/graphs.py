@@ -19,7 +19,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import InvalidRates, ReducibleChain
 from .markov import CT, DT, MarkovChainSpec, sample_chain_path_ct, sample_chain_path_dt, stationary_distribution
-from .spectral import matrix_measure, spectral_abscissa
+from .spectral import spectral_abscissa
 
 AMEI = "amei"
 AMAI = "amai"

@@ -73,19 +73,15 @@ def kappa_inv_at_one(params: KappaParams) -> float:
     """The point s0 >= 0 with kappa(s0) = 1 (bisection on log kappa).
 
     kappa maps [0, inf) onto (0, n], so the root exists and is unique for
-    every n >= 1 with d > 0; n = 1 gives s0 = 0 exactly.  The bisection runs
-    on Python floats with _log_kappa's formula and order of operations, and
-    numpy's log and log1p, so it returns _log_kappa's root bit for bit.
+    every n >= 1 with d > 0; n = 1 gives s0 = 0 exactly.  Bisects on floats
+    with _log_kappa's formula and numpy's log1p: the same root, bit for bit.
     """
     if params.d == 0:
         raise DomainError("kappa_inv_at_one needs d > 0 (d = 0 is routed upstream)")
     if params.n == 1:
         return 0.0
     b, d, log_n = float(params.b), float(params.d), float(np.log(params.n))
-
-    def positive(s):  # _log_kappa(params, s) > 0
-        return log_n + s / b - (b * s + d) / (b * b) * float(np.log1p(b * s / d)) > 0
-
+    positive = lambda s: log_n + s / b - (b * s + d) / (b * b) * float(np.log1p(b * s / d)) > 0
     hi = b
     while positive(hi):
         hi *= 2.0
@@ -192,7 +188,8 @@ def _certified_abscissa(m) -> float:
     default one is random, which would move the result in its last bits.
     Otherwise the matrix, block-triangular in the order of the strongly
     connected components of its support, gives the largest abscissa of its
-    diagonal blocks; only an irreducible one takes the power iteration.
+    diagonal blocks; only an irreducible one takes the power iteration, and
+    one of dimension up to 1024 whose bracket stalls is solved densely.
     """
     try:
         _, vecs = spla.eigs(m, k=1, which="LR", tol=_ARPACK_TOL, v0=np.ones(m.shape[0]))
@@ -208,7 +205,12 @@ def _certified_abscissa(m) -> float:
                 return 0.5 * (lo + hi)
     count, labels = connected_components(m != 0, directed=True, connection="strong")
     if count == 1:
-        return power_iteration_abscissa(m)
+        try:
+            return power_iteration_abscissa(m)
+        except ConvergenceFailure:  # a spectral gap too small for the iteration
+            if m.shape[0] > 1024:
+                raise
+        return float(np.linalg.eigvals(m.toarray()).real.max())
     return max(spectral_abscissa(m[nodes][:, nodes])
                for nodes in (np.flatnonzero(labels == c) for c in range(count)))
 
@@ -281,9 +283,8 @@ def maximize_on_interval(objective, lo: float, hi: float,
     points and shrinks it to the two neighbours of its best point, until it
     is no wider than 1e-14*max(1, |a|, |b|).  The reported value is attained
     at the reported point, hence a certified lower bound on the supremum.
-    ``objective`` must accept numpy arrays.  Raises DivergenceDetected when
-    any value exceeds the cap, which certificate callers treat as
-    "condition holds trivially".
+    ``objective`` must accept numpy arrays.  A value above the cap raises
+    DivergenceDetected, which certificate callers read as "holds trivially".
     """
     if not hi > lo:
         raise EmptyInterval(f"need hi > lo, got ({lo}, {hi}]")

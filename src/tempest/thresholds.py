@@ -152,10 +152,9 @@ def _mix(mean: MeanMatrix, params: EpidemicParams, *, support: bool,
          plus_identity: bool = False, measure: bool = False) -> float:
     """eta(B*M - D [+ I]), or mu(B*M - D) with ``measure``, for M = a_bar or sgn(a_bar).
 
-    Homogeneous rates reduce to beta*eta(M) - delta [+ 1] (beta*mu(M) -
-    delta) using the cached spectra; heterogeneous AMEI abscissas go through
-    the similarity B^{-1/2}(BM - D)B^{1/2} = B^{1/2} M B^{1/2} - D, which is
-    symmetric.
+    Homogeneous rates reduce to beta*eta(M) - delta [+ 1] (beta*mu(M) - delta)
+    using the cached spectra; heterogeneous AMEI abscissas go through the
+    symmetric similarity B^{-1/2}(BM - D)B^{1/2} = B^{1/2} M B^{1/2} - D.
     """
     shift = 1.0 if plus_identity else 0.0
     solver = matrix_measure if measure else spectral_abscissa

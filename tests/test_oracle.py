@@ -271,6 +271,16 @@ class TestReducibleGenerators:
         first = exponential_condition(g, params)[1]
         assert exponential_condition(g, params)[1] == first  # bit-identical
 
+    def test_stalled_power_iteration_falls_back_to_dense(self):
+        # a case the property below found: ARPACK does not certify this
+        # 192-dimensional block, and its spectral gap stalls the power iteration
+        rates = {(0, 6): (1.0, 0.25), (0, 1): (1.0, 1.0), (0, 2): (0.25, 0.25),
+                 (0, 4): (0.25, 0.25), (4, 7): (0.25, 0.25)}
+        g = DynamicGraphModel(8, AMEI, {k: build_edge_markovian(*qr) for k, qr in rates.items()})
+        params = EpidemicParams(np.full(8, 0.1), np.array([1.0, 1, 1, 1, 2, 1, 0.25, 0.25]))
+        stable, eta = exponential_condition(g, params)
+        assert stable and eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
+
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_valid_input_never_fails_to_converge(self, data):
