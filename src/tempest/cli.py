@@ -262,6 +262,8 @@ def _run_figure3(cfg: ExperimentConfig):
 
 def _run_figure456(cfg: ExperimentConfig):
     graph, delta, grid, paths, steps = _protocol(cfg)
+    if not (grid > 0).all():  # fig4 certifies T4 at every grid beta
+        raise ConfigError(f"figure456 beta grid must be positive, got {grid.tolist()}")
     mean = mean_matrix(graph)
     outdir = cfg.out or f"figure456_{cfg.seed}"
 

@@ -112,8 +112,8 @@ def _is_symmetric(m: np.ndarray) -> bool:
 
 
 def _is_metzler(m: np.ndarray) -> bool:
-    off = m[~np.eye(m.shape[0], dtype=bool)]
-    return off.size == 0 or off.min() >= 0
+    # every entry that is not >= 0 (a NaN included) lies on the diagonal
+    return np.count_nonzero(m >= 0) == m.size - np.count_nonzero(~(m.diagonal() >= 0))
 
 
 def power_iteration_abscissa(m) -> float:
@@ -179,7 +179,7 @@ def _collatz_wielandt_bracket(m, x: np.ndarray):
 
 
 def _certified_abscissa(m) -> float:
-    """Spectral abscissa of a sparse Metzler matrix by one certified ARPACK solve.
+    """Spectral abscissa of a Metzler matrix, dense or sparse, by one certified ARPACK solve.
 
     ARPACK returns the rightmost Ritz vector; with its sign fixed so its sum
     is positive and every entry positive, the Collatz-Wielandt bracket
@@ -210,7 +210,7 @@ def _certified_abscissa(m) -> float:
         except ConvergenceFailure:  # a spectral gap too small for the iteration
             if m.shape[0] > 1024:
                 raise
-        return float(np.linalg.eigvals(m.toarray()).real.max())
+        return float(np.linalg.eigvals(m.toarray() if sp.issparse(m) else m).real.max())
     return max(spectral_abscissa(m[nodes][:, nodes])
                for nodes in (np.flatnonzero(labels == c) for c in range(count)))
 
@@ -218,13 +218,12 @@ def _certified_abscissa(m) -> float:
 def spectral_abscissa(m) -> float:
     """Maximum real part of the eigenvalues (the Perron root for Metzler input).
 
-    Sparse input must be Metzler, or ValueError is raised: above 2x2 it
-    takes one ARPACK solve certified by the Collatz-Wielandt bracket; when
-    that fails, reducible input is split into its irreducible diagonal
-    blocks and irreducible input takes the shifted power iteration.  Dense
-    symmetric input goes through the symmetric eigensolver; larger dense
-    Metzler matrices take the power iteration with a dense fallback, and
-    everything else is solved densely.
+    Sparse input must be Metzler, or ValueError is raised.  Sparse input
+    above 2x2 and dense Metzler input above 64x64 take one ARPACK solve
+    certified by the Collatz-Wielandt bracket; when that fails, reducible
+    input is split into its irreducible diagonal blocks and irreducible
+    input takes the shifted power iteration.  Every other dense matrix is
+    solved densely, by the symmetric eigensolver where it is symmetric.
     """
     if sp.issparse(m):
         m = m.tocsr()
@@ -242,13 +241,10 @@ def spectral_abscissa(m) -> float:
     n = m.shape[0]
     if n == 1:
         return float(m[0, 0])
+    if n > _DENSE_FALLBACK_DIM and _is_metzler(m):
+        return _certified_abscissa(m)
     if _is_symmetric(m):
         return float(np.linalg.eigvalsh(m)[-1])
-    if _is_metzler(m) and n > _DENSE_FALLBACK_DIM:
-        try:
-            return power_iteration_abscissa(m)
-        except ConvergenceFailure:
-            pass  # defective/reducible corner cases: fall through to dense
     return float(np.linalg.eigvals(m).real.max())
 
 

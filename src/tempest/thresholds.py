@@ -164,8 +164,7 @@ def _mix(mean: MeanMatrix, params: EpidemicParams, *, support: bool,
     a = mean.support() if support else mean.a_bar
     if mean.kind == AMEI and not measure:
         sb = np.sqrt(params.beta)
-        m = sb[:, None] * a * sb[None, :] - np.diag(params.delta - shift)
-        return float(np.linalg.eigvalsh(m)[-1])
+        return spectral_abscissa(sb[:, None] * a * sb[None, :] - np.diag(params.delta - shift))
     return solver(params.beta[:, None] * a - np.diag(params.delta - shift))
 
 

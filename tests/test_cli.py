@@ -157,6 +157,8 @@ class TestCliRuns:
           "--param", "beta_grid=[0.1,2]"], None),
         (["figure456", "--preset", "iv", "--graph-param", "n=10",
           "--param", "beta_grid=[0.1,2]"], None),
+        (["figure456", "--preset", "iv", "--graph-param", "n=10",
+          "--param", "beta_grid=[0,0.01]"], None),
         (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "init=[]"], None),
         (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "init=[42]"], None),
         (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "init=[-1]"], None),
@@ -169,6 +171,7 @@ class TestCliRuns:
             "chung s_max", "chung s_grid", "chung family m1", "empirical delta list",
             "figure456 delta list", "oracle mode", "oracle expect m9",
             "empirical negative beta", "empirical beta above one", "figure456 beta above one",
+            "figure456 zero beta",
             "simulate init empty", "simulate init out of range", "simulate init negative",
             "simulate init not an id"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
@@ -318,6 +321,15 @@ class TestCliRuns:
         fig5 = open(tmp_path / "figs" / "fig5.csv").read().splitlines()
         assert fig5[-2].startswith("threshold_t4,")
         assert fig5[-1].startswith("threshold_static,")
+
+    def test_empirical_accepts_zero_beta(self, tmp_path, monkeypatch):
+        # only figure456 certifies T4 at each grid beta and needs beta > 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["empirical", "--preset", "iv", "--graph-param", "n=10",
+                     "--param", "beta_grid=[0,0.01]", "--paths", "2", "--steps", "10",
+                     "--seed", "0"]) == 0
+        rows = open("empirical_0.csv").read().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.01]
 
     def test_main_entry_returns_zero(self, tmp_path):
         old = os.getcwd()

@@ -66,6 +66,12 @@ def test_oracle_leaves_the_abscissa_solver_to_spectral():
     assert "eigvals" not in _referenced_names("oracle.py")
 
 
+def test_graphs_and_thresholds_leave_the_abscissa_solver_to_spectral():
+    # every abscissa of a mean matrix or a certificate goes through spectral_abscissa
+    for module in ("graphs.py", "thresholds.py"):
+        assert not {"eigvals", "eigvalsh"} & _referenced_names(module), module
+
+
 def test_one_discrete_time_path():
     # every DT edge steps in the lane kernel: no dense sampled path, no fork
     assert not {"sample_graph_path", "_dt_fast"} & _referenced_names("simulate.py")

@@ -208,6 +208,45 @@ class TestSpectralAbscissa:
         dense = float(np.linalg.eigvals(m).real.max())
         assert spectral_abscissa(sp.csr_matrix(m)) == pytest.approx(dense, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dense_metzler_matches_eigvals(self, data):
+        # above 64x64 dense Metzler input takes the certified ARPACK route:
+        # symmetric or not, irreducible or block-triangular with distinct roots
+        n = data.draw(st.integers(65, 160), label="n")
+        symmetric = data.draw(st.booleans(), label="symmetric")
+        reducible = data.draw(st.booleans(), label="reducible")
+        density = data.draw(st.sampled_from([0.05, 0.3, 1.0]), label="density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0)
+        if symmetric:
+            m = np.triu(m) + np.triu(m, 1).T
+        np.fill_diagonal(m, rng.uniform(-2.0, 1.0, n))
+        if reducible:
+            k = int(rng.integers(1, n))
+            m[k:, :k] = 0.0  # block upper triangular
+            if symmetric:
+                m[:k, k:] = 0.0
+            # a distinct root for each block, whichever of them is larger
+            m[np.arange(k), np.arange(k)] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        dense = float(np.linalg.eigvals(m).real.max())
+        assert spectral_abscissa(m) == pytest.approx(dense, rel=1e-9, abs=1e-9)
+
+    def test_dense_mean_spectra_skip_eigvalsh(self, monkeypatch):
+        # the Section IV mean matrix's two abscissas are certified ARPACK
+        # solves; the full symmetric spectrum is the reference only
+        from tempest import graph_er_iv
+        mean = mean_matrix(graph_er_iv(500, 0.2, 1))
+        ref_abar = float(np.linalg.eigvalsh(mean.a_bar)[-1])
+        ref_support = float(np.linalg.eigvalsh(mean.support())[-1])
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("dense Metzler input must not take the full spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert mean.eta_abar() == pytest.approx(ref_abar, rel=1e-12)
+        assert mean.eta_support() == pytest.approx(ref_support, rel=1e-12)
+
     def test_periodic_support_bipartite(self):
         assert power_iteration_abscissa(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0, abs=1e-9)
         path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)

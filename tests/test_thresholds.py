@@ -172,6 +172,26 @@ class TestCertifyAmeiCt:
             assert rep.certificate in ("SUPPORT_TRIVIAL", "T2")
 
 
+    def test_heterogeneous_abscissas_match_the_symmetric_spectrum(self, monkeypatch):
+        # B^1/2 M B^1/2 - D at n = 100 goes through spectral_abscissa's
+        # certified route; eigvalsh of the same matrix is the reference
+        rng = np.random.default_rng(11)
+        mean = mean_matrix(helpers.random_amei_ct(rng, 100, p_edge=0.3))
+        beta, delta = rng.uniform(0.05, 0.3, 100), rng.uniform(0.9, 1.8, 100)
+        sb = np.sqrt(beta)
+        refs = [float(np.linalg.eigvalsh(sb[:, None] * a * sb[None, :] - np.diag(delta))[-1])
+                for a in (mean.a_bar, mean.support())]
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("the heterogeneous abscissa must go through spectral_abscissa")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        rep = certify_amei_ct(mean, EpidemicParams(beta, delta))
+        assert rep.certificate == "T2"
+        assert rep.lhs == pytest.approx(refs[0], rel=1e-12)
+        assert rep.intermediates["eta_Bsgn_minus_D"] == pytest.approx(refs[1], rel=1e-12)
+
+
 class TestCertifyHomogeneous:
     def test_deterministic_classic_threshold(self):
         edges = {(0, 1): build_static_edge(True), (0, 2): build_static_edge(True),
