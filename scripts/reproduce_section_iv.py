@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from tempest import empirical_threshold, graph_er_iv, mean_matrix, threshold_in_beta
+from tempest.thresholds import _jsonable
 
 DELTA = 0.05
 
@@ -84,7 +85,7 @@ def main():
     }
     path = os.path.join(args.out, f"summary_seed{args.seed}.json")
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(_jsonable(summary), fh, indent=2, allow_nan=False)
     print(f"wrote {path}")
     return 0 if ordered else 1
 

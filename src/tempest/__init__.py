@@ -25,7 +25,6 @@ from .graphs import (  # noqa: F401
     graph_small_world,
     graph_to_json,
     mean_matrix,
-    sample_edge_path,
     sample_graph_path,
     support_matrix,
 )

@@ -42,7 +42,8 @@ def _header(cfg: ExperimentConfig) -> dict:
 def _write_csv(path, cfg, columns, rows):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        fh.write("# " + json.dumps(_header(cfg), sort_keys=True) + "\n")
+        header = json.dumps(_jsonable(_header(cfg)), sort_keys=True, allow_nan=False)
+        fh.write("# " + header + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
@@ -62,7 +63,7 @@ def _write_json(path, cfg, result):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     doc = dict(_header(cfg), result=result)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"wrote {path}")
     return path

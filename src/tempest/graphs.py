@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import InvalidRates, ReducibleChain
-from .markov import CT, DT, MarkovChainSpec, sample_chain_path_ct, sample_chain_path_dt, stationary_distribution
+from .markov import CT, DT, MarkovChainSpec, stationary_distribution
 from .spectral import spectral_abscissa
 
 AMEI = "amei"
@@ -63,13 +64,6 @@ class EdgeProcessModel:
     @property
     def static_value(self):
         return int(self.output[0]) if self.is_static else None
-
-    def initial_index(self, rng: np.random.Generator) -> int:
-        """Initial chain-state index: fixed if declared, else stationary draw."""
-        if self.chain.initial_state is not None:
-            return self.chain.index(self.chain.initial_state)
-        pi = stationary_distribution(self.chain)
-        return int(rng.choice(len(pi), p=pi))
 
 
 def build_static_edge(on: bool, time: str = CT) -> EdgeProcessModel:
@@ -136,6 +130,42 @@ def build_coxian_edge(up_rates, exit_rates, down_rates, return_rates) -> EdgePro
 STATIC_OFF, STATIC_ON, MARKOV2, CHAIN0 = 0, 1, 2, 3
 
 
+class ChainLayout(NamedTuple):
+    """The chains of an edge table's switching rows as arrays, one per row,
+    each in its own state order and padded with zeros to the widest chain."""
+
+    time: str
+    rows: np.ndarray      #: (k,) table row of each chain
+    size: np.ndarray      #: (k,) its number of states
+    matrix: np.ndarray    #: (k, w, w) its transition matrix (DT) or generator (CT)
+    output: np.ndarray    #: (k, w) its output map, as floats
+    law: np.ndarray       #: (k, w) the law ``EdgeTable.layout`` was asked for
+    declared: np.ndarray  #: (k,) whether its chain declares an initial state
+
+    def cuts(self, on_first: bool = False) -> np.ndarray:
+        """Cumulative laws of every chain as cut points, one (k, w + 1, w - 1)
+        array: [:, 0] from ``law``, [:, 1 + s] of the move from state s, to the
+        next state in DT and to the jump target in CT (the off-diagonal rates,
+        normalized after summing, so a zero-rate target is never picked).  A
+        chain moves to the count of its cut points <= its uniform; the last
+        state's cut and the padding are inf, so round-off never moves it past
+        its last state.  With ``on_first`` states are listed on-states first."""
+        law, matrix = self.law, self.matrix
+        if on_first:
+            order = np.argsort(1.0 - self.output, axis=1, kind="stable")
+            law = np.take_along_axis(law, order, 1)
+            matrix = np.take_along_axis(np.take_along_axis(matrix, order[:, :, None], 1),
+                                        order[:, None, :], 2)
+        if self.time == CT:
+            matrix = np.where(np.eye(matrix.shape[-1], dtype=bool), 0.0, matrix)
+        cum = np.cumsum(np.concatenate([law[:, None], matrix], axis=1), axis=2)
+        if self.time == CT:
+            with np.errstate(invalid="ignore"):  # absorbing states never jump
+                cum[:, 1:] /= cum[:, 1:, -1:]
+        last = self.size[:, None, None] - 1
+        return np.where(np.arange(cum.shape[-1] - 1) >= last, np.inf, cum[..., :-1])
+
+
 @dataclass(eq=False)
 class EdgeTable:
     """All edge processes of a graph as arrays, one row per edge, sorted by (i, j).
@@ -144,8 +174,7 @@ class EdgeTable:
     ``build_edge_markovian``) or CHAIN0 + t for ``chains[t]``, one
     EdgeProcessModel shared by all edges with that chain (Coxian and other
     multi-state edges).  ``q`` and ``r`` hold the off->on and on->off rates
-    of every 2-state edge; for chain rows they are taken from the chain's
-    matrix (NaN for chains of more than two states).
+    of the MARKOV2 rows.  ``layout`` gives every switching row's chain.
     """
 
     i: np.ndarray
@@ -173,10 +202,6 @@ class EdgeTable:
         top = 1.0 if self.time == DT else np.finfo(float).max  # NaN and inf fail too
         if not ((np.minimum(q, r) > 0) & (np.maximum(q, r) <= top)).all():
             raise InvalidRates("2-state edges need finite rates q, r > 0 (at most 1 in DT)")
-        for t, edge in enumerate(self.chains):  # a 2-state chain's rates, from its matrix
-            sel, m, on = self.template == CHAIN0 + t, edge.chain.matrix, int(edge.output[-1])
-            self.q[sel], self.r[sel] = (m[1 - on, on], m[on, 1 - on]) \
-                if edge.chain.n_states == 2 else (np.nan, np.nan)
 
     @classmethod
     def from_edges(cls, edges) -> "EdgeTable":
@@ -215,42 +240,45 @@ class EdgeTable:
             return build_edge_markovian(self.q[k], self.r[k], self.time)
         return build_static_edge(t == STATIC_ON, self.time)
 
-    def on_probability(self) -> np.ndarray:
-        """Stationary on-probability of every edge: one solve per chain."""
-        p = (self.template == STATIC_ON).astype(float)
-        two = self.template == MARKOV2
-        p[two] = self.q[two] / (self.q[two] + self.r[two])
+    def layout(self, law: str | None = "initial") -> ChainLayout:
+        """The chain of every switching row (template >= MARKOV2) as arrays, the
+        one place that tells MARKOV2 rows (their closed forms in q and r) from
+        chain templates (their own matrix and stationary solve, one per chain).
+        ``law`` fills ``ChainLayout.law``: "initial" (a point mass at a declared
+        initial state, else the stationary law), "stationary", or None (zeros,
+        no solve).  A reducible chain's stationary law raises ReducibleChain
+        naming its first edge."""
+        rows = np.flatnonzero(self.template >= MARKOV2)
+        template, k = self.template[rows], rows.size
+        width = max([2] + [edge.output.size for edge in self.chains])
+        size, declared = np.full(k, 2), np.zeros(k, dtype=bool)
+        matrix, output, pi = np.zeros((k, width, width)), np.zeros((k, width)), np.zeros((k, width))
+        # every row as a MARKOV2 row first, in slices; the chain rows, whose q
+        # and r are NaN, are overwritten below
+        q, r, stay = self.q[rows], self.r[rows], float(self.time == DT)
+        matrix[:, 0, 0], matrix[:, 0, 1], matrix[:, 1, 0], matrix[:, 1, 1] = \
+            stay - q, q, r, stay - r
+        output[:, 1] = 1.0
+        if law is not None:
+            total = q + r
+            pi[:, 0], pi[:, 1] = r / total, q / total
         for t, edge in enumerate(self.chains):
-            sel = self.template == CHAIN0 + t
-            try:
-                p[sel] = edge_on_probability(edge)
-            except ReducibleChain as exc:
-                k = int(np.argmax(sel))
-                raise ReducibleChain(f"edge ({self.i[k]},{self.j[k]}): {exc}") from exc
-        return p
-
-    def initial_states(self, rng: np.random.Generator) -> np.ndarray:
-        """Initial chain-state index of every edge, drawn as
-        ``EdgeProcessModel.initial_index`` draws them edge by edge in key
-        order: one uniform per stationary draw, none for static edges and
-        fixed initial states."""
-        s = np.zeros(self.m, dtype=np.intp)
-        u = np.zeros(self.m)
-        stationary = [t for t, edge in enumerate(self.chains) if edge.chain.initial_state is None]
-        two = self.template == MARKOV2
-        draws = two
-        if stationary:
-            draws = two | np.isin(self.template, [CHAIN0 + t for t in stationary])
-        u[draws] = rng.random(int(draws.sum()))
-        s[two] = u[two] >= self.r[two] / (self.q[two] + self.r[two])
-        for t, edge in enumerate(self.chains):
-            sel, chain = self.template == CHAIN0 + t, edge.chain
-            if t in stationary:
-                cdf = np.cumsum(stationary_distribution(chain))
-                s[sel] = np.searchsorted(cdf / cdf[-1], u[sel], side="right")
-            else:
-                s[sel] = chain.index(chain.initial_state)
-        return s
+            sel, chain = np.flatnonzero(template == CHAIN0 + t), edge.chain
+            if not sel.size:
+                continue
+            n = chain.n_states
+            matrix[sel], output[sel], pi[sel], size[sel] = 0.0, 0.0, 0.0, n
+            matrix[sel, :n, :n], output[sel, :n] = chain.matrix, edge.output
+            declared[sel] = chain.initial_state is not None
+            if law == "initial" and chain.initial_state is not None:
+                pi[sel, chain.index(chain.initial_state)] = 1.0
+            elif law is not None:
+                try:
+                    pi[sel, :n] = stationary_distribution(chain)
+                except ReducibleChain as exc:
+                    e = rows[sel[0]]
+                    raise ReducibleChain(f"edge ({self.i[e]},{self.j[e]}): {exc}") from exc
+        return ChainLayout(self.time, rows, size, matrix, output, pi, declared)
 
 
 class DynamicGraphModel:
@@ -354,19 +382,28 @@ def edge_on_probability(edge: EdgeProcessModel) -> float:
 
 def mean_matrix(graph: DynamicGraphModel) -> MeanMatrix:
     table = graph.table
-    p = table.on_probability()
+    lay = table.layout("stationary")
+    p = (table.template == STATIC_ON).astype(float)  # stationary on-probability per edge
+    p[lay.rows] = np.einsum("kw,kw->k", lay.law, lay.output)
     a = np.zeros((graph.n, graph.n))
     a[table.i, table.j] = p
     if graph.kind == AMEI:
         a[table.j, table.i] = p
     periodic_edge = None
     if graph.time == DT:
-        # a 2-state DT chain is periodic only when it always switches
-        periodic = (table.template == MARKOV2) & (table.q == 1.0) & (table.r == 1.0)
-        periodic |= np.isin(table.template, [CHAIN0 + t for t, edge in enumerate(table.chains)
-                                             if not edge.chain.is_aperiodic()])
+        # an irreducible chain that can stay put (positive trace) is aperiodic;
+        # one of w states or fewer that cannot is aperiodic iff the
+        # ((w - 1)^2 + 1)-th power of its support is positive (Wielandt):
+        # square it until the power is reached, and read each chain's own block
+        width = lay.matrix.shape[-1]
+        moving = np.flatnonzero(np.einsum("kii->k", lay.matrix) <= 0)
+        power = lay.matrix[moving] > 0
+        for _ in range(int(np.ceil(np.log2((width - 1) ** 2 + 1)))):
+            power = power @ power
+        inside = np.arange(width) < lay.size[moving, None]
+        periodic = (~power & inside[:, :, None] & inside[:, None, :]).any(axis=(1, 2))
         if periodic.any():
-            k = int(np.argmax(periodic))
+            k = lay.rows[moving[np.argmax(periodic)]]
             periodic_edge = (int(table.i[k]), int(table.j[k]))
     return MeanMatrix(a, graph.kind, graph.time, periodic_edge)
 
@@ -374,45 +411,6 @@ def mean_matrix(graph: DynamicGraphModel) -> MeanMatrix:
 def support_matrix(mean: MeanMatrix) -> np.ndarray:
     """Entry-wise sign of the mean matrix (the {0,1} support graph)."""
     return (mean.a_bar > 0).astype(float)
-
-
-@dataclass
-class EdgePath:
-    """Piecewise-constant {0,1} trajectory of a single edge process.
-
-    CT: ``values[k]`` holds on [times[k], times[k+1]), with times[0] == 0 and
-    an implicit final breakpoint at ``horizon``.  DT: ``times`` is 0..steps
-    and ``values[k]`` is the edge state at step k.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    horizon: float
-    time_base: str
-
-    def fraction_on(self) -> float:
-        if self.time_base == DT:
-            return float(self.values.mean())
-        ends = np.append(self.times[1:], self.horizon)
-        return float(((ends - self.times) * self.values).sum() / self.horizon)
-
-
-def sample_edge_path(edge: EdgeProcessModel, horizon, seed_or_rng,
-                     init_index: int | None = None) -> EdgePath:
-    """Exact trajectory of one edge over [0, horizon] (CT) or `horizon` steps (DT)."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    rng = rngmod.as_generator(seed_or_rng)
-    if init_index is None:
-        init_index = edge.initial_index(rng)
-    if edge.time == CT:
-        times, states = sample_chain_path_ct(edge.chain, float(horizon), rng, init_index)
-        sigma = edge.output[states]
-        keep = np.concatenate([[True], sigma[1:] != sigma[:-1]])
-        return EdgePath(times[keep], sigma[keep], float(horizon), CT)
-    steps = int(horizon)
-    states = sample_chain_path_dt(edge.chain, steps, rng, init_index)
-    return EdgePath(np.arange(steps + 1), edge.output[states], steps, DT)
 
 
 @dataclass
@@ -434,7 +432,10 @@ def sample_graph_path(graph: DynamicGraphModel, *, horizon=None, steps=None,
                       seed: int = 0) -> GraphPath:
     """Sample all edge processes independently and merge into one path.
 
-    Each edge draws from the stream (seed, TAG_EDGE, i, j), so adding or
+    Each switching edge draws from the stream (seed, TAG_EDGE, i, j): one
+    uniform for its initial state unless its chain declares one, then in DT
+    one uniform per step, all edges stepping together, and in CT one
+    exponential holding time and one uniform jump per event.  So adding or
     removing edges leaves all other edges' trajectories untouched.
     """
     if (horizon is None) == (steps is None):
@@ -442,26 +443,48 @@ def sample_graph_path(graph: DynamicGraphModel, *, horizon=None, steps=None,
     want = CT if horizon is not None else DT
     if graph.m and graph.time != want:
         raise ValueError(f"graph is {graph.time}, but the requested path is {want}")
-    table = graph.table
     length = float(horizon) if want == CT else int(steps)
-    paths = [sample_edge_path(table.edge(k), length,
-                              rngmod.generator(seed, rngmod.TAG_EDGE, table.i[k], table.j[k]))
-             for k in range(table.m)]
-    if want == CT:
-        cuts = {0.0, length}
-        for p in paths:
-            cuts.update(p.times.tolist())
-        times = np.array(sorted(t for t in cuts if t < length) + [length])
-        # value in force on [times[s], times[s+1]) is the last switch <= times[s]
-        values = [p.values[np.searchsorted(p.times, times[:-1], side="right") - 1] for p in paths]
+    if length <= 0:
+        raise ValueError("horizon must be positive")
+    table = graph.table
+    lay = table.layout()
+    cuts, edges = lay.cuts(), np.arange(lay.rows.size)
+    streams = [rngmod.generator(seed, rngmod.TAG_EDGE, table.i[k], table.j[k])
+               for k in lay.rows]
+    u = np.array([0.0 if fixed else rng.random() for fixed, rng in zip(lay.declared, streams)])
+    state = (cuts[:, 0] <= u[:, None]).sum(axis=1)
+    if want == DT:
+        u = np.array([rng.random(length) for rng in streams]).reshape(edges.size, length)
+        states = np.empty((length, edges.size), dtype=np.intp)
+        states[0] = state
+        for k in range(1, length):
+            states[k] = (cuts[edges, 1 + states[k - 1]] <= u[:, k - 1, None]).sum(axis=1)
+        times, values = np.arange(length + 1), lay.output[edges, states]
     else:
-        times = np.arange(length + 1)
-        values = [p.values[:length] for p in paths]
+        exit_rate = -np.diagonal(lay.matrix, axis1=1, axis2=2)
+        switches = []
+        for e, rng in enumerate(streams):
+            at, visited = [0.0], [state[e]]
+            while exit_rate[e, visited[-1]] > 0:
+                t = at[-1] + rng.exponential(1.0 / exit_rate[e, visited[-1]])
+                if t >= length:
+                    break
+                at.append(t)
+                visited.append(int((cuts[e, 1 + visited[-1]] <= rng.random()).sum()))
+            sigma = lay.output[e, visited]
+            keep = np.concatenate([[True], sigma[1:] != sigma[:-1]])
+            switches.append((np.array(at)[keep], sigma[keep]))
+        cut_times = {0.0, length}.union(*(at.tolist() for at, _ in switches))
+        times = np.array(sorted(t for t in cut_times if t < length) + [length])
+        # value in force on [times[s], times[s+1]) is the last switch <= times[s]
+        values = np.array([sigma[np.searchsorted(at, times[:-1], side="right") - 1]
+                           for at, sigma in switches]).reshape(edges.size, times.size - 1).T
     adj = np.zeros((len(times) - 1, graph.n, graph.n))
-    for k, vals in enumerate(values):
-        adj[:, table.i[k], table.j[k]] = vals
-        if graph.kind == AMEI:
-            adj[:, table.j[k], table.i[k]] = vals
+    on = table.template == STATIC_ON
+    pairs = [(table.i, table.j)] + ([(table.j, table.i)] if graph.kind == AMEI else [])
+    for i, j in pairs:
+        adj[:, i[on], j[on]] = 1.0
+        adj[:, i[lay.rows], j[lay.rows]] = values
     return GraphPath(times, adj, want)
 
 
@@ -566,6 +589,8 @@ def _edge_from_json(model: dict) -> EdgeProcessModel:
         return build_coxian_edge(params["up_rates"], params["exit_rates"],
                                  params["down_rates"], params["return_rates"])
     if kind == "static":
+        if not isinstance(params["on"], bool):
+            raise ValueError(f"static edge needs 'on' true or false, got {params['on']!r}")
         return build_static_edge(params["on"], time)
     raise ValueError(f"unknown edge model type {kind!r}")
 
@@ -582,5 +607,10 @@ def graph_to_json(graph: DynamicGraphModel) -> dict:
 def graph_from_json(doc) -> DynamicGraphModel:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    edges = {(int(e["i"]), int(e["j"])): _edge_from_json(e["model"]) for e in doc["edges"]}
+    edges = {}
+    for e in doc["edges"]:
+        key = (int(e["i"]), int(e["j"]))
+        if key in edges:
+            raise ValueError(f"edge {key} is listed twice")
+        edges[key] = _edge_from_json(e["model"])
     return DynamicGraphModel(int(doc["n"]), doc["kind"], edges)

@@ -1,4 +1,4 @@
-"""Finite Markov chains: specification, stationary distributions, sampling.
+"""Finite Markov chains: specification, periods and stationary distributions.
 
 Chains here are tiny (edge processes, typically 2-32 states), so everything
 is dense.  A chain is either continuous-time (generator matrix ``Q`` with
@@ -143,58 +143,3 @@ def stationary_distribution(chain: MarkovChainSpec) -> np.ndarray:
         )
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
-
-
-def jump_tables(q: np.ndarray):
-    """Per-state jump targets of a generator and their cumulative weights
-    (no targets and None for an absorbing state)."""
-    targets, cum = [], []
-    for s in range(q.shape[0]):
-        row = q[s].copy()
-        row[s] = 0.0
-        idx = np.flatnonzero(row > 0)
-        targets.append(idx)
-        cum.append(np.cumsum(row[idx]) / row[idx].sum() if idx.size else None)
-    return targets, cum
-
-
-def sample_chain_path_ct(chain: MarkovChainSpec, horizon: float,
-                         rng: np.random.Generator, init_idx: int):
-    """Exact CT chain trajectory on [0, horizon].
-
-    Returns (jump_times, state_indices); state_indices[i] holds on
-    [jump_times[i], jump_times[i+1]), with jump_times[0] == 0.
-    """
-    exit_rate = -np.diag(chain.matrix)
-    targets, cum = jump_tables(chain.matrix)
-    times = [0.0]
-    states = [init_idx]
-    t, s = 0.0, init_idx
-    while True:
-        rate = exit_rate[s]
-        if rate <= 0:
-            break  # absorbing: stays forever
-        t += rng.exponential(1.0 / rate)
-        if t >= horizon:
-            break
-        s = int(targets[s][np.searchsorted(cum[s], rng.random())])
-        times.append(t)
-        states.append(s)
-    return np.asarray(times), np.asarray(states, dtype=np.intp)
-
-
-def sample_chain_path_dt(chain: MarkovChainSpec, steps: int,
-                         rng: np.random.Generator, init_idx: int) -> np.ndarray:
-    """DT chain trajectory: state indices at k = 0..steps (length steps+1)."""
-    p = chain.matrix
-    cum = np.cumsum(p, axis=1)
-    out = np.empty(steps + 1, dtype=np.intp)
-    out[0] = init_idx
-    s = init_idx
-    u = rng.random(steps)
-    for k in range(steps):
-        s = int(np.searchsorted(cum[s], u[k], side="right"))
-        if s >= p.shape[0]:  # guard against cum[-1] = 1 - eps round-off
-            s = p.shape[0] - 1
-        out[k + 1] = s
-    return out

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import rng as rngmod
 from .errors import NonMarkovEdge, TooManyConfigurations, TooManyEdges, WrongKind
-from .graphs import AMEI, MARKOV2, STATIC_ON, DynamicGraphModel, MeanMatrix
+from .graphs import AMEI, STATIC_ON, DynamicGraphModel, MeanMatrix
 from .markov import CT
 from .spectral import kappa, spectral_abscissa
 from .thresholds import EpidemicParams, kappa_params
@@ -62,21 +62,26 @@ class SubgraphEnumeration:
         return f
 
 
-def _check_two_state(graph: DynamicGraphModel) -> None:
+def _two_state_rates(graph: DynamicGraphModel):
+    """Off->on and on->off rates of every edge from its chain (NaN for static
+    edges); raises unless the graph is CT and every chain has two states."""
     if graph.time != CT:
         raise WrongKind("subgraph enumeration applies to continuous-time graphs")
-    table = graph.table
-    stochastic = np.flatnonzero(table.template >= MARKOV2)
-    multi_state = stochastic[np.isnan(table.q[stochastic])]
-    if multi_state.size:
-        k = multi_state[0]
-        raise NonMarkovEdge(f"edge ({table.i[k]},{table.j[k]}) has "
-                            f"{table.edge(k).chain.n_states} states; "
+    table, lay = graph.table, graph.table.layout(law=None)
+    if (lay.size > 2).any():
+        k = int(np.argmax(lay.size > 2))
+        e = lay.rows[k]
+        raise NonMarkovEdge(f"edge ({table.i[e]},{table.j[e]}) has {lay.size[k]} states; "
                             "the exact condition assumes plain 2-state Markov edges")
+    on, k = lay.output[:, 1].astype(np.intp), np.arange(lay.rows.size)
+    u, v = np.full(table.m, np.nan), np.full(table.m, np.nan)
+    u[lay.rows], v[lay.rows] = lay.matrix[k, 1 - on, on], lay.matrix[k, on, 1 - on]
+    return u, v
 
 
-def _enumerate(graph: DynamicGraphModel, nodes: np.ndarray) -> SubgraphEnumeration:
-    """Hypercube structure of the subgraph induced on ``nodes``, relabelled 0..len-1."""
+def _enumerate(graph: DynamicGraphModel, nodes: np.ndarray, u, v) -> SubgraphEnumeration:
+    """Hypercube structure of the subgraph induced on ``nodes``, relabelled
+    0..len-1; ``u``, ``v`` are the rates of ``_two_state_rates``."""
     table = graph.table
     local = np.full(graph.n, -1)
     local[nodes] = np.arange(nodes.size)
@@ -87,18 +92,17 @@ def _enumerate(graph: DynamicGraphModel, nodes: np.ndarray) -> SubgraphEnumerati
     static_base[li[static_on], lj[static_on]] = 1.0
     if graph.kind == AMEI:
         static_base[lj[static_on], li[static_on]] = 1.0
-    stochastic = np.flatnonzero(inside & (table.template >= MARKOV2))
+    stochastic = np.flatnonzero(inside & ~np.isnan(u))
     if stochastic.size > _EDGE_CAP:
         raise TooManyEdges(f"{stochastic.size} stochastic edges exceeds the 2^m cap of {_EDGE_CAP}")
     keys = list(zip(li[stochastic].tolist(), lj[stochastic].tolist()))
-    return SubgraphEnumeration(nodes.size, graph.kind, keys, table.q[stochastic],
-                               table.r[stochastic], static_base)
+    return SubgraphEnumeration(nodes.size, graph.kind, keys, u[stochastic], v[stochastic],
+                               static_base)
 
 
 def enumerate_subgraphs(graph: DynamicGraphModel) -> SubgraphEnumeration:
     """Extract the hypercube structure from a graph of 2-state CT Markov edges."""
-    _check_two_state(graph)
-    return _enumerate(graph, np.arange(graph.n))
+    return _enumerate(graph, np.arange(graph.n), *_two_state_rates(graph))
 
 
 def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
@@ -194,10 +198,11 @@ def exponential_condition(graph: DynamicGraphModel, params: EpidemicParams):
     and the edge and dimension caps apply per component.  Each block is
     irreducible Metzler and goes to ``spectral_abscissa``.
     """
-    _check_two_state(graph)
+    rates = _two_state_rates(graph)
     components = _coupling_components(graph, params.beta)
     # enumerate every block first, so that a cap fails before any solve
-    blocks = [(nodes, _enumerate(graph, nodes)) for nodes in components if nodes.size > 1]
+    blocks = [(nodes, _enumerate(graph, nodes, *rates)) for nodes in components
+              if nodes.size > 1]
     etas = [-params.delta[nodes[0]] for nodes in components if nodes.size == 1]
     etas += [spectral_abscissa(_assemble(enum, params.beta[nodes], params.delta[nodes]))
              for nodes, enum in blocks]

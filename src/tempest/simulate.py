@@ -19,8 +19,8 @@ import scipy.linalg
 
 from . import rng as rngmod
 from .errors import InsufficientData, ParamRange
-from .graphs import AMEI, CHAIN0, MARKOV2, STATIC_ON, DynamicGraphModel, GraphPath
-from .markov import CT, DT, jump_tables, stationary_distribution
+from .graphs import AMEI, STATIC_ON, DynamicGraphModel, GraphPath
+from .markov import CT, DT
 from .thresholds import EpidemicParams
 
 
@@ -85,9 +85,6 @@ class SimulationTrace:
 # Continuous-time exact simulation (Gillespie over the joint process)
 # ---------------------------------------------------------------------------
 
-_MARKOV2_JUMPS = jump_tables(np.array([[-1.0, 1.0], [1.0, -1.0]]))  # off <-> on
-
-
 def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
                       init_infected="all", seed=0,
                       record_states: bool = False) -> SimulationTrace:
@@ -108,23 +105,22 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
     beta, delta = _rates(params, n)
     rng, seed = _stream(seed)
 
-    table = graph.table
+    table, lay = graph.table, graph.table.layout()
     edges = np.arange(table.m)
-    # exit rate and output of every (edge, chain state); static edges never jump
-    width = max([2] + [edge.chain.n_states for edge in table.chains])
-    exit_rate = np.zeros((table.m, width))
-    output = np.zeros((table.m, width))
-    two = table.template == MARKOV2
-    exit_rate[two, 0], exit_rate[two, 1], output[two, 1] = table.q[two], table.r[two], 1.0
+    # exit rate, output and cut points (initial law, jump law per chain state)
+    # of every edge; static edges never jump
+    width = lay.output.shape[1]
+    exit_rate, output = np.zeros((table.m, width)), np.zeros((table.m, width))
+    cuts = np.full((table.m, width + 1, width - 1), np.inf)
+    exit_rate[lay.rows] = -np.diagonal(lay.matrix, axis1=1, axis2=2)
+    output[lay.rows] = lay.output
     output[table.template == STATIC_ON, 0] = 1.0
-    jumps = {MARKOV2: _MARKOV2_JUMPS}
-    for t, edge in enumerate(table.chains):
-        sel, k = table.template == CHAIN0 + t, edge.chain.n_states
-        exit_rate[sel, :k] = -np.diag(edge.chain.matrix)
-        output[sel, :k] = edge.output
-        jumps[CHAIN0 + t] = jump_tables(edge.chain.matrix)
-
-    state_idx = table.initial_states(rng)
+    cuts[lay.rows] = lay.cuts()
+    # initial states: one uniform, in row order, per chain without a declared one
+    u = np.zeros(table.m)
+    drawn = lay.rows[~lay.declared]
+    u[drawn] = rng.random(drawn.size)
+    state_idx = (cuts[:, 0] <= u[:, None]).sum(axis=1)
     adj = np.zeros((n, n))
     adj[table.i, table.j] = output[edges, state_idx]
     if graph.kind == AMEI:
@@ -150,8 +146,7 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
         u = rng.random() * total
         if u < r_edge:
             e = int(np.searchsorted(np.cumsum(edge_rates), u))
-            targets, cums = jumps[table.template[e]]
-            nxt = int(targets[state_idx[e]][np.searchsorted(cums[state_idx[e]], rng.random())])
+            nxt = int((cuts[e, 1 + state_idx[e]] <= rng.random()).sum())
             state_idx[e] = nxt
             val = output[e, nxt]
             i, j = table.i[e], table.j[e]
@@ -212,28 +207,15 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
                            states[:, :, 0] if record_states else None)
 
 
-def _cut_points(table, rows):
-    """Cut points of the switching ``rows``: their cumulative laws, states listed
-    on-states first, as a (width - 1, rows (width + 1)) array padded with inf.
-    Column law[k] - 1 holds row k's initial law (stationary, or a point mass at
-    a declared initial state), column law[k] + s its law from state s; n_on[k]
-    counts its on-states.  A row moves to the count of cut points <= its uniform."""
-    template = table.template[rows]
-    chains = [(t, table.chains[t - CHAIN0]) for t in np.unique(template[template >= CHAIN0])]
-    width = max([2] + [edge.output.size for _, edge in chains])
-    cuts, n_on = np.full((rows.size, width + 1, width - 1), np.inf), np.ones(rows.size, np.intp)
-    q, r = table.q[rows], table.r[rows]  # every 2-state row; NaN for larger chains
-    cuts[:, :3, 0] = np.stack([q / (q + r), 1.0 - r, q], axis=1)
-    for t, edge in chains:
-        chain, sel, order = edge.chain, template == t, np.argsort(1 - edge.output, kind="stable")
-        k, n_on[sel] = order.size, edge.output.sum()
-        if k > 2:
-            cuts[sel, 1:k + 1, :k - 1] = np.cumsum(chain.matrix[np.ix_(order, order)], 1)[:, :-1]
-        if chain.initial_state is not None:
-            cuts[sel, 0, :k - 1] = np.cumsum(order == chain.index(chain.initial_state))[:-1]
-        elif k > 2:
-            cuts[sel, 0, :k - 1] = np.cumsum(stationary_distribution(chain)[order])[:-1]
-    return cuts.reshape(-1, width - 1).T.copy(), np.arange(rows.size) * (width + 1) + 1, n_on
+def _cut_points(lay):
+    """Cut points of the switching rows' chains, states listed on-states first,
+    as one (width - 1, rows (width + 1)) array: column law[k] - 1 holds row k's
+    initial law, column law[k] + s its law from state s; n_on[k] counts its
+    on-states.  A row moves to the count of cut points <= its uniform."""
+    cuts = lay.cuts(on_first=True)
+    rows, laws, points = cuts.shape
+    return (cuts.reshape(rows * laws, points).T.copy(), np.arange(rows) * laws + 1,
+            lay.output.sum(axis=1).astype(np.intp))
 
 
 def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, record_states,
@@ -248,15 +230,15 @@ def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, rec
     single run.  Returns the (steps + 1, G) infected counts, the
     re-infections per lane and, if recorded, the (steps + 1, n, G) states."""
     n, lanes = beta.shape
-    table, adj = graph.table, np.zeros((n, n), dtype=np.float32)  # exact counts below 2**24
-    flat = adj.reshape(-1)
-    cells = [table.i * n + table.j] + ([table.j * n + table.i] if graph.kind == AMEI else [])
-    for cell in cells:
-        flat[cell[table.template == STATIC_ON]] = 1.0
-    rows = np.flatnonzero((table.template >= MARKOV2) & (edge_path is None))
-    cells = [cell[rows] for cell in cells]
-    cuts, law, n_on = _cut_points(table, rows)
-    state = np.full(rows.size, -1)  # column law - 1: each row's initial law
+    if edge_path is None:
+        table, adj = graph.table, np.zeros((n, n), dtype=np.float32)  # exact below 2**24
+        flat, lay = adj.reshape(-1), table.layout()
+        cells = [table.i * n + table.j] + ([table.j * n + table.i] if graph.kind == AMEI else [])
+        for cell in cells:
+            flat[cell[table.template == STATIC_ON]] = 1.0
+        cells = [cell[lay.rows] for cell in cells]
+        cuts, law, n_on = _cut_points(lay)
+        state = np.full(lay.rows.size, -1)  # column law - 1: each row's initial law
     with np.errstate(divide="ignore"):
         log1m_beta = np.log1p(-beta)
     x = np.repeat(x0[:, None], lanes, axis=1)
@@ -265,11 +247,13 @@ def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, rec
     states = [x] if record_states else None
     reinfections = np.zeros(lanes, dtype=np.int64)
     for k in range(steps):
-        u, cols = rng.random(rows.size), law + state
-        state = sum((u >= cut[cols] for cut in cuts[1:]), (u >= cuts[0][cols]).astype(np.intp))
-        on = (state < n_on).astype(np.float32)
-        for cell in cells:
-            flat[cell] = on
+        if edge_path is None:
+            u, cols = rng.random(state.size), law + state
+            state = sum((u >= cut[cols] for cut in cuts[1:]),
+                        (u >= cuts[0][cols]).astype(np.intp))
+            on = (state < n_on).astype(np.float32)
+            for cell in cells:
+                flat[cell] = on
         a = adj if edge_path is None else edge_path.adjacency[k]
         contacts = a @ x.astype(a.dtype)
         with np.errstate(invalid="ignore"):

@@ -23,7 +23,7 @@ _ARPACK_TOL = 1e-12
 _CERTIFY_RTOL = 1e-10
 _DIVERGENCE_CAP = 1e15  # an objective value above this counts as divergence
 _REFINE_BRACKETS = 3    # zoomed brackets around the best grid points
-_GRID = np.geomspace(1e-9, 1.0, 4096)     # the default budget's grid, built once
+_GRID = np.geomspace(1e-9, 1.0, 4096)     # the maximizer's grid, built once
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 257)  # a bracket's points in one zoom pass
 _ZOOM_PASSES = 8        # each pass shrinks a bracket 128-fold; 7 reach the stop width if lo >= 0
 
@@ -268,11 +268,10 @@ class ScalarMaximizeResult:
             raise ValueError("maximizer must lie in (lo, hi]")
 
 
-def maximize_on_interval(objective, lo: float, hi: float,
-                         budget: int = 4096) -> ScalarMaximizeResult:
+def maximize_on_interval(objective, lo: float, hi: float) -> ScalarMaximizeResult:
     """Maximize a scalar objective on the half-open interval (lo, hi].
 
-    Dense grid of ``budget`` points, geometrically clustered towards lo
+    Dense grid of 4,096 points, geometrically clustered towards lo
     (first point at lo + (hi-lo)*1e-9) because certificate objectives can
     diverge there, followed by a zoom around the best brackets: each pass
     evaluates every open bracket at once on 255 evenly spaced interior
@@ -284,10 +283,8 @@ def maximize_on_interval(objective, lo: float, hi: float,
     """
     if not hi > lo:
         raise EmptyInterval(f"need hi > lo, got ({lo}, {hi}]")
-    if budget < 4:
-        raise ValueError("grid budget must be at least 4")
     span = hi - lo
-    xs = lo + span * (_GRID if budget == _GRID.size else np.geomspace(1e-9, 1.0, budget))
+    xs = lo + span * _GRID
     xs[-1] = hi
     vals = np.asarray(objective(xs), dtype=float)
     if vals.shape != xs.shape:
@@ -308,7 +305,7 @@ def maximize_on_interval(objective, lo: float, hi: float,
             continue
         seen.update((k - 1, k, k + 1))
         brackets.append((float(xs[k - 1]) if k > 0 else lo + span * 1e-12,
-                         float(xs[k + 1]) if k + 1 < budget else hi))
+                         float(xs[k + 1]) if k + 1 < xs.size else hi))
     for _ in range(_ZOOM_PASSES):
         brackets = [(a, b) for a, b in brackets if b - a > 1e-14 * max(1.0, abs(a), abs(b))]
         if not brackets:

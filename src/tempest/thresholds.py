@@ -116,6 +116,8 @@ def _jsonable(v):
     """Map a value onto JSON types; non-finite floats become 'inf', '-inf', None."""
     if v is None or isinstance(v, (bool, str, int)):
         return v
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (np.integer, np.bool_)):
         return v.item()
     if isinstance(v, np.ndarray):

@@ -9,14 +9,15 @@ cross-checked end to end.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, sample_edge_path, \
-    stationary_distribution
+from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, stationary_distribution
 from tempest import rng as rngmod
 from tempest.errors import DivergenceDetected, EmptyInterval, NumericalFailure
+from tempest.markov import CT, DT
 from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeResult, _log_kappa
 from tempest.graphs import GraphPath
 
@@ -88,8 +89,103 @@ def reference_mean_matrix(n, kind, edges):
     return a
 
 
+def jump_tables(q: np.ndarray):
+    """Per-state jump targets of a generator and their cumulative weights
+    (no targets and None for an absorbing state)."""
+    targets, cum = [], []
+    for s in range(q.shape[0]):
+        row = q[s].copy()
+        row[s] = 0.0
+        idx = np.flatnonzero(row > 0)
+        targets.append(idx)
+        cum.append(np.cumsum(row[idx]) / row[idx].sum() if idx.size else None)
+    return targets, cum
+
+
+def sample_chain_path_ct(chain, horizon: float, rng: np.random.Generator, init_idx: int):
+    """Exact CT chain trajectory on [0, horizon].
+
+    Returns (jump_times, state_indices); state_indices[i] holds on
+    [jump_times[i], jump_times[i+1]), with jump_times[0] == 0.
+    """
+    exit_rate = -np.diag(chain.matrix)
+    targets, cum = jump_tables(chain.matrix)
+    times = [0.0]
+    states = [init_idx]
+    t, s = 0.0, init_idx
+    while True:
+        rate = exit_rate[s]
+        if rate <= 0:
+            break  # absorbing: stays forever
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            break
+        s = int(targets[s][np.searchsorted(cum[s], rng.random())])
+        times.append(t)
+        states.append(s)
+    return np.asarray(times), np.asarray(states, dtype=np.intp)
+
+
+def sample_chain_path_dt(chain, steps: int, rng: np.random.Generator,
+                         init_idx: int) -> np.ndarray:
+    """DT chain trajectory: state indices at k = 0..steps (length steps+1)."""
+    p = chain.matrix
+    cum = np.cumsum(p, axis=1)
+    out = np.empty(steps + 1, dtype=np.intp)
+    out[0] = init_idx
+    s = init_idx
+    u = rng.random(steps)
+    for k in range(steps):
+        s = int(np.searchsorted(cum[s], u[k], side="right"))
+        if s >= p.shape[0]:  # guard against cum[-1] = 1 - eps round-off
+            s = p.shape[0] - 1
+        out[k + 1] = s
+    return out
+
+
+def initial_index(edge, rng: np.random.Generator) -> int:
+    """Initial chain-state index: fixed if declared, else stationary draw."""
+    if edge.chain.initial_state is not None:
+        return edge.chain.index(edge.chain.initial_state)
+    pi = stationary_distribution(edge.chain)
+    return int(rng.choice(len(pi), p=pi))
+
+
+@dataclass
+class EdgePath:
+    """Piecewise-constant {0,1} trajectory of a single edge process.
+
+    CT: ``values[k]`` holds on [times[k], times[k+1]), with times[0] == 0 and
+    an implicit final breakpoint at ``horizon``.  DT: ``times`` is 0..steps
+    and ``values[k]`` is the edge state at step k.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    horizon: float
+    time_base: str
+
+
+def sample_edge_path(edge, horizon, seed_or_rng, init_index: int | None = None) -> EdgePath:
+    """Exact trajectory of one edge over [0, horizon] (CT) or `horizon` steps (DT)."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    rng = rngmod.as_generator(seed_or_rng)
+    if init_index is None:
+        init_index = initial_index(edge, rng)
+    if edge.time == CT:
+        times, states = sample_chain_path_ct(edge.chain, float(horizon), rng, init_index)
+        sigma = edge.output[states]
+        keep = np.concatenate([[True], sigma[1:] != sigma[:-1]])
+        return EdgePath(times[keep], sigma[keep], float(horizon), CT)
+    steps = int(horizon)
+    states = sample_chain_path_dt(edge.chain, steps, rng, init_index)
+    return EdgePath(np.arange(steps + 1), edge.output[states], steps, DT)
+
+
 def reference_graph_path(n, kind, edges, *, horizon=None, steps=None, seed=0):
-    """Graph path edge by edge, each edge walking its own (seed, TAG_EDGE, i, j) stream."""
+    """Graph path edge by edge, each edge walking its own (seed, TAG_EDGE, i, j)
+    stream with the per-edge samplers above."""
     keys = sorted(edges)
     length = horizon if steps is None else steps
     paths = {(i, j): sample_edge_path(edges[(i, j)], length,
@@ -128,7 +224,7 @@ def _edge_laws(graph, stepped):
         order = np.concatenate([np.flatnonzero(edge.output == 1), np.flatnonzero(edge.output == 0)])
         if chain.initial_state is not None:
             init = (order == chain.index(chain.initial_state)).astype(float)
-        elif chain.n_states == 2:
+        elif table.template[k] == MARKOV2:
             init = np.array([table.q[k], table.r[k]]) / (table.q[k] + table.r[k])
         else:
             init = stationary_distribution(chain)[order]

@@ -163,6 +163,8 @@ class TestCliRuns:
         (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "init=[42]"], None),
         (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", "init=[-1]"], None),
         (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", 'init=["a"]'], None),
+        (["spectra", "--graph-file", "twice.json"], None),
+        (["spectra", "--graph-file", "static_string.json"], None),
     ], ids=["missing config", "malformed config", "malformed graph file", "threads env",
             "non-object config", "non-object graph file", "beta grid without count",
             "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
@@ -173,7 +175,8 @@ class TestCliRuns:
             "empirical negative beta", "empirical beta above one", "figure456 beta above one",
             "figure456 zero beta",
             "simulate init empty", "simulate init out of range", "simulate init negative",
-            "simulate init not an id"])
+            "simulate init not an id", "graph file repeated edge",
+            "graph file static on string"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                args, threads_env):
         monkeypatch.chdir(tmp_path)
@@ -182,6 +185,12 @@ class TestCliRuns:
         (tmp_path / "short_beta.json").write_text(
             json.dumps({"epidemic": {"beta": [0.1, 0.2], "delta": 1.0}}))
         (tmp_path / "delta_list.json").write_text(json.dumps({"epidemic": {"delta": [0.1, 0.2]}}))
+        markov2 = {"type": "markov2", "params": {"q": 0.5, "r": 0.5}}
+        (tmp_path / "twice.json").write_text(json.dumps({"n": 2, "kind": "amei", "edges": [
+            {"i": 0, "j": 1, "model": markov2},
+            {"i": 0, "j": 1, "model": dict(markov2, params={"q": 0.9, "r": 0.5})}]}))
+        (tmp_path / "static_string.json").write_text(json.dumps({"n": 2, "kind": "amei", "edges": [
+            {"i": 0, "j": 1, "model": {"type": "static", "params": {"on": "false"}}}]}))
         inputs = set(tmp_path.iterdir())
         if threads_env is None:
             monkeypatch.delenv("TEMPEST_THREADS", raising=False)
@@ -190,6 +199,22 @@ class TestCliRuns:
         assert main([*args, "--seed", "0"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert set(tmp_path.iterdir()) == inputs
+
+    def test_non_finite_values_are_strict_json(self, tmp_path, monkeypatch):
+        # E[log eta(M4)] is -inf here: the CSV header and the JSON file both
+        # hold the string "-inf", never the non-JSON token -Infinity
+        monkeypatch.chdir(tmp_path)
+        assert main(["oracle", "--preset", "complete_edge_markovian", "--graph-param", "n=3",
+                     "--graph-param", "q=1", "--graph-param", "r=1", "--beta", "0.3",
+                     "--delta", "1", "--param", "expect=m4", "--seed", "0"]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads((tmp_path / "oracle_0.json").read_text(), parse_constant=refuse)
+        assert doc["result"]["expectation"]["value"] == "-inf"
+        header = (tmp_path / "oracle_0.csv").read_text().splitlines()[0]
+        json.loads(header.lstrip("# "), parse_constant=refuse)
 
     @pytest.mark.parametrize("task", ["threshold", "figure456"])
     def test_periodic_dt_graph_is_refused(self, tmp_path, monkeypatch, capsys, task):

@@ -25,6 +25,7 @@ from tempest import (
     build_edge_markovian,
     build_static_edge,
     certify_amei_dt,
+    exponential_condition,
     graph_complete_edge_markovian,
     graph_er_iv,
     graph_from_json,
@@ -274,14 +275,22 @@ class TestBoundary:
         with pytest.raises(InvalidRates):
             DynamicGraphModel(2, AMEI, EdgeTable([0], [1], [MARKOV2], [q], [r], time))
 
-    def test_chain_rows_take_their_rates_from_the_chain(self):
-        flipped = EdgeProcessModel(MarkovChainSpec(("on", "off"), "dt", [[0.7, 0.3], [0.2, 0.8]]),
-                                   np.array([1, 0]))
-        three = EdgeProcessModel(MarkovChainSpec(("a", "b", "c"), "dt", P3), np.array([0, 1, 1]))
-        table = EdgeTable([0, 0, 1], [1, 2, 2], [CHAIN0, CHAIN0 + 1, CHAIN0], [9.0] * 3, [9.0] * 3,
-                          "dt", (flipped, three))
-        np.testing.assert_array_equal(table.q, [0.2, np.nan, 0.2])  # off -> on
-        np.testing.assert_array_equal(table.r, [0.3, np.nan, 0.3])  # on -> off
+    @pytest.mark.parametrize("states, output, gen", [
+        (("off", "on"), [0, 1], [[-0.4, 0.4], [1.3, -1.3]]),
+        (("on", "off"), [1, 0], [[-1.3, 1.3], [0.4, -0.4]]),
+    ], ids=["off first", "on first"])
+    def test_two_state_chain_gives_the_markov2_eta(self, states, output, gen):
+        # a 2-state chain template reads its rates (q = 0.4 off -> on,
+        # r = 1.3 on -> off) from its own matrix, whatever its state order
+        chain = EdgeProcessModel(MarkovChainSpec(states, "ct", gen), np.array(output))
+        pairs = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        as_chain = DynamicGraphModel(4, AMEI, dict.fromkeys(pairs, chain))
+        as_markov2 = DynamicGraphModel(4, AMEI, {p: build_edge_markovian(0.4, 1.3) for p in pairs})
+        assert as_chain.table.chains and not as_markov2.table.chains
+        params = EpidemicParams.homogeneous(0.9, 0.6, 4)
+        eta_chain, eta_markov2 = exponential_condition(as_chain, params)[1], \
+            exponential_condition(as_markov2, params)[1]
+        assert eta_chain == pytest.approx(eta_markov2, rel=0, abs=1e-12)
 
     def test_mean_matrix_rejects_nan(self):
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):

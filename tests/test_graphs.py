@@ -20,12 +20,21 @@ from tempest import (
     graph_small_world,
     graph_to_json,
     mean_matrix,
-    sample_edge_path,
     sample_graph_path,
     support_matrix,
 )
 from tempest.errors import InvalidRates, ReducibleChain
-from tempest.markov import sample_chain_path_ct
+
+
+def one_edge_path(edge, seed, **length):
+    """Switch times (CT) or steps (DT) and values of edge (0, 1) alone in a graph."""
+    path = sample_graph_path(DynamicGraphModel(2, AMEI, {(0, 1): edge}), seed=seed, **length)
+    return path.times, path.adjacency[:, 0, 1]
+
+
+def fraction_on(times, values):
+    """Time-weighted share of a CT path's segments on which the edge is on."""
+    return float((np.diff(times) * values).sum() / times[-1])
 
 
 class TestEdgeBuilders:
@@ -62,21 +71,16 @@ class TestEdgeBuilders:
         # up p1=1, exits q1=0, q2=1: the on-duration is Erlang(2, rate 1).
         # Oracle: Kolmogorov-Smirnov against the gamma(2, 1) CDF.
         edge = build_coxian_edge([1.0], [0.0, 1.0], [], [2.0])
-        chain = edge.chain
-        rng = np.random.default_rng(77)
         durations = []
         need = 100_000
-        # long sample paths; on-period = entry into c1 until arrival at d1
+        # long sample paths of switches; on-period = a switch on until the
+        # next switch off (a path that starts on drops its first period)
+        seed = 77
         while len(durations) < need:
-            times, states = sample_chain_path_ct(chain, 50_000.0, rng, chain.index("d1"))
-            on = edge.output[states].astype(bool)
-            starts = np.flatnonzero(on & ~np.roll(on, 1))
-            for s in starts:
-                nxt = s
-                while nxt < len(times) and on[nxt]:
-                    nxt += 1
-                if nxt < len(times):
-                    durations.append(times[nxt] - times[s])
+            times, values = one_edge_path(edge, seed, horizon=50_000.0)
+            starts = np.flatnonzero(values[1:] == 1) + 1
+            durations.extend((times[starts + 1] - times[starts])[starts + 1 < values.size])
+            seed += 1
         stat = scipy.stats.kstest(durations[:need], scipy.stats.gamma(a=2, scale=1.0).cdf)
         assert stat.pvalue > 1e-3
 
@@ -115,8 +119,8 @@ class TestEdgeOnProbability:
         # time-average of a ~1e6-event path vs pi(f^{-1}({1}))
         edge = build_coxian_edge([0.7], [0.3, 1.1], [0.4], [0.9, 0.6])
         expected = edge_on_probability(edge)
-        path = sample_edge_path(edge, 300_000.0, 123)
-        assert path.fraction_on() == pytest.approx(expected, abs=5e-3)
+        times, values = one_edge_path(edge, 123, horizon=300_000.0)
+        assert fraction_on(times, values) == pytest.approx(expected, abs=5e-3)
 
 
 class TestMeanMatrix:
@@ -186,25 +190,28 @@ class TestSupportMatrix:
 
 class TestEdgePaths:
     def test_static_edge_constant_path(self):
-        p = sample_edge_path(build_static_edge(True), 10.0, 0)
-        assert p.values.tolist() == [1]
-        assert p.fraction_on() == 1.0
+        times, values = one_edge_path(build_static_edge(True), 0, horizon=10.0)
+        assert values.tolist() == [1]
+        assert fraction_on(times, values) == 1.0
 
     def test_ct_fraction_matches_stationary(self):
-        p = sample_edge_path(build_edge_markovian(1.0, 1.0), 10_000.0, 4)
-        assert p.fraction_on() == pytest.approx(0.5, abs=0.02)
+        times, values = one_edge_path(build_edge_markovian(1.0, 1.0), 4, horizon=10_000.0)
+        assert fraction_on(times, values) == pytest.approx(0.5, abs=0.02)
 
     def test_dt_deterministic_alternation(self):
-        edge = build_edge_markovian(1.0, 1.0, time="dt")
-        p = sample_edge_path(edge, 10, 0, init_index=0)
-        assert p.values.tolist() == [0, 1] * 5 + [0]
+        chain = build_edge_markovian(1.0, 1.0, time="dt").chain
+        edge = tempest.EdgeProcessModel(
+            tempest.MarkovChainSpec(chain.states, "dt", chain.matrix, initial_state="off"),
+            np.array([0, 1]))
+        _, values = one_edge_path(edge, 0, steps=11)
+        assert values.tolist() == [0, 1] * 5 + [0]
 
     def test_identical_seed_bit_identical(self):
         edge = build_edge_markovian(0.8, 1.1)
-        a = sample_edge_path(edge, 100.0, 42)
-        b = sample_edge_path(edge, 100.0, 42)
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = one_edge_path(edge, 42, horizon=100.0)
+        b = one_edge_path(edge, 42, horizon=100.0)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_adding_edges_does_not_perturb_others(self):
         edges = {(0, 1): build_edge_markovian(1.0, 0.5),
@@ -268,6 +275,16 @@ class TestGraphJson:
                                         (1, 0): build_edge_markovian(2, 1)})
         a = mean_matrix(g).a_bar
         assert a[0, 1] == pytest.approx(0.5) and a[1, 0] == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("second, on", [
+        ({"type": "markov2", "params": {"q": 0.9, "r": 0.5}}, True),  # (0, 1) listed twice
+        (None, "false"),                                            # 'on' not a JSON bool
+    ], ids=["repeated edge", "static on string"])
+    def test_bad_documents_rejected(self, second, on):
+        edges = [{"i": 0, "j": 1, "model": {"type": "static", "params": {"on": on}}}]
+        edges += [{"i": 0, "j": 1, "model": second}] if second else []
+        with pytest.raises(ValueError):
+            graph_from_json({"n": 2, "kind": AMEI, "edges": edges})
 
     def test_unknown_model_type_rejected(self):
         doc = {"n": 2, "kind": AMEI,

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempest import MarkovChainSpec, stationary_distribution
+from tempest import AMEI, DynamicGraphModel, EdgeProcessModel, MarkovChainSpec, \
+    sample_graph_path, simulate_ct_exact, stationary_distribution
 from tempest.errors import ReducibleChain
-from tempest.markov import sample_chain_path_ct, sample_chain_path_dt
 
 
 def two_state_ct(q, r):
@@ -103,13 +103,24 @@ class TestPeriodicity:
 
 
 class TestPathSampling:
+    """Chains sampled as the edges of a graph path: edge (0, s + 1) is on
+    exactly when its chain is in state s, so the path shows every state."""
+
+    @staticmethod
+    def state_edges(chain):
+        k = chain.n_states
+        return DynamicGraphModel(k + 1, AMEI, {(0, s + 1): EdgeProcessModel(chain, np.eye(k)[s])
+                                               for s in range(k)})
+
     def test_dt_occupancy_matches_stationary(self):
         # ergodicity: 1e6-step empirical occupancy within 1% total variation
         p = np.array([[0.2, 0.5, 0.3], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
         chain = MarkovChainSpec(("a", "b", "c"), "dt", p)
         pi = stationary_distribution(chain)
-        path = sample_chain_path_dt(chain, 1_000_000, np.random.default_rng(5), 0)
-        occ = np.bincount(path, minlength=3) / path.size
+        g = self.state_edges(chain)
+        # each edge follows its own independent copy of the chain
+        occ = sum(sample_graph_path(g, steps=200_000, seed=seed).adjacency[:, 0, 1:].sum(axis=0)
+                  for seed in range(5)) / 1_000_000
         assert 0.5 * np.abs(occ - pi).sum() < 0.01
 
     def test_ct_occupancy_matches_stationary(self):
@@ -117,13 +128,18 @@ class TestPathSampling:
         chain = two_state_ct(q, r)
         pi = stationary_distribution(chain)
         horizon = 50_000.0
-        times, states = sample_chain_path_ct(chain, horizon, np.random.default_rng(8), 0)
-        spans = np.diff(np.append(times, horizon))
-        occ = np.array([spans[states == s].sum() for s in (0, 1)]) / horizon
+        path = sample_graph_path(DynamicGraphModel(2, AMEI, {(0, 1): EdgeProcessModel(
+            chain, np.array([0, 1]))}), horizon=horizon, seed=8)
+        on = (np.diff(path.times) * path.adjacency[:, 0, 1]).sum() / horizon
+        occ = np.array([1 - on, on])
         assert 0.5 * np.abs(occ - pi).sum() < 0.01
 
     def test_ct_absorbing_state_stays(self):
+        # a reducible chain with a declared initial state samples and simulates
         q = np.array([[-1.0, 1.0], [0.0, 0.0]])
-        chain = MarkovChainSpec(("a", "b"), "ct", q)
-        times, states = sample_chain_path_ct(chain, 100.0, np.random.default_rng(0), 0)
-        assert states[-1] == 1 and len(times) == 2
+        chain = MarkovChainSpec(("a", "b"), "ct", q, initial_state="a")
+        g = DynamicGraphModel(2, AMEI, {(0, 1): EdgeProcessModel(chain, np.array([0, 1]))})
+        path = sample_graph_path(g, horizon=100.0, seed=0)
+        assert path.adjacency[:, 0, 1].tolist() == [0, 1] and len(path.times) == 3
+        trace = simulate_ct_exact(g, (0.5, 1.0), 100.0, init_infected=[0], seed=0)
+        assert trace.times[-1] < 100.0 and trace.extinct

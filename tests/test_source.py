@@ -47,12 +47,14 @@ def test_arpack_calls_pass_v0():
 
 
 def _referenced_names(module: str) -> set:
-    """Every name and attribute the module refers to, imported names included."""
+    """Every name and attribute the module refers to or defines, imported names included."""
     tree = ast.parse((PACKAGE / module).read_text())
     return {getattr(node, "id", getattr(node, "attr", None))
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))} \
         | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-           for alias in node.names}
+           for alias in node.names} \
+        | {node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def test_cli_reaches_certificates_through_the_registry():
@@ -81,3 +83,16 @@ def test_one_certificate_maximizer():
     # the zoom refines every bracket in one vectorized call per pass; the
     # one-point golden-section search is gone
     assert "_golden_max" not in _referenced_names("spectral.py")
+
+
+def test_one_chain_layout():
+    # EdgeTable.layout alone tells MARKOV2 rows from chain templates; the
+    # simulators and the oracle read its arrays
+    for module in ("simulate.py", "oracle.py"):
+        assert not {"MARKOV2", "CHAIN0", "jump_tables", "chains"} & _referenced_names(module), \
+            module
+    # the per-edge samplers are gone: graph paths step every edge from the layout
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        names = _referenced_names(str(path.relative_to(PACKAGE)))
+        assert not {"sample_edge_path", "sample_chain_path_ct", "sample_chain_path_dt"} & names, \
+            path.name

@@ -294,10 +294,6 @@ class TestMaximize:
         with pytest.raises(EmptyInterval):
             maximize_on_interval(lambda s: s, 1.0, 1.0)
 
-    def test_budget_floor(self):
-        with pytest.raises(ValueError):
-            maximize_on_interval(lambda s: s, 0.0, 1.0, budget=2)
-
     def test_divergence_detected(self):
         with pytest.raises(DivergenceDetected):
             maximize_on_interval(lambda s: (s - 1.0) ** -2.0, 1.0, 2.0)
