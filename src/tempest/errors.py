@@ -60,10 +60,6 @@ class TooManyEdges(TempestError):
     """Exponential-size construction exceeds the configured resource cap."""
 
 
-class NonMarkovEdge(TempestError):
-    """Edge process is not a plain 2-state Markov chain."""
-
-
 class TooManyConfigurations(TempestError):
     """Exhaustive expectation would enumerate more than the allowed configs."""
 

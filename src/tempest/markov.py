@@ -1,4 +1,4 @@
-"""Finite Markov chains: specification, periods and stationary distributions.
+"""Finite Markov chains: specification and stationary distributions.
 
 Chains here are tiny (edge processes, typically 2-32 states), so everything
 is dense.  A chain is either continuous-time (generator matrix ``Q`` with
@@ -8,7 +8,6 @@ zero row sums) or discrete-time (stochastic matrix ``P``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,34 +77,6 @@ class MarkovChainSpec:
         adj = sp.csr_matrix((self.matrix > 0).astype(np.int8))
         ncomp, _ = csgraph.connected_components(adj, directed=True, connection="strong")
         return ncomp == 1
-
-    def period(self) -> int:
-        """Period of an irreducible DT chain (1 = aperiodic)."""
-        if self.time != DT:
-            raise ValueError("period is defined for discrete-time chains")
-        if np.diag(self.matrix).max() > 0:
-            return 1
-        # gcd of (level[u] + 1 - level[v]) over edges u->v of a BFS tree.
-        k = self.n_states
-        support = self.matrix > 0
-        level = np.full(k, -1)
-        level[0] = 0
-        queue = [0]
-        g = 0
-        while queue:
-            u = queue.pop()
-            for v in np.flatnonzero(support[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-                else:
-                    g = gcd(g, level[u] + 1 - level[v])
-        return abs(g) if g else 0
-
-    def is_aperiodic(self) -> bool:
-        if self.time == CT:
-            return True
-        return self.period() == 1
 
 
 def stationary_distribution(chain: MarkovChainSpec) -> np.ndarray:

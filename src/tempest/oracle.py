@@ -1,7 +1,9 @@
 """Ground-truth machinery for small instances.
 
-The exponential-size exact stability condition (hypercube generator over
-the 2^m subgraphs, Kronecker assembly), exhaustive and Monte-Carlo
+The exponential-size exact stability condition of a continuous-time graph
+(the Kronecker sum of the switching edges' chain generators over
+mixed-radix labels, one digit per edge chain state, of dimension
+n * prod_e k_e, assembled sparsely), exhaustive and Monte-Carlo
 evaluation of the expected spectral statistics of the certificate random
 matrices M1..M4, and empirical verification of the matrix concentration
 tail bound that powers every linear-size certificate.
@@ -17,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import rng as rngmod
-from .errors import NonMarkovEdge, TooManyConfigurations, TooManyEdges, WrongKind
+from .errors import TooManyConfigurations, TooManyEdges, WrongKind
 from .graphs import AMEI, STATIC_ON, DynamicGraphModel, MeanMatrix
 from .markov import CT
 from .spectral import kappa, spectral_abscissa
@@ -30,18 +32,24 @@ _CONFIG_CAP = 2 ** 20
 
 @dataclass
 class SubgraphEnumeration:
-    """The 2^m subgraphs of a dynamic graph with 2-state Markov edges.
+    """The joint chain of a dynamic graph's switching edges, over mixed-radix labels.
 
-    Label ``l`` in [0, 2^m) encodes the present-edge bitmask chi_l directly:
-    bit k of l is 1 iff stochastic edge k is present.  Statically-on edges
-    are folded into ``static_base`` and belong to every subgraph.
+    Label ``l`` in [0, prod(size)) is one state of every switching edge:
+    digit k, of radix ``size[k]``, is the chain state of edge k, and edge 0
+    is the least significant digit.  Edge k is present in the subgraph of
+    ``l`` where ``output[k, digit_k] > 0``; for 2-state Markov edges (state 1
+    on) the label is the present-edge bitmask.  ``generator`` holds each
+    edge's generator, padded with zeros to the widest chain, as
+    ``EdgeTable.layout`` lays it out.  Statically-on edges are folded into
+    ``static_base`` and belong to every subgraph.
     """
 
     n: int
     kind: str
     edge_keys: list
-    u: np.ndarray          # off -> on rates, per stochastic edge
-    v: np.ndarray          # on -> off rates
+    size: np.ndarray        # (m,) states of each switching edge's chain
+    generator: np.ndarray   # (m, w, w) their generators
+    output: np.ndarray      # (m, w) their output maps
     static_base: np.ndarray
 
     @property
@@ -50,38 +58,40 @@ class SubgraphEnumeration:
 
     @property
     def n_labels(self) -> int:
-        return 1 << self.m
+        return math.prod(self.size.tolist())
+
+    @property
+    def stride(self) -> np.ndarray:
+        return np.cumprod(np.concatenate([[1], self.size[:-1]])).astype(np.int64)
+
+    def with_digit(self, labels: np.ndarray, k: int, s: int) -> np.ndarray:
+        """The entries of ``labels`` (all labels, ascending) whose digit k is s."""
+        stride = int(self.stride[k])
+        return labels.reshape(-1, int(self.size[k]), stride)[:, s].ravel()
 
     def adjacency(self, label: int) -> np.ndarray:
         f = self.static_base.copy()
+        digits = label // self.stride % self.size
         for k, (i, j) in enumerate(self.edge_keys):
-            if (label >> k) & 1:
+            if self.output[k, digits[k]] > 0:
                 f[i, j] = 1.0
                 if self.kind == AMEI:
                     f[j, i] = 1.0
         return f
 
 
-def _two_state_rates(graph: DynamicGraphModel):
-    """Off->on and on->off rates of every edge from its chain (NaN for static
-    edges); raises unless the graph is CT and every chain has two states."""
+def _chain_layout(graph: DynamicGraphModel):
+    """The chains of the graph's switching edges; raises unless the graph is CT."""
     if graph.time != CT:
-        raise WrongKind("subgraph enumeration applies to continuous-time graphs")
-    table, lay = graph.table, graph.table.layout(law=None)
-    if (lay.size > 2).any():
-        k = int(np.argmax(lay.size > 2))
-        e = lay.rows[k]
-        raise NonMarkovEdge(f"edge ({table.i[e]},{table.j[e]}) has {lay.size[k]} states; "
-                            "the exact condition assumes plain 2-state Markov edges")
-    on, k = lay.output[:, 1].astype(np.intp), np.arange(lay.rows.size)
-    u, v = np.full(table.m, np.nan), np.full(table.m, np.nan)
-    u[lay.rows], v[lay.rows] = lay.matrix[k, 1 - on, on], lay.matrix[k, on, 1 - on]
-    return u, v
+        raise WrongKind("the exact condition applies to continuous-time graphs; "
+                        "discrete time needs a matrix-free operator")
+    return graph.table.layout(law=None)
 
 
-def _enumerate(graph: DynamicGraphModel, nodes: np.ndarray, u, v) -> SubgraphEnumeration:
-    """Hypercube structure of the subgraph induced on ``nodes``, relabelled
-    0..len-1; ``u``, ``v`` are the rates of ``_two_state_rates``."""
+def _enumerate(graph: DynamicGraphModel, nodes: np.ndarray, lay) -> SubgraphEnumeration:
+    """Joint edge chain of the subgraph induced on ``nodes``, relabelled
+    0..len-1; ``lay`` is the graph's ``_chain_layout``.  Both caps are checked
+    before any label array exists."""
     table = graph.table
     local = np.full(graph.n, -1)
     local[nodes] = np.arange(nodes.size)
@@ -92,36 +102,43 @@ def _enumerate(graph: DynamicGraphModel, nodes: np.ndarray, u, v) -> SubgraphEnu
     static_base[li[static_on], lj[static_on]] = 1.0
     if graph.kind == AMEI:
         static_base[lj[static_on], li[static_on]] = 1.0
-    stochastic = np.flatnonzero(inside & ~np.isnan(u))
-    if stochastic.size > _EDGE_CAP:
-        raise TooManyEdges(f"{stochastic.size} stochastic edges exceeds the 2^m cap of {_EDGE_CAP}")
-    keys = list(zip(li[stochastic].tolist(), lj[stochastic].tolist()))
-    return SubgraphEnumeration(nodes.size, graph.kind, keys, u[stochastic], v[stochastic],
-                               static_base)
+    keep = inside[lay.rows]
+    if keep.sum() > _EDGE_CAP:
+        raise TooManyEdges(f"{keep.sum()} switching edges exceed the cap of {_EDGE_CAP}")
+    dim = nodes.size * math.prod(lay.size[keep].tolist())
+    if dim > _DIM_CAP:
+        raise TooManyEdges(f"generator dimension {dim} (nodes times the product of the "
+                           f"chain sizes) exceeds the cap of {_DIM_CAP}")
+    rows = lay.rows[keep]
+    keys = list(zip(li[rows].tolist(), lj[rows].tolist()))
+    return SubgraphEnumeration(nodes.size, graph.kind, keys, lay.size[keep],
+                               lay.matrix[keep], lay.output[keep], static_base)
 
 
 def enumerate_subgraphs(graph: DynamicGraphModel) -> SubgraphEnumeration:
-    """Extract the hypercube structure from a graph of 2-state CT Markov edges."""
-    return _enumerate(graph, np.arange(graph.n), *_two_state_rates(graph))
+    """The joint chain of a CT graph's switching edges (any finite chains)."""
+    return _enumerate(graph, np.arange(graph.n), _chain_layout(graph))
 
 
 def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
-    """Generator of the joint edge process over the 2^m subgraph labels.
+    """Generator of the joint edge process over the labels: the Kronecker sum
+    of the edges' generators.
 
-    Off-diagonal entries sit exactly at Hamming-distance-1 label pairs:
-    u(k) when the flipped edge k is absent in the source label, v(k) when
-    present; diagonal entries make rows sum to zero.
+    A positive rate s -> t of edge k moves every label whose digit k is s to
+    ``label + (t - s) * stride_k``; diagonal entries make rows sum to zero.
     """
-    m, big_l = enum.m, enum.n_labels
-    if m == 0:
+    big_l = enum.n_labels
+    if enum.m == 0:
         return sp.csr_matrix((1, 1))
     labels = np.arange(big_l, dtype=np.int64)
     rows, cols, data = [], [], []
-    for k in range(m):
-        bit = (labels >> k) & 1
-        rows.append(labels)
-        cols.append(labels ^ (1 << k))
-        data.append(np.where(bit == 1, enum.v[k], enum.u[k]))
+    for k, (size, stride) in enumerate(zip(enum.size.tolist(), enum.stride.tolist())):
+        gen = enum.generator[k]
+        for s, t in zip(*np.nonzero(gen[:size, :size] > 0)):  # off-diagonal rates
+            sel = enum.with_digit(labels, k, s)
+            rows.append(sel)
+            cols.append(sel + (t - s) * stride)
+            data.append(np.full(sel.size, gen[s, t]))
     pi = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
                        shape=(big_l, big_l)).tocsr()
     diag = -np.asarray(pi.sum(axis=1)).ravel()
@@ -131,8 +148,6 @@ def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
 def _assemble(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> sp.csr_matrix:
     n, big_l = enum.n, enum.n_labels
     dim = n * big_l
-    if dim > _DIM_CAP:
-        raise TooManyEdges(f"matrix dimension {dim} exceeds cap {_DIM_CAP}")
     pi = pi_matrix(enum)
     mat = sp.kron(pi, sp.identity(n, format="csr"), format="csr")
     base = beta[:, None] * enum.static_base - np.diag(delta)
@@ -140,14 +155,15 @@ def _assemble(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) ->
     rows, cols, data = [], [], []
     labels = np.arange(big_l, dtype=np.int64)
     for k, (i, j) in enumerate(enum.edge_keys):
-        sel = labels[((labels >> k) & 1) == 1]
-        rows.append(sel * n + i)
-        cols.append(sel * n + j)
-        data.append(np.full(sel.size, beta[i]))
-        if enum.kind == AMEI:
-            rows.append(sel * n + j)
-            cols.append(sel * n + i)
-            data.append(np.full(sel.size, beta[j]))
+        for s in np.flatnonzero(enum.output[k] > 0):
+            sel = enum.with_digit(labels, k, s)
+            rows.append(sel * n + i)
+            cols.append(sel * n + j)
+            data.append(np.full(sel.size, beta[i]))
+            if enum.kind == AMEI:
+                rows.append(sel * n + j)
+                cols.append(sel * n + i)
+                data.append(np.full(sel.size, beta[j]))
     if rows:
         extra = sp.coo_matrix((np.concatenate(data),
                                (np.concatenate(rows), np.concatenate(cols))),
@@ -160,9 +176,9 @@ def assemble_exponential_generator(graph: DynamicGraphModel,
                                    params: EpidemicParams) -> sp.csr_matrix:
     """Sparse assembly of Pi (x) I_n + blockdiag_l (B F_l - D).
 
-    The hypercube stencil is built as one Kronecker product; the per-label
-    blocks are assembled per edge over the labels where that edge is
-    present, never materializing the dense n*2^m square.
+    The joint edge generator enters as one Kronecker product; the per-label
+    blocks are assembled per edge and on-state over the labels where that
+    edge is in that state, never materializing the dense square.
     """
     return _assemble(enumerate_subgraphs(graph), params.beta, params.delta)
 
@@ -189,19 +205,21 @@ def exponential_condition(graph: DynamicGraphModel, params: EpidemicParams):
     """Exact-chain stability condition of exponential size.
 
     Returns (stable, eta): the Hurwitz verdict and the spectral abscissa of
-    Pi (x) I_n + blockdiag_l (B F_l - D), computed one irreducible block at
-    a time.  Ordered by the strongly connected components of the node
-    coupling, the generator is block-triangular; each diagonal block is the
-    Kronecker sum of its component's own generator (its nodes and internal
-    edges) with the generator of the other edges, whose abscissa is 0.  So
-    eta is the maximum over components, a singleton contributes -delta_i,
-    and the edge and dimension caps apply per component.  Each block is
-    irreducible Metzler and goes to ``spectral_abscissa``.
+    Pi (x) I_n + blockdiag_l (B F_l - D), Pi the Kronecker sum of the edge
+    chains' generators, computed one block at a time.  Ordered by the
+    strongly connected components of the node coupling, the generator is
+    block-triangular; each diagonal block is the Kronecker sum of its
+    component's own generator (its nodes and internal edges) with the
+    generator of the other edges, whose abscissa is 0.  So eta is the
+    maximum over components, a singleton contributes -delta_i, and the edge
+    and dimension caps apply per component, all checked before any solve.
+    Each block is Metzler, irreducible when its edge chains are, and goes to
+    ``spectral_abscissa``.
     """
-    rates = _two_state_rates(graph)
+    lay = _chain_layout(graph)
     components = _coupling_components(graph, params.beta)
     # enumerate every block first, so that a cap fails before any solve
-    blocks = [(nodes, _enumerate(graph, nodes, *rates)) for nodes in components
+    blocks = [(nodes, _enumerate(graph, nodes, lay)) for nodes in components
               if nodes.size > 1]
     etas = [-params.delta[nodes[0]] for nodes in components if nodes.size == 1]
     etas += [spectral_abscissa(_assemble(enum, params.beta[nodes], params.delta[nodes]))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, stationary_distribution
 from tempest import rng as rngmod
@@ -382,6 +383,56 @@ def reference_tail_counts(sampler, s_grid, draws, seed, batch=2048):
         etas = np.linalg.eigvalsh(reference_from_bits(sampler, h))[:, -1]
         exceed += (etas[:, None] > eta_mean + s_grid[None, :]).sum(axis=0)
     return exceed
+
+
+# ---------------------------------------------------------------------------
+# Dense reference for the exact oracle
+# ---------------------------------------------------------------------------
+
+def reference_exact_generator(graph, beta, delta):
+    """Dense Pi (x) I_n + blockdiag_l (B F_l - D), edge object by edge object.
+
+    Pi is the Kronecker sum of the switching edges' chain generators, built
+    with np.kron in (i, j) order, edge 0 the fastest-varying factor; F_l
+    holds the static-on edges and every switching edge whose output map is 1
+    at its digit of label l.
+    """
+    n = graph.n
+    edges = sorted(graph.edges.items())
+    switching = [(key, e) for key, e in edges if not e.is_static]
+    static_on = [key for key, e in edges if e.is_static and e.static_value == 1]
+    sizes = [e.chain.n_states for _, e in switching]
+    big_l = int(np.prod(sizes, dtype=np.int64))
+    pi = np.zeros((big_l, big_l))
+    for k, (_, e) in enumerate(switching):
+        before, after = int(np.prod(sizes[:k])), int(np.prod(sizes[k + 1:]))
+        pi += np.kron(np.eye(after), np.kron(e.chain.matrix, np.eye(before)))
+    out = np.kron(pi, np.eye(n))
+    for ell in range(big_l):
+        digits = np.unravel_index(ell, sizes[::-1])[::-1] if sizes else ()
+        on = static_on + [key for (key, e), d in zip(switching, digits) if e.output[d] == 1]
+        f = np.zeros((n, n))
+        for i, j in on:
+            f[i, j] = 1.0
+            if graph.kind == AMEI:
+                f[j, i] = 1.0
+        block = slice(ell * n, (ell + 1) * n)
+        out[block, block] += np.asarray(beta)[:, None] * f - np.diag(delta)
+    return out
+
+
+def block_eta(dense):
+    """Dense eigvals of each irreducible diagonal block of a matrix.
+
+    The blocks are the strongly connected components of the matrix's own
+    sparsity pattern.  Each Perron root is then a simple eigenvalue, which
+    dense eigvals resolves to round-off; on the whole matrix, two blocks with
+    equal roots coupled one way make a defective eigenvalue that eigvals
+    resolves only to about sqrt(machine epsilon).
+    """
+    count, labels = connected_components(dense != 0, directed=True, connection="strong")
+    return max(float(np.linalg.eigvals(dense[np.ix_(idx, idx)]).real.max())
+               for idx in (np.flatnonzero(labels == c) for c in range(count)))
 
 
 # ---------------------------------------------------------------------------

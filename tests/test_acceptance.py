@@ -384,7 +384,7 @@ def test_criterion_9_property_suites(rng):
             dist = bin(ell ^ ell2).count("1")
             if dist == 1:
                 k = (ell ^ ell2).bit_length() - 1
-                expected = enum.v[k] if (ell >> k) & 1 else enum.u[k]
+                expected = g.table.r[k] if (ell >> k) & 1 else g.table.q[k]
                 assert pi[ell, ell2] == expected
             elif dist > 1:
                 assert pi[ell, ell2] == 0.0

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 import tempest
+from tempest import graph_from_json
 from tempest.cli import fig5_csv, main
 from tempest.config import ExperimentConfig, build_graph, config_hash
 from tempest.errors import ConfigError
@@ -104,11 +106,40 @@ class TestCliRuns:
         assert float(eta) == pytest.approx(expected, abs=1e-9)
         assert verdict == ("stable" if expected < 0 else "unstable")
 
+    def test_coxian_edge_oracle_matches_dense_reference(self, tmp_path):
+        cox = {"type": "coxian", "time": "ct",
+               "params": {"up_rates": [1.0], "exit_rates": [0.5, 2.0],
+                          "down_rates": [0.7], "return_rates": [1.0, 0.5]}}
+        markov = {"type": "markov2", "params": {"q": 1.0, "r": 0.5}, "time": "ct"}
+        spec = {"n": 3, "kind": "amei", "edges": [{"i": 0, "j": 1, "model": cox},
+                                                  {"i": 1, "j": 2, "model": markov}]}
+        cfgfile = tmp_path / "g.json"
+        cfgfile.write_text(json.dumps({"task": "oracle", "seed": 1,
+                                       "graph": {"spec": spec},
+                                       "epidemic": {"beta": 0.9, "delta": 1.0}}))
+        r = cli("oracle", "--config", str(cfgfile), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        _, eta, verdict = open(tmp_path / "oracle_1.csv").read().splitlines()[2].split(",")[:3]
+        dense = helpers.reference_exact_generator(graph_from_json(spec), np.full(3, 0.9),
+                                                  np.full(3, 1.0))
+        expected = helpers.block_eta(dense)
+        assert float(eta) == pytest.approx(expected, abs=1e-9)
+        assert verdict == ("stable" if expected < 0 else "unstable")
+
+    def test_dt_graph_oracle_is_an_error(self, tmp_path):
+        r = cli("oracle", "--preset", "complete_edge_markovian", "--graph-param", "n=3",
+                "--graph-param", "q=0.5", "--graph-param", "r=0.5",
+                "--graph-param", 'time="dt"', "--beta", "0.1", "--delta", "0.5",
+                "--seed", "0", cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error:") and "Traceback" not in r.stderr, r.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_resource_cap_exit_code(self, tmp_path):
         r = cli("oracle", "--preset", "complete_edge_markovian",
                 "--graph-param", "n=8", "--graph-param", "q=1.0", "--graph-param", "r=1.0",
                 "--beta", "0.1", "--delta", "1.0", "--seed", "0", cwd=tmp_path)
-        assert r.returncode == 3, r.stderr  # 28 stochastic edges exceeds the 2^m cap
+        assert r.returncode == 3, r.stderr  # 28 switching edges exceed the edge cap of 20
         assert "resource cap exceeded:" in r.stderr
 
     def test_config_error_exit_code(self, tmp_path):

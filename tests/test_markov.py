@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempest import AMEI, DynamicGraphModel, EdgeProcessModel, MarkovChainSpec, \
-    sample_graph_path, simulate_ct_exact, stationary_distribution
+    mean_matrix, sample_graph_path, simulate_ct_exact, stationary_distribution
 from tempest.errors import ReducibleChain
 
 
@@ -87,19 +87,22 @@ class TestChainValidation:
 
 
 class TestPeriodicity:
+    """Periodicity as ``mean_matrix`` records it, on one-edge DT graphs."""
+
+    @staticmethod
+    def periodic_edge(p, output):
+        chain = MarkovChainSpec(tuple("abc")[:len(output)], "dt", p)
+        g = DynamicGraphModel(2, AMEI, {(0, 1): EdgeProcessModel(chain, np.array(output))})
+        return mean_matrix(g).periodic_edge
+
     def test_alternating_chain_has_period_two(self):
-        chain = MarkovChainSpec(("a", "b"), "dt", [[0.0, 1.0], [1.0, 0.0]])
-        assert chain.period() == 2
-        assert not chain.is_aperiodic()
+        assert self.periodic_edge([[0.0, 1.0], [1.0, 0.0]], [0, 1]) == (0, 1)
 
     def test_lazy_chain_is_aperiodic(self):
-        chain = MarkovChainSpec(("a", "b"), "dt", [[0.5, 0.5], [0.9, 0.1]])
-        assert chain.is_aperiodic()
+        assert self.periodic_edge([[0.5, 0.5], [0.9, 0.1]], [0, 1]) is None
 
     def test_three_cycle_period(self):
-        p = np.roll(np.eye(3), 1, axis=1)
-        chain = MarkovChainSpec(("a", "b", "c"), "dt", p)
-        assert chain.period() == 3
+        assert self.periodic_edge(np.roll(np.eye(3), 1, axis=1), [1, 0, 0]) == (0, 1)
 
 
 class TestPathSampling:

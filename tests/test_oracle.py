@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +11,9 @@ from tempest import (
     AMAI,
     AMEI,
     DynamicGraphModel,
+    EdgeProcessModel,
     EpidemicParams,
+    MarkovChainSpec,
     RandomMatrixSampler,
     assemble_exponential_generator,
     build_coxian_edge,
@@ -25,8 +26,10 @@ from tempest import (
     mean_matrix,
     pi_matrix,
     sample_certificate_matrix,
+    simulate_ct_exact,
 )
-from tempest.errors import NonMarkovEdge, TooManyConfigurations, TooManyEdges
+from tempest import oracle
+from tempest.errors import TooManyConfigurations, TooManyEdges, WrongKind
 
 
 def arc_graph(rates):
@@ -45,7 +48,7 @@ class TestEnumeration:
         f1 = np.zeros((2, 2))
         f1[0, 1] = 1.0
         np.testing.assert_array_equal(enum.adjacency(1), f1)
-        assert enum.u[0] == 1.5 and enum.v[0] == 0.5
+        np.testing.assert_array_equal(pi_matrix(enum).toarray(), [[-1.5, 1.5], [0.5, -0.5]])
 
     def test_three_edges_hypercube_degree(self):
         g = arc_graph({(0, 1): (1, 1), (1, 2): (1, 1), (2, 0): (1, 1)})
@@ -56,11 +59,16 @@ class TestEnumeration:
         np.fill_diagonal(off, 0.0)
         assert ((off > 0).sum(axis=1) == 3).all()
 
-    def test_aggregated_edge_rejected(self):
+    def test_aggregated_edge_enumerated(self):
+        # on-states c1, c2 and off-state d1: three labels, one per chain state
         cox = build_coxian_edge([1.0], [0.0, 1.0], [], [2.0])
         g = DynamicGraphModel(3, AMEI, {(0, 1): cox})
-        with pytest.raises(NonMarkovEdge):
-            enumerate_subgraphs(g)
+        enum = enumerate_subgraphs(g)
+        assert enum.m == 1 and enum.n_labels == 3
+        for label, present in enumerate([1.0, 1.0, 0.0]):
+            f = enum.adjacency(label)
+            assert f[0, 1] == f[1, 0] == present and f.sum() == 2 * present
+        np.testing.assert_allclose(pi_matrix(enum).toarray(), cox.chain.matrix, atol=1e-15)
 
     def test_static_edges_folded_into_every_subgraph(self):
         g = DynamicGraphModel(3, AMEI, {(0, 1): build_static_edge(True),
@@ -93,7 +101,8 @@ class TestPiMatrix:
         for ell in range(2 ** m):
             for k in range(m):
                 other = ell ^ (1 << k)
-                expected[ell, other] = enum.v[k] if (ell >> k) & 1 else enum.u[k]
+                u, v = rates[enum.edge_keys[k]]
+                expected[ell, other] = v if (ell >> k) & 1 else u
             expected[ell, ell] = -expected[ell].sum()
         np.testing.assert_allclose(pi, expected, atol=1e-12)
         # off-diagonal support is exactly the 5-cube edge set
@@ -167,20 +176,8 @@ def full_dense_eta(g, params):
 
 
 def state_block_eta(g, params):
-    """Dense eigvals of each irreducible diagonal block of the full generator.
-
-    The blocks are the strongly connected components of the assembled
-    matrix's own sparsity pattern, over (label, node) states.  Each Perron
-    root is then a simple eigenvalue, which dense eigvals resolves to
-    round-off; on the whole matrix, two blocks with equal roots coupled one
-    way make a defective eigenvalue that eigvals resolves only to about
-    sqrt(machine epsilon).
-    """
-    mat = assemble_exponential_generator(g, params)
-    count, labels = connected_components(mat != 0, directed=True, connection="strong")
-    dense = mat.toarray()
-    return max(float(np.linalg.eigvals(dense[np.ix_(idx, idx)]).real.max())
-               for idx in (np.flatnonzero(labels == c) for c in range(count)))
+    """``helpers.block_eta`` of the assembled generator, over (label, node) states."""
+    return helpers.block_eta(assemble_exponential_generator(g, params).toarray())
 
 
 # Union graph: a 7-node component and the isolated node 7 (dimension 4,096).
@@ -308,6 +305,99 @@ class TestReducibleGenerators:
         assert eta >= -delta.min() - 1e-9  # B F - D >= -D in the Metzler order
         if assemble_exponential_generator(g, params).shape[0] <= 512:
             assert eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
+
+
+def two_state_chain_edge(a, b, on_first):
+    """A 2-state chain template (not a MARKOV2 row): state 0 -> 1 at a, 1 -> 0 at b."""
+    chain = MarkovChainSpec(("x", "y"), "ct", [[-a, a], [b, -b]])
+    return EdgeProcessModel(chain, np.array([1, 0] if on_first else [0, 1]))
+
+
+COX3 = build_coxian_edge([1.0], [0.5, 1.0], [], [2.0])
+COX4 = build_coxian_edge([1.0], [0.5, 2.0], [0.7], [1.0, 0.5])
+
+
+class TestAggregatedChains:
+    """Any CT edge chain: the Kronecker sum over mixed-radix labels."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_mixed_chains_match_dense_kron_reference(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        kind = data.draw(st.sampled_from([AMEI, AMAI]), label="kind")
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and (kind == AMAI or i < j)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                                    max_size=6), label="edges")
+        rate = st.floats(0.1, 3.0)
+        edges, labels = {}, 1
+        for key in chosen:
+            kind_e = data.draw(st.sampled_from(["markov2", "coxian", "chain", "static"]))
+            if kind_e == "markov2":
+                edge = build_edge_markovian(data.draw(rate), data.draw(rate))
+            elif kind_e == "chain":
+                edge = two_state_chain_edge(data.draw(rate), data.draw(rate),
+                                            data.draw(st.booleans()))
+            elif kind_e == "coxian":
+                n_on, n_off = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+                edge = build_coxian_edge(*(data.draw(st.lists(rate, min_size=k, max_size=k))
+                                           for k in (n_on - 1, n_on, n_off - 1, n_off)))
+            else:
+                edge = build_static_edge(True)
+            if labels * edge.chain.n_states > 64:  # keep the dense reference small
+                edge = build_static_edge(True)
+            labels *= edge.chain.n_states
+            edges[key] = edge
+        g = DynamicGraphModel(n, kind, edges)
+        beta = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+                                           min_size=n, max_size=n), label="beta"))
+        delta = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n),
+                                   label="delta"))
+        params = EpidemicParams(beta, delta)
+        dense = helpers.reference_exact_generator(g, beta, delta)
+        assembled = assemble_exponential_generator(g, params).toarray()
+        np.testing.assert_allclose(assembled, dense, rtol=0, atol=1e-13)
+        stable, eta = exponential_condition(g, params)
+        assert eta == pytest.approx(helpers.block_eta(dense), abs=1e-9)
+        assert stable == (eta < 0)
+
+    def test_dimension_cap_checked_before_any_solve(self, monkeypatch):
+        # nodes 0-1: a small block; nodes 2-7: 10 Coxian 4-state edges, so
+        # dimension 6 * 4^10 = 6,291,456 under the edge cap but over the other
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a block was solved before every cap was checked")
+
+        monkeypatch.setattr(oracle, "spectral_abscissa", refuse)
+        iu, ju = np.triu_indices(6, k=1)
+        edges = {(i + 2, j + 2): COX4 for i, j in list(zip(iu.tolist(), ju.tolist()))[:10]}
+        edges[(0, 1)] = build_edge_markovian(1.0, 1.0)
+        g = DynamicGraphModel(8, AMEI, edges)
+        with pytest.raises(TooManyEdges, match="6291456"):
+            exponential_condition(g, EpidemicParams.homogeneous(0.1, 1.0, 8))
+
+    def test_dt_graph_refused(self):
+        g = helpers.random_amei_dt(np.random.default_rng(2), 3, p_edge=1.0)
+        with pytest.raises(WrongKind):
+            exponential_condition(g, EpidemicParams.homogeneous(0.1, 0.5, 3))
+
+    @pytest.mark.parametrize("case", ["path", "triangle", "arcs"])
+    def test_hurwitz_coxian_graphs_go_extinct(self, case):
+        # criterion 4's extinction check on aggregated edges
+        if case == "path":
+            g = DynamicGraphModel(4, AMEI, {(0, 1): COX3, (1, 2): COX4, (2, 3): COX3})
+            params = EpidemicParams.homogeneous(0.8, 1.0, 4)
+        elif case == "triangle":
+            g = DynamicGraphModel(3, AMEI, {(0, 1): COX4, (1, 2): build_edge_markovian(1.0, 0.5),
+                                            (0, 2): two_state_chain_edge(0.4, 1.2, True)})
+            params = EpidemicParams(np.array([0.5, 0.7, 0.6]), np.array([1.0, 0.8, 1.2]))
+        else:
+            g = DynamicGraphModel(3, AMAI, {(0, 1): COX4, (1, 2): COX3, (2, 0): COX4})
+            params = EpidemicParams.homogeneous(1.0, 0.9, 3)
+        stable, eta = exponential_condition(g, params)
+        assert stable, eta
+        t_max = 1000.0 / params.delta_min
+        for run in range(100):
+            assert simulate_ct_exact(g, params, t_max, seed=run).extinct, run
 
 
 class TestSamplers:
