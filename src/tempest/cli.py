@@ -132,6 +132,14 @@ def _protocol(cfg: ExperimentConfig):
 # Task handlers
 # ---------------------------------------------------------------------------
 
+def _search_hi(mean, delta: float) -> float:
+    """Upper end of a beta search: 2 delta / eta(Abar), or 1 when eta(Abar) = 0,
+    capped at 1 on DT graphs, where beta is an infection probability."""
+    eta = mean.eta_abar()
+    hi = 2.0 * delta / eta if eta > 0 else 1.0
+    return min(1.0, hi) if mean.time == DT else hi
+
+
 def _run_threshold(cfg: ExperimentConfig):
     graph = build_graph(cfg)
     mean = mean_matrix(graph)
@@ -143,10 +151,11 @@ def _run_threshold(cfg: ExperimentConfig):
     if np.isscalar(cfg.epidemic.get("beta")):
         beta_hat = _positive(cfg, "beta", None, float, "epidemic")
     else:
-        eta = mean.eta_abar()
-        hi_default = 2.0 * delta / eta if eta > 0 else 1.0
         lo = _positive(cfg, "search_lo", 1e-8, float)
-        hi = _positive(cfg, "search_hi", hi_default, float)
+        hi = _positive(cfg, "search_hi", _search_hi(mean, delta), float)
+        if graph.time == DT and hi > 1:
+            raise ConfigError(f"search_hi of a discrete-time graph is an infection "
+                              f"probability and must be at most 1, got {hi!r}")
         beta_hat = threshold_in_beta(mean, delta, cert, (lo, hi))
         result["beta_threshold"] = beta_hat
         result["search_bounds"] = [lo, hi]
@@ -270,7 +279,7 @@ def _run_figure456(cfg: ExperimentConfig):
 
     eta = mean.eta_abar()
     static_thr = delta / eta if eta > 0 else math.inf
-    t4_thr = threshold_in_beta(mean, delta, "t4", (1e-8, 2.0 * static_thr))
+    t4_thr = threshold_in_beta(mean, delta, "t4", (1e-8, _search_hi(mean, delta)))
 
     fig4 = fig4_csv(os.path.join(outdir, "fig4.csv"), cfg, mean, delta, grid, t4_thr)
     report = empirical_threshold(graph, delta, grid, paths, steps, seed=cfg.seed,

@@ -53,7 +53,7 @@ class NonIrreducible(TempestError):
 
 
 class BracketError(TempestError):
-    """Bisection endpoints do not straddle the stable/unstable verdict."""
+    """Threshold-search endpoints do not straddle the stable/unstable verdict."""
 
 
 class TooManyEdges(TempestError):

@@ -444,27 +444,85 @@ def certify(graph_or_mean, certificate: str, beta: float, delta: float) -> Thres
     return CERTIFICATES[certificate.lower()](graph_or_mean, params)
 
 
+def _descend(lo: float, hi: float, tol: float, keep_upper):
+    """Follow bisection's midpoints ``0.5 * (lo + hi)`` from (lo, hi) while
+    ``keep_upper(mid)`` says which half to keep.  Stops at a bracket of width
+    <= tol or whose midpoint equals an end in floating point (mid None), or at
+    the first midpoint ``keep_upper`` leaves undecided (returned as mid)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        upper = keep_upper(mid)
+        if upper is None:
+            return lo, hi, mid
+        lo, hi = (mid, hi) if upper else (lo, mid)
+    return lo, hi, None
+
+
 def threshold_in_beta(graph_or_mean, delta: float, certificate: str,
                       search_bounds, tol: float = 1e-7) -> float:
-    """Largest homogeneous beta certified stable, by bisection.
+    """Largest homogeneous beta certified stable: the end of bisection's path.
 
-    Requires the verdict to be monotone over the bracket, verified at the
-    endpoints: raises BracketError if the lower endpoint is not stable;
-    returns the upper bound when even it is stable.
+    The path starts at search_bounds; mid = 0.5 * (lo + hi) replaces lo when
+    stable and hi otherwise, until hi - lo <= tol or mid equals an end in
+    floating point.  The verdict is assumed monotone in beta, so a midpoint at
+    or below a beta certified stable is stable and one at or above a beta
+    certified unstable is not; ``certify`` runs only where these leave a
+    midpoint undecided.  There the margins threshold - lhs of the closest
+    stable and unstable betas give a false-position guess of the root
+    (Illinois: a side kept twice in a row has its margin halved); the path is
+    followed toward the guess, without calls, to its last bracket, whose
+    undecided end nearest the guess is certified.  The midpoint itself is
+    certified when a margin is infinite (SUPPORT_TRIVIAL, an empty interval)
+    or the guess leaves the bracket.  So the answer is bisection's bit for
+    bit when the verdict is monotone, and in any case a beta ``certify``
+    reported stable.
+
+    Raises ValueError unless tol is finite and positive, and BracketError
+    unless the bounds are finite with lo < hi, or when lo is not stable;
+    returns hi when even it is stable.
     """
     mean = _as_mean(graph_or_mean)
     lo, hi = float(search_bounds[0]), float(search_bounds[1])
-    if not lo < hi:
-        raise BracketError(f"need lo < hi, got ({lo}, {hi})")
-    stable = lambda b: certify(mean, certificate, b, delta).stable
-    if stable(hi):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise BracketError(f"need finite lo < hi, got ({lo}, {hi})")
+    # closest beta certified on each side (True: stable) and its Illinois-weighted margin
+    best = {True: (-math.inf, math.nan), False: (math.inf, math.nan)}
+    last_side = None
+
+    def probe(beta):
+        nonlocal last_side
+        rep = certify(mean, certificate, beta, delta)
+        side = rep.stable
+        if side == last_side:
+            other, margin = best[not side]
+            best[not side] = (other, 0.5 * margin)
+        best[side], last_side = (beta, rep.threshold - rep.lhs), side
+        return side
+
+    def known(beta):
+        return True if beta <= best[True][0] else False if beta >= best[False][0] else None
+
+    if probe(hi):
         return hi
-    if not stable(lo):
+    if not probe(lo):
         raise BracketError(f"certificate {certificate} is already unstable at beta={lo}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    while True:
+        a, b, mid = _descend(lo, hi, tol, known)
+        if mid is None:
+            # every call lands strictly between the closest stable and unstable
+            # betas, on a node of the path's tree, so the path ends on the former
+            return best[True][0]
+        (s, fs), (u, fu) = best[True], best[False]
+        target = mid
+        if math.isfinite(fs) and math.isfinite(fu):
+            guess = (s * fu - u * fs) / (fu - fs)
+            if a < guess < b:
+                ends = [e for e in _descend(a, b, tol, lambda m: guess >= m)[:2]
+                        if known(e) is None]
+                if ends:
+                    target = min(ends, key=lambda e: abs(e - guess))
+        probe(target)

@@ -17,10 +17,11 @@ from scipy.sparse.csgraph import connected_components
 
 from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, stationary_distribution
 from tempest import rng as rngmod
-from tempest.errors import DivergenceDetected, EmptyInterval, NumericalFailure
+from tempest.errors import BracketError, DivergenceDetected, EmptyInterval, NumericalFailure
 from tempest.markov import CT, DT
 from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeResult, _log_kappa
 from tempest.graphs import GraphPath
+from tempest.thresholds import _as_mean, certify
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +451,36 @@ def reference_linear_propagation(path, beta, delta, p0):
         prop = scipy.linalg.expm(m * (path.times[k + 1] - path.times[k])) @ prop
         logs.append(np.log(np.linalg.norm(prop @ p0)))
     return np.asarray(logs)
+
+
+# ---------------------------------------------------------------------------
+# Bisection reference for the threshold search
+# ---------------------------------------------------------------------------
+
+def reference_threshold_in_beta(graph_or_mean, delta: float, certificate: str,
+                                search_bounds, tol: float = 1e-7) -> float:
+    """Largest homogeneous beta certified stable, by bisection.
+
+    Requires the verdict to be monotone over the bracket, verified at the
+    endpoints: raises BracketError if the lower endpoint is not stable;
+    returns the upper bound when even it is stable.
+    """
+    mean = _as_mean(graph_or_mean)
+    lo, hi = float(search_bounds[0]), float(search_bounds[1])
+    if not lo < hi:
+        raise BracketError(f"need lo < hi, got ({lo}, {hi})")
+    stable = lambda b: certify(mean, certificate, b, delta).stable
+    if stable(hi):
+        return hi
+    if not stable(lo):
+        raise BracketError(f"certificate {certificate} is already unstable at beta={lo}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------

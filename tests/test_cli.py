@@ -172,6 +172,8 @@ class TestCliRuns:
         (["threshold", *CT4, "--delta", "1", "--param", "search_lo=abc"], None),
         (["threshold", *CT4, "--delta", "1", "--param", "search_hi=abc"], None),
         (["threshold", *CT4, "--delta", "1", "--beta", "0"], None),
+        (["threshold", "--preset", "iv", "--graph-param", "n=3", "--delta", "0.1",
+          "--param", "search_hi=1.5"], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "s_max=abc"], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", 's_grid=["a"]'], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "family=m1"], None),
@@ -201,6 +203,7 @@ class TestCliRuns:
             "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
             "missing preset parameter", "beta vector length", "empirical on ct graph",
             "threshold search_lo", "threshold search_hi", "threshold beta zero",
+            "threshold dt search_hi above one",
             "chung s_max", "chung s_grid", "chung family m1", "empirical delta list",
             "figure456 delta list", "oracle mode", "oracle expect m9",
             "empirical negative beta", "empirical beta above one", "figure456 beta above one",
@@ -350,6 +353,31 @@ class TestCliRuns:
         assert 0.85 * 6.32e-4 <= beta_hat <= 1.15 * 6.32e-4
         assert doc["result"]["report"]["certificate"] == "T4"
         assert doc["result"]["report"]["stable"] is True
+
+    def test_dt_threshold_search_stops_at_one(self, tmp_path, monkeypatch):
+        # 2 delta / eta(Abar) exceeds 1 on this 3-node graph; a DT beta is a
+        # probability, so the search's upper end is 1
+        monkeypatch.chdir(tmp_path)
+        assert main(["threshold", "--preset", "iv", "--graph-param", "n=3",
+                     "--delta", "0.1", "--seed", "0"]) == 0
+        result = json.load(open("threshold_0.json"))["result"]
+        mean = tempest.mean_matrix(tempest.graph_er_iv(3, 0.2, 0))
+        assert 2 * 0.1 / mean.eta_abar() > 1
+        assert result["search_bounds"] == [1e-8, 1.0]
+        assert result["beta_threshold"] == tempest.threshold_in_beta(mean, 0.1, "t4",
+                                                                     (1e-8, 1.0))
+        assert result["report"]["stable"] is True
+
+    def test_figure456_without_edges_searches_up_to_one(self, tmp_path, monkeypatch):
+        # no edges: eta(Abar) = 0, every DT beta is certified, and the T4
+        # search stops at 1 instead of 2 delta / eta = inf
+        monkeypatch.chdir(tmp_path)
+        assert tempest.graph_er_iv(5, 0.2, 0).m == 0
+        assert main(["figure456", "--preset", "iv", "--graph-param", "n=5", "--delta", "0.05",
+                     "--beta-grid", "0.01:0.02:2", "--paths", "2", "--steps", "10",
+                     "--seed", "0", "--out", "figs"]) == 0
+        fig5 = open(tmp_path / "figs" / "fig5.csv").read().splitlines()
+        assert fig5[-2:] == ["threshold_t4,1.0", "threshold_static,inf"]
 
     def test_chung_subcommand_csv(self, tmp_path):
         r = cli("chung", "--preset", "complete_edge_markovian",

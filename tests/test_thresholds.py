@@ -1,9 +1,12 @@
 import gc
+import inspect
 import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from tempest import (
@@ -27,7 +30,7 @@ from tempest import (
     xi_h_factor,
 )
 from tempest import thresholds
-from tempest.errors import BracketError, NonIrreducible, WrongKind
+from tempest.errors import BracketError, NonIrreducible, TempestError, WrongKind
 from tempest.thresholds import CERTIFICATES, _jsonable, certify, kappa_params
 
 
@@ -385,6 +388,133 @@ class TestSearchMatchesGoldenSection:
         del mean
         gc.collect()
         assert a_bar() is None
+
+
+def spy_registry(monkeypatch):
+    """Record (certificate, beta, stable) of every call through CERTIFICATES."""
+    calls = []
+    for name, fn in list(CERTIFICATES.items()):
+        def spied(g, p, fn=fn, name=name):
+            rep = fn(g, p)
+            calls.append((name, float(p.beta[0]), rep.stable))
+            return rep
+        monkeypatch.setitem(CERTIFICATES, name, spied)
+    return calls
+
+
+def search_outcome(search, *args, **kw):
+    """The search's threshold, or the type of the error it raised."""
+    try:
+        return search(*args, **kw)
+    except (TempestError, ValueError) as exc:
+        return type(exc)
+
+
+class TestSearchMatchesBisection:
+    """The margin-guided search walks bisection's midpoint path and certifies
+    only midpoints the known verdicts leave undecided: bisection's answer bit
+    for bit, with fewer certificate calls, and always a certified beta."""
+
+    SEARCHES = [("er_iv", "t4"), ("er_iv", "static_dt"), ("small_world", "t1"),
+                ("complete", "t2"), ("complete", "t3")]
+    CERTIFICATES_OF = {"amei_ct": ("t2", "t3", "static_ct"), "amai_ct": ("t1", "static_ct"),
+                       "amei_dt": ("t4", "static_dt")}
+
+    @staticmethod
+    def family(name):
+        """Mean matrix, delta and the certify workload's bracket of a reduced-n family."""
+        build, delta = TestSearchMatchesGoldenSection.FAMILIES[name]
+        mean = mean_matrix(build())
+        return mean, delta, (1e-6 * delta / mean.eta_abar(), 2 * delta / mean.eta_abar())
+
+    @pytest.mark.parametrize("family, certificate", SEARCHES)
+    def test_equals_bisection(self, monkeypatch, family, certificate):
+        mean, delta, bounds = self.family(family)
+        calls = spy_registry(monkeypatch)
+        got = threshold_in_beta(mean, delta, certificate, bounds)
+        assert got == helpers.reference_threshold_in_beta(mean, delta, certificate, bounds)
+        assert bounds[0] < got < bounds[1]
+        assert (certificate, got, True) in calls
+
+    def test_at_most_sixty_percent_of_the_calls(self, monkeypatch):
+        calls = spy_registry(monkeypatch)
+        counts = []
+        for family, certificate in self.SEARCHES:
+            mean, delta, bounds = self.family(family)
+            pair = []
+            for search in (threshold_in_beta, helpers.reference_threshold_in_beta):
+                calls.clear()
+                search(mean, delta, certificate, bounds)
+                pair.append(len(calls))
+            counts.append(pair)
+        assert all(new <= ref for new, ref in counts), counts
+        assert sum(new for new, _ in counts) <= 0.6 * sum(ref for _, ref in counts), counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_graphs_match_bisection(self, data):
+        kind = data.draw(st.sampled_from(sorted(self.CERTIFICATES_OF)))
+        certificate = data.draw(st.sampled_from(self.CERTIFICATES_OF[kind]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        mean = mean_matrix(getattr(helpers, f"random_{kind}")(rng, data.draw(st.integers(2, 8))))
+        delta = data.draw(st.floats(0.05, 1.0 if kind == "amei_dt" else 3.0))
+        eta = mean.eta_abar()
+        hi = data.draw(st.floats(0.25, 2.0)) * (2 * delta / eta if eta > 0 else 1.0)
+        if kind == "amei_dt":
+            hi = min(hi, 1.0)
+        bounds = (data.draw(st.floats(1e-9, 0.5)) * hi, hi)
+        tol = data.draw(st.sampled_from([1e-10, 1e-7, 1e-4]))
+        expected = search_outcome(helpers.reference_threshold_in_beta, mean, delta,
+                                  certificate, bounds, tol)
+        assert search_outcome(threshold_in_beta, mean, delta, certificate, bounds, tol) \
+            == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=6, unique=True),
+           st.floats(0.5, 2.0))
+    def test_non_monotone_verdict_returns_a_certified_beta(self, cuts, scale):
+        # stable between the 0th and 1st cut, the 2nd and 3rd, ...: a verdict
+        # that breaks the monotone assumption still ends on a certified beta
+        cuts = np.sort(cuts)
+        mean = MeanMatrix(np.zeros((2, 2)), AMEI, "ct")
+
+        def stripes(g, p):
+            beta = float(p.beta[0])
+            gap = float(np.abs(cuts - beta).min())
+            stable = bool(np.searchsorted(cuts, beta) % 2 == 0 and gap > 0)
+            margin = scale * gap * (1 if stable else -1)
+            calls.append((beta, stable))
+            return ThresholdReport("STRIPES", 0.0, margin, math.nan,
+                                   margin if stable else None, stable)
+
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(CERTIFICATES, "stripes", stripes)
+            got = threshold_in_beta(mean, 1.0, "stripes", (1e-6, 1.0), tol=1e-6)
+        assert (got, True) in calls
+
+    def test_tiny_tol_ends_on_adjacent_floats(self, monkeypatch):
+        mean, delta, bounds = self.family("complete")
+        calls = spy_registry(monkeypatch)
+        got = threshold_in_beta(mean, delta, "t2", bounds, tol=1e-300)
+        assert ("t2", got, True) in calls
+        assert not certify(mean, "t2", float(np.nextafter(got, 1.0)), delta).stable
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan, math.inf])
+    def test_bad_tolerance_raises(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            threshold_in_beta(graph_complete_edge_markovian(5, 1.0, 1.0), 1.0, "t2",
+                              (1e-6, 1.0), tol=tol)
+
+    @pytest.mark.parametrize("bounds", [(1e-6, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+                                        (0.5, 0.5), (0.7, 0.2)])
+    def test_bad_bounds_raise(self, bounds):
+        with pytest.raises(BracketError):
+            threshold_in_beta(graph_complete_edge_markovian(5, 1.0, 1.0), 1.0, "t2", bounds)
+
+    def test_no_new_knob(self):
+        assert list(inspect.signature(threshold_in_beta).parameters) == \
+            ["graph_or_mean", "delta", "certificate", "search_bounds", "tol"]
 
 
 class TestReports:
