@@ -15,10 +15,10 @@ from .graphs import (  # noqa: F401
     EdgeProcessModel,
     EdgeTable,
     MeanMatrix,
+    arcs,
     build_coxian_edge,
     build_edge_markovian,
     build_static_edge,
-    edge_on_probability,
     graph_complete_edge_markovian,
     graph_er_iv,
     graph_from_json,

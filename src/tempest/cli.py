@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .config import ExperimentConfig, build_graph, load_json
-from .errors import ConfigError, NUMERICAL_ERRORS, RESOURCE_ERRORS, TempestError
+from .errors import BracketError, ConfigError, NUMERICAL_ERRORS, ParamRange, RESOURCE_ERRORS, \
+    TempestError
 from .graphs import mean_matrix
 from .markov import CT, DT
 from .oracle import RandomMatrixSampler, chung_tail_check, expected_certificate, \
@@ -148,18 +149,21 @@ def _run_threshold(cfg: ExperimentConfig):
     result = {"certificate": cert, "delta": delta, "n": graph.n,
               "eta_abar": mean.eta_abar(), "eta_support": mean.eta_support()}
 
-    if np.isscalar(cfg.epidemic.get("beta")):
-        beta_hat = _positive(cfg, "beta", None, float, "epidemic")
-    else:
-        lo = _positive(cfg, "search_lo", 1e-8, float)
-        hi = _positive(cfg, "search_hi", _search_hi(mean, delta), float)
-        if graph.time == DT and hi > 1:
-            raise ConfigError(f"search_hi of a discrete-time graph is an infection "
-                              f"probability and must be at most 1, got {hi!r}")
-        beta_hat = threshold_in_beta(mean, delta, cert, (lo, hi))
-        result["beta_threshold"] = beta_hat
-        result["search_bounds"] = [lo, hi]
-    result["report"] = certify(mean, cert, beta_hat, delta).to_dict()
+    try:  # the search bounds and the DT rates are read from the config
+        if np.isscalar(cfg.epidemic.get("beta")):
+            beta_hat = _positive(cfg, "beta", None, float, "epidemic")
+        else:
+            lo = _positive(cfg, "search_lo", 1e-8, float)
+            hi = _positive(cfg, "search_hi", _search_hi(mean, delta), float)
+            if graph.time == DT and hi > 1:
+                raise ConfigError(f"search_hi of a discrete-time graph is an infection "
+                                  f"probability and must be at most 1, got {hi!r}")
+            beta_hat = threshold_in_beta(mean, delta, cert, (lo, hi))
+            result["beta_threshold"] = beta_hat
+            result["search_bounds"] = [lo, hi]
+        result["report"] = certify(mean, cert, beta_hat, delta).to_dict()
+    except (BracketError, ParamRange) as exc:
+        raise ConfigError(str(exc)) from exc
     return [_write_json(_out_path(cfg, "json"), cfg, result)]
 
 

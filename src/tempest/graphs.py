@@ -26,6 +26,13 @@ AMEI = "amei"
 AMAI = "amai"
 
 
+def arcs(kind: str, i, j) -> list:
+    """The adjacency cells (row, column) that edge (i, j) writes: (i, j) and
+    its mirror (j, i) in an AMEI graph, (i, j) alone in an AMAI graph.  The
+    one place that rule lives; ``i`` and ``j`` may be index arrays."""
+    return [(i, j), (j, i)] if kind == AMEI else [(i, j)]
+
+
 @dataclass
 class EdgeProcessModel:
     """One aggregated Markov process sigma = f(theta) driving a (di)edge.
@@ -372,23 +379,14 @@ class MeanMatrix:
         return self._cache["variance"]
 
 
-def edge_on_probability(edge: EdgeProcessModel) -> float:
-    """Stationary probability that the edge is present: pi(f^{-1}({1}))."""
-    if edge.is_static:
-        return float(edge.output[0])
-    pi = stationary_distribution(edge.chain)
-    return float(pi[edge.output == 1].sum())
-
-
 def mean_matrix(graph: DynamicGraphModel) -> MeanMatrix:
     table = graph.table
     lay = table.layout("stationary")
     p = (table.template == STATIC_ON).astype(float)  # stationary on-probability per edge
     p[lay.rows] = np.einsum("kw,kw->k", lay.law, lay.output)
     a = np.zeros((graph.n, graph.n))
-    a[table.i, table.j] = p
-    if graph.kind == AMEI:
-        a[table.j, table.i] = p
+    for i, j in arcs(graph.kind, table.i, table.j):
+        a[i, j] = p
     periodic_edge = None
     if graph.time == DT:
         # an irreducible chain that can stay put (positive trace) is aperiodic;
@@ -481,8 +479,7 @@ def sample_graph_path(graph: DynamicGraphModel, *, horizon=None, steps=None,
                            for at, sigma in switches]).reshape(edges.size, times.size - 1).T
     adj = np.zeros((len(times) - 1, graph.n, graph.n))
     on = table.template == STATIC_ON
-    pairs = [(table.i, table.j)] + ([(table.j, table.i)] if graph.kind == AMEI else [])
-    for i, j in pairs:
+    for i, j in arcs(graph.kind, table.i, table.j):
         adj[:, i[on], j[on]] = 1.0
         adj[:, i[lay.rows], j[lay.rows]] = values
     return GraphPath(times, adj, want)

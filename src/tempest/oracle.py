@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import rng as rngmod
 from .errors import TooManyConfigurations, TooManyEdges, WrongKind
-from .graphs import AMEI, STATIC_ON, DynamicGraphModel, MeanMatrix
+from .graphs import AMAI, AMEI, STATIC_ON, DynamicGraphModel, MeanMatrix, arcs
 from .markov import CT
 from .spectral import kappa, spectral_abscissa
 from .thresholds import EpidemicParams, kappa_params
@@ -72,11 +72,10 @@ class SubgraphEnumeration:
     def adjacency(self, label: int) -> np.ndarray:
         f = self.static_base.copy()
         digits = label // self.stride % self.size
-        for k, (i, j) in enumerate(self.edge_keys):
+        for k, key in enumerate(self.edge_keys):
             if self.output[k, digits[k]] > 0:
-                f[i, j] = 1.0
-                if self.kind == AMEI:
-                    f[j, i] = 1.0
+                for i, j in arcs(self.kind, *key):
+                    f[i, j] = 1.0
         return f
 
 
@@ -99,9 +98,8 @@ def _enumerate(graph: DynamicGraphModel, nodes: np.ndarray, lay) -> SubgraphEnum
     inside = (li >= 0) & (lj >= 0)
     static_on = inside & (table.template == STATIC_ON)
     static_base = np.zeros((nodes.size, nodes.size))
-    static_base[li[static_on], lj[static_on]] = 1.0
-    if graph.kind == AMEI:
-        static_base[lj[static_on], li[static_on]] = 1.0
+    for i, j in arcs(graph.kind, li[static_on], lj[static_on]):
+        static_base[i, j] = 1.0
     keep = inside[lay.rows]
     if keep.sum() > _EDGE_CAP:
         raise TooManyEdges(f"{keep.sum()} switching edges exceed the cap of {_EDGE_CAP}")
@@ -154,16 +152,13 @@ def _assemble(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) ->
     mat = mat + sp.kron(sp.identity(big_l, format="csr"), sp.csr_matrix(base), format="csr")
     rows, cols, data = [], [], []
     labels = np.arange(big_l, dtype=np.int64)
-    for k, (i, j) in enumerate(enum.edge_keys):
+    for k, key in enumerate(enum.edge_keys):
         for s in np.flatnonzero(enum.output[k] > 0):
             sel = enum.with_digit(labels, k, s)
-            rows.append(sel * n + i)
-            cols.append(sel * n + j)
-            data.append(np.full(sel.size, beta[i]))
-            if enum.kind == AMEI:
-                rows.append(sel * n + j)
-                cols.append(sel * n + i)
-                data.append(np.full(sel.size, beta[j]))
+            for i, j in arcs(enum.kind, *key):  # row node i is infected at beta_i
+                rows.append(sel * n + i)
+                cols.append(sel * n + j)
+                data.append(np.full(sel.size, beta[i]))
     if rows:
         extra = sp.coo_matrix((np.concatenate(data),
                                (np.concatenate(rows), np.concatenate(cols))),
@@ -186,18 +181,16 @@ def assemble_exponential_generator(graph: DynamicGraphModel,
 def _coupling_components(graph: DynamicGraphModel, beta: np.ndarray) -> list:
     """Strongly connected components of the infection coupling between nodes.
 
-    Arc i -> j when beta_i > 0 and edge (i, j) is stochastic or static-on,
-    both directions for AMEI.
+    Arc i -> j when beta_i > 0 and a stochastic or static-on edge writes
+    cell (i, j).
     """
     table = graph.table
     live = table.template >= STATIC_ON
-    src, dst = table.i[live], table.j[live]
-    if graph.kind == AMEI:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    src, dst = np.hstack(arcs(graph.kind, table.i[live], table.j[live]))
     keep = beta[src] > 0
-    arcs = sp.coo_matrix((np.ones(keep.sum()), (src[keep], dst[keep])),
-                         shape=(graph.n, graph.n))
-    count, labels = connected_components(arcs, directed=True, connection="strong")
+    coupling = sp.coo_matrix((np.ones(keep.sum()), (src[keep], dst[keep])),
+                             shape=(graph.n, graph.n))
+    count, labels = connected_components(coupling, directed=True, connection="strong")
     return [np.flatnonzero(labels == c) for c in range(count)]
 
 
@@ -241,9 +234,10 @@ class RandomMatrixSampler:
     M3 =      sum_(i<j) (E_ij+E_ji) h_ij
     M4 = I-D + sum_(i<j) sqrt(beta_i beta_j)(E_ij+E_ji) h_ij
 
-    with independent h_ij ~ Bernoulli(abar_ij).  Deterministic pairs
-    (abar in {0,1}) are folded into the base matrix; only genuinely random
-    pairs are sampled or enumerated.
+    with independent h_ij ~ Bernoulli(abar_ij): M1's pairs write their cells
+    as AMAI edges do, M2-M4's as AMEI edges do (``graphs.arcs``).
+    Deterministic pairs (abar in {0,1}) are folded into the base matrix; only
+    genuinely random pairs are sampled or enumerated.
     """
 
     which: str
@@ -266,20 +260,21 @@ class RandomMatrixSampler:
         self.delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
         n = a.shape[0]
         if self.which == "M1":
-            ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+            kind, (ii, jj) = AMAI, np.nonzero(~np.eye(n, dtype=bool))
         else:
-            ii, jj = np.triu_indices(n, k=1)
+            kind, (ii, jj) = AMEI, np.triu_indices(n, k=1)
         rand = (a[ii, jj] > 0) & (a[ii, jj] < 1)
         self._ri, self._rj = ii[rand], jj[rand]
         self._rp = a[self._ri, self._rj]
-        self._rows = (self._ri * n + self._rj).tolist()
-        self._rows_t = (self._rj * n + self._ri).tolist()
-        base = np.zeros((n, n))
-        det = a[ii, jj] == 1.0
-        self._fill(base, ii[det], jj[det], np.ones(det.sum()))
-        base += self._offset()
-        self._base = base
         self._rw = self._weights(self._ri, self._rj)
+        det = a[ii, jj] == 1.0
+        self._base, w = self._offset(), self._weights(ii[det], jj[det])
+        for i, j in arcs(kind, ii[det], jj[det]):
+            self._base[i, j] = w
+        # flattened cells of the random pairs, each with the index of its pair
+        cells = arcs(kind, self._ri, self._rj)
+        self._cells = np.concatenate([i * n + j for i, j in cells])
+        self._pair = np.tile(np.arange(self._ri.size), len(cells))
 
     @classmethod
     def from_mean(cls, which: str, mean: MeanMatrix, params: EpidemicParams):
@@ -312,16 +307,8 @@ class RandomMatrixSampler:
             return np.ones(ii.size)
         return np.sqrt(self.beta[ii] * self.beta[jj])
 
-    def _fill(self, out, ii, jj, h):
-        w = self._weights(ii, jj) * h
-        out[..., ii, jj] += w
-        if self.symmetric:
-            out[..., jj, ii] += w
-
     def expectation(self) -> np.ndarray:
-        out = self._base.copy()
-        self._fill(out, self._ri, self._rj, self._rp)
-        return out
+        return self.from_bits(self._rp)
 
     def bound_c(self) -> float:
         """Deviation bound C of the concentration inequality (beta_max; 1 for M3)."""
@@ -345,20 +332,11 @@ class RandomMatrixSampler:
         return np.ascontiguousarray(cols.T).reshape(lead + (self.n, self.n))
 
     def _columns(self, bits: np.ndarray) -> np.ndarray:
-        """(n*n, draws) array whose column d is the matrix of bits[d], flattened.
-
-        In this layout each random pair updates one contiguous row (two for
-        the symmetric families) with w * bits.
-        """
+        """(n*n, draws) array whose column d is the matrix of bits[d], flattened:
+        the base plus, in every cell a random pair writes, w * bits."""
         out = np.empty((self.n * self.n, bits.shape[0]))
         out[:] = self._base.reshape(-1, 1)
-        pairs = np.ascontiguousarray(bits.T)
-        symmetric = self.symmetric
-        for h, w, row, row_t in zip(pairs, self._rw.tolist(), self._rows, self._rows_t):
-            add = w * h
-            out[row] += add
-            if symmetric:
-                out[row_t] += add
+        out[self._cells] += self._rw[self._pair, None] * bits.T[self._pair]
         return out
 
     def statistic(self, mats: np.ndarray) -> np.ndarray:

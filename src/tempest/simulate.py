@@ -19,7 +19,7 @@ import scipy.linalg
 
 from . import rng as rngmod
 from .errors import InsufficientData, ParamRange
-from .graphs import AMEI, STATIC_ON, DynamicGraphModel, GraphPath
+from .graphs import STATIC_ON, DynamicGraphModel, GraphPath, arcs
 from .markov import CT, DT
 from .thresholds import EpidemicParams
 
@@ -122,9 +122,8 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
     u[drawn] = rng.random(drawn.size)
     state_idx = (cuts[:, 0] <= u[:, None]).sum(axis=1)
     adj = np.zeros((n, n))
-    adj[table.i, table.j] = output[edges, state_idx]
-    if graph.kind == AMEI:
-        adj[table.j, table.i] = output[edges, state_idx]
+    for i, j in arcs(graph.kind, table.i, table.j):
+        adj[i, j] = output[edges, state_idx]
 
     x = _init_mask(init_infected, n)
     t = 0.0
@@ -148,11 +147,8 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
             e = int(np.searchsorted(np.cumsum(edge_rates), u))
             nxt = int((cuts[e, 1 + state_idx[e]] <= rng.random()).sum())
             state_idx[e] = nxt
-            val = output[e, nxt]
-            i, j = table.i[e], table.j[e]
-            adj[i, j] = val
-            if graph.kind == AMEI:
-                adj[j, i] = val
+            for i, j in arcs(graph.kind, table.i[e], table.j[e]):
+                adj[i, j] = output[e, nxt]
             continue  # infected count unchanged
         if u < r_edge + r_rec:
             i = int(np.searchsorted(np.cumsum(rec_rates), u - r_edge))
@@ -233,7 +229,7 @@ def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, rec
     if edge_path is None:
         table, adj = graph.table, np.zeros((n, n), dtype=np.float32)  # exact below 2**24
         flat, lay = adj.reshape(-1), table.layout()
-        cells = [table.i * n + table.j] + ([table.j * n + table.i] if graph.kind == AMEI else [])
+        cells = [i * n + j for i, j in arcs(graph.kind, table.i, table.j)]
         for cell in cells:
             flat[cell[table.template == STATIC_ON]] = 1.0
         cells = [cell[lay.rows] for cell in cells]

@@ -302,26 +302,16 @@ def certify_amei_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
 # T3: homogeneous rates on an AMEI graph
 # ---------------------------------------------------------------------------
 
-def xi_h_factor(n: int, eta_sgn: float, delta_over_beta: float, delta3: float):
-    """The multiplicative threshold factor xi_H for homogeneous rates.
-
-    Depends only on (n, eta(sgn Abar), delta/beta, Delta3).  Returns
-    (xi_H, s_star): xi_H = 1 for a deterministic graph (Delta3 = 0), +inf in
-    the trivial regime beta/delta < 1/eta(sgn Abar), and -inf when the
-    maximization interval is empty (certificate cannot conclude).
-    """
-    if delta3 < 0:
-        raise ValueError("Delta3 must be nonnegative")
-    if delta3 == 0.0:
-        return 1.0, float("nan")
-    if delta_over_beta > eta_sgn:
-        return math.inf, float("nan")
-    kp = KappaParams(1.0, float(delta3), int(n))
+def _xi_h(kp: KappaParams, eta_sgn: float, delta_over_beta: float):
+    """xi_H, its maximizer and the M3 constants (s0, c3, sbar3) of ``kp``,
+    as ``xi_h_factor`` describes them for Delta3 > 0."""
     s0 = kappa_inv_at_one(kp)
     c3 = eta_sgn - s0
     sbar3 = delta_over_beta + c_minus(c3)
+    if delta_over_beta > eta_sgn:  # the one test of the trivial regime
+        return math.inf, float("nan"), (s0, c3, sbar3)
     if sbar3 <= s0:
-        return -math.inf, float("nan")
+        return -math.inf, float("nan"), (s0, c3, sbar3)
 
     inv_ratio = 1.0 / delta_over_beta  # beta/delta
 
@@ -330,7 +320,22 @@ def xi_h_factor(n: int, eta_sgn: float, delta_over_beta: float, delta3: float):
         return (1.0 - inv_ratio * (s + c3 * k)) / (1.0 - k)
 
     res = maximize_on_interval(objective, s0, sbar3)
-    return res.value, res.s_star
+    return res.value, res.s_star, (s0, c3, sbar3)
+
+
+def xi_h_factor(n: int, eta_sgn: float, delta_over_beta: float, delta3: float):
+    """The multiplicative threshold factor xi_H for homogeneous rates.
+
+    Depends only on (n, eta(sgn Abar), delta/beta, Delta3).  Returns
+    (xi_H, s_star): xi_H = 1 for a deterministic graph (Delta3 = 0), +inf in
+    the trivial regime delta/beta > eta(sgn Abar), and -inf when the
+    maximization interval is empty (certificate cannot conclude).
+    """
+    if delta3 < 0:
+        raise ValueError("Delta3 must be nonnegative")
+    if delta3 == 0.0:
+        return 1.0, float("nan")
+    return _xi_h(KappaParams(1.0, float(delta3), int(n)), eta_sgn, delta_over_beta)[:2]
 
 
 def certify_homogeneous(graph_or_mean, beta: float, delta: float) -> ThresholdReport:
@@ -350,20 +355,15 @@ def certify_homogeneous(graph_or_mean, beta: float, delta: float) -> ThresholdRe
 
     eta_sgn = mean.eta_support()
     dob = delta / beta
-    s0 = kappa_inv_at_one(kp)
-    c3 = eta_sgn - s0
-    sbar3 = dob + c_minus(c3)
+    xi_h, s_star, (s0, c3, sbar3) = _xi_h(kp, eta_sgn, dob)
     inter = {"Delta3": kp.d, "c3": c3, "sbar3": sbar3, "kappa_inv_1": s0,
              "lambda3": lam3, "eta_sgn": eta_sgn, "beta": beta, "delta": delta}
-
-    if beta / delta < 1.0 / eta_sgn:
+    lhs = beta / delta
+    if xi_h == math.inf:  # the support graph alone decays: delta - beta eta_sgn >= 0
         decay = delta - beta * eta_sgn
         inter.update(xi_H=math.inf, s_star=float("nan"), decay_bound=decay)
-        return _support_trivial_report(beta / delta, decay, inter)
-
-    xi_h, s_star = xi_h_factor(mean.n, eta_sgn, dob, kp.d)
-    lhs = beta / delta
-    if not math.isfinite(xi_h):  # empty interval: cannot certify
+        return _support_trivial_report(lhs, decay, inter)
+    if xi_h == -math.inf:  # empty interval: cannot certify
         inter.update(xi_H=xi_h, s_star=float("nan"), interval_empty=True)
         return ThresholdReport(T3, lhs, -math.inf, float("nan"), None, False, inter)
     threshold = xi_h / lam3

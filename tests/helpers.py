@@ -80,6 +80,14 @@ def random_metzler_pair(rng, n):
 # Per-edge references for the edge-table kernels
 # ---------------------------------------------------------------------------
 
+def edge_on_probability(edge):
+    """Stationary probability that the edge is present: pi(f^{-1}({1}))."""
+    if edge.is_static:
+        return float(edge.output[0])
+    pi = stationary_distribution(edge.chain)
+    return float(pi[edge.output == 1].sum())
+
+
 def reference_mean_matrix(n, kind, edges):
     """Mean matrix edge by edge: one stationary solve per EdgeProcessModel."""
     a = np.zeros((n, n))

@@ -151,6 +151,7 @@ class TestCliRuns:
     # error, not a traceback, and no output file is written
     CT4 = ["--preset", "complete_edge_markovian", "--graph-param", "n=4",
            "--graph-param", "q=0.5", "--graph-param", "r=0.5"]
+    IV30 = ["--preset", "iv", "--graph-param", "n=30"]
 
     @pytest.mark.parametrize("args, threads_env", [
         (["empirical", "--config", "missing.json"], None),
@@ -174,6 +175,11 @@ class TestCliRuns:
         (["threshold", *CT4, "--delta", "1", "--beta", "0"], None),
         (["threshold", "--preset", "iv", "--graph-param", "n=3", "--delta", "0.1",
           "--param", "search_hi=1.5"], None),
+        (["threshold", *IV30, "--delta", "0.05", "--param", "search_lo=0.5",
+          "--param", "search_hi=0.1"], None),
+        (["threshold", *IV30, "--delta", "2"], None),
+        (["threshold", *IV30, "--delta", "0.05", "--beta", "2"], None),
+        (["threshold", *CT4, "--delta", "1", "--param", "search_lo=20"], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "s_max=abc"], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", 's_grid=["a"]'], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "family=m1"], None),
@@ -203,7 +209,9 @@ class TestCliRuns:
             "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
             "missing preset parameter", "beta vector length", "empirical on ct graph",
             "threshold search_lo", "threshold search_hi", "threshold beta zero",
-            "threshold dt search_hi above one",
+            "threshold dt search_hi above one", "threshold search_lo above search_hi",
+            "threshold dt delta above one", "threshold dt beta above one",
+            "threshold search_lo above the default search_hi",
             "chung s_max", "chung s_grid", "chung family m1", "empirical delta list",
             "figure456 delta list", "oracle mode", "oracle expect m9",
             "empirical negative beta", "empirical beta above one", "figure456 beta above one",

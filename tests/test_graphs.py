@@ -6,15 +6,16 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import edge_on_probability
 import tempest
 from tempest import (
     AMAI,
     AMEI,
     DynamicGraphModel,
+    arcs,
     build_coxian_edge,
     build_edge_markovian,
     build_static_edge,
-    edge_on_probability,
     graph_er_iv,
     graph_from_json,
     graph_small_world,
@@ -121,6 +122,21 @@ class TestEdgeOnProbability:
         expected = edge_on_probability(edge)
         times, values = one_edge_path(edge, 123, horizon=300_000.0)
         assert fraction_on(times, values) == pytest.approx(expected, abs=5e-3)
+
+
+class TestArcs:
+    def test_amei_writes_the_mirror_cell_too(self):
+        assert arcs(AMEI, 2, 5) == [(2, 5), (5, 2)]
+        assert arcs(AMAI, 2, 5) == [(2, 5)]
+
+    def test_index_arrays_pass_through(self):
+        i, j = np.array([0, 1]), np.array([3, 2])
+        (a, b), (c, d) = arcs(AMEI, i, j)
+        assert a is i and b is j and c is j and d is i
+        adj = np.zeros((4, 4))
+        for row, col in arcs(AMAI, i, j):
+            adj[row, col] = 1.0
+        assert np.flatnonzero(adj).tolist() == [3, 6]
 
 
 class TestMeanMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,6 +133,26 @@ class TestExponentialCondition:
         dense_eta = float(np.linalg.eigvals(big).real.max())
         assert eta == pytest.approx(dense_eta, abs=1e-9)
         assert stable == (dense_eta < 0)
+
+    # Digests of the CSR arrays as assembled when each module wrote the AMEI
+    # mirror cells itself: every cell still takes the same one product.
+    @pytest.mark.parametrize("kind, edges, digest", [
+        (AMEI, {(0, 1): build_edge_markovian(0.7, 0.4), (0, 2): build_static_edge(True),
+                (1, 2): build_static_edge(False),
+                (1, 3): build_coxian_edge([0.6], [0.2, 1.3], [], [0.9]),
+                (2, 3): build_edge_markovian(1.1, 0.5)}, "eecdf235d66cae07"),
+        (AMAI, {(0, 1): build_edge_markovian(0.7, 0.4), (1, 0): build_edge_markovian(0.3, 0.8),
+                (0, 3): build_static_edge(True), (1, 3): build_static_edge(False),
+                (2, 1): build_static_edge(True), (3, 2): build_edge_markovian(1.1, 0.5)},
+         "a5a674bfcbbf28ca"),
+    ], ids=["amei", "amai"])
+    def test_assembly_unchanged(self, kind, edges, digest):
+        params = EpidemicParams([0.3, 0.55, 0.8, 0.45], [1.0, 0.7, 1.2, 0.9])
+        mat = assemble_exponential_generator(DynamicGraphModel(4, kind, edges), params)
+        h = hashlib.sha256()
+        for a in (mat.data, mat.indices.astype(np.int64), mat.indptr.astype(np.int64)):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest()[:16] == digest
 
     def test_kron_assembly_equals_dense_formula(self, rng):
         # sparse assembly == Pi (x) I_n + sum_l basis_l (x) (B F_l - D),
@@ -471,6 +492,21 @@ class TestSamplers:
         out = s.from_bits(bits)
         assert out.shape == (3, 4, 3, 3)
         assert np.array_equal(out, helpers.reference_from_bits(s, bits))
+
+    @pytest.mark.parametrize("which", ["M1", "M2", "M3", "M4"])
+    @pytest.mark.parametrize("random_pairs", [True, False], ids=["random", "deterministic"])
+    def test_expectation_is_from_bits_of_the_means(self, which, random_pairs):
+        rng = np.random.default_rng(13)
+        n = 5
+        abar = np.where(rng.random((n, n)) < 0.3, 1.0, rng.uniform(0.0, 1.0, (n, n)))
+        if not random_pairs:
+            abar = np.round(abar)
+        if which != "M1":
+            abar = np.triu(abar, 1) + np.triu(abar, 1).T
+        np.fill_diagonal(abar, 0.0)
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n), rng.uniform(0.5, 1.5, n))
+        assert (s.n_random_pairs > 0) == random_pairs
+        assert np.array_equal(s.expectation(), helpers.reference_from_bits(s, s._rp))
 
     def test_m4_nonnegative_when_delta_below_one(self, rng):
         abar = 0.4 * (1.0 - np.eye(4))

@@ -96,3 +96,14 @@ def test_one_chain_layout():
         names = _referenced_names(str(path.relative_to(PACKAGE)))
         assert not {"sample_edge_path", "sample_chain_path_ct", "sample_chain_path_dt"} & names, \
             path.name
+
+
+def test_one_cell_rule():
+    # graphs.arcs alone decides which adjacency cells an edge writes: no
+    # simulator or oracle code compares a kind with AMEI to mirror a cell
+    for module in ("simulate.py", "oracle.py"):
+        tree = ast.parse((PACKAGE / module).read_text())
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                 and any(getattr(op, "id", None) == "AMEI"
+                         for op in [node.left, *node.comparators])]
+        assert not found, f"{module} compares with AMEI at lines {found}"

@@ -2,6 +2,7 @@ import gc
 import inspect
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +212,42 @@ class TestCertifyHomogeneous:
         assert rep.certificate == "SUPPORT_TRIVIAL"
         assert rep.intermediates["trivial_regime"] is True
         assert rep.decay_rate_bound == pytest.approx(1.0 - 0.05 * 5)
+
+    def test_trivial_regime_at_a_rounded_boundary(self, monkeypatch):
+        # 0.8333333333333333 * 3 < 2.5 exactly, though the product rounds to
+        # 2.5 and the ratio beta/delta to 1/3: one test must decide the regime,
+        # and xi_H = +inf is never read as an empty interval
+        mean = mean_matrix(graph_complete_edge_markovian(4, 1.0, 1.0))
+        calls, real = [], thresholds.kappa_inv_at_one
+        monkeypatch.setattr(thresholds, "kappa_inv_at_one", lambda kp: calls.append(kp) or real(kp))
+        rep = certify(mean, "t3", 0.8333333333333333, 2.5)
+        assert rep.certificate == "SUPPORT_TRIVIAL" and rep.stable
+        assert rep.intermediates["xi_H"] == math.inf
+        assert "interval_empty" not in rep.intermediates
+        assert rep.decay_rate_bound >= 0.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.5])
+    def test_regime_boundary_sweep(self, delta):
+        # beta within 2 ulps of delta/eta(sgn) on complete graphs: the report
+        # gives the xi_H that xi_h_factor gives, +inf only in the trivial
+        # regime, which then holds in exact arithmetic, and -inf only on an
+        # empty interval
+        for n in range(3, 41):
+            mean = mean_matrix(graph_complete_edge_markovian(n, 1.0, 1.0))
+            eta = mean.eta_support()
+            betas = [delta / (n - 1)]
+            for _ in range(2):
+                betas = [np.nextafter(betas[0], 0.0), *betas, np.nextafter(betas[-1], 1.0)]
+            for beta in map(float, betas):
+                rep = certify(mean, "t3", beta, delta)
+                xi = rep.intermediates["xi_H"]
+                assert xi == xi_h_factor(n, eta, delta / beta, rep.intermediates["Delta3"])[0]
+                assert (rep.certificate == "SUPPORT_TRIVIAL") == (xi == math.inf), (n, beta)
+                assert rep.intermediates.get("interval_empty", False) == (xi == -math.inf)
+                if xi == math.inf:
+                    assert Fraction(beta) * Fraction(eta) < Fraction(delta), (n, beta)
+                    assert rep.stable and rep.decay_rate_bound >= 0.0
 
     def test_xi_below_one_outside_trivial_regime(self, rng):
         # certificate guarantee: beta/delta >= 1/eta(sgn) forces xi_H < 1.
