@@ -24,7 +24,7 @@ from . import __version__
 from . import rng as rngmod
 from .config import ExperimentConfig, build_graph, load_json
 from .errors import BracketError, ConfigError, NUMERICAL_ERRORS, ParamRange, RESOURCE_ERRORS, \
-    TempestError
+    TempestError, WrongKind
 from .graphs import mean_matrix
 from .markov import CT, DT
 from .oracle import RandomMatrixSampler, chung_tail_check, expected_certificate, \
@@ -149,7 +149,7 @@ def _run_threshold(cfg: ExperimentConfig):
     result = {"certificate": cert, "delta": delta, "n": graph.n,
               "eta_abar": mean.eta_abar(), "eta_support": mean.eta_support()}
 
-    try:  # the search bounds and the DT rates are read from the config
+    try:  # the certificate, the search bounds and the DT rates are read from the config
         if np.isscalar(cfg.epidemic.get("beta")):
             beta_hat = _positive(cfg, "beta", None, float, "epidemic")
         else:
@@ -162,7 +162,7 @@ def _run_threshold(cfg: ExperimentConfig):
             result["beta_threshold"] = beta_hat
             result["search_bounds"] = [lo, hi]
         result["report"] = certify(mean, cert, beta_hat, delta).to_dict()
-    except (BracketError, ParamRange) as exc:
+    except (BracketError, ParamRange, WrongKind) as exc:
         raise ConfigError(str(exc)) from exc
     return [_write_json(_out_path(cfg, "json"), cfg, result)]
 

@@ -3,7 +3,8 @@
 The exponential-size exact stability condition of a continuous-time graph
 (the Kronecker sum of the switching edges' chain generators over
 mixed-radix labels, one digit per edge chain state, of dimension
-n * prod_e k_e, assembled sparsely), exhaustive and Monte-Carlo
+n * prod_e k_e, solved through its two sparse factors and assembled only
+on request or when the solve cannot be certified), exhaustive and Monte-Carlo
 evaluation of the expected spectral statistics of the certificate random
 matrices M1..M4, and empirical verification of the matrix concentration
 tail bound that powers every linear-size certificate.
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from . import rng as rngmod
@@ -83,7 +85,7 @@ def _chain_layout(graph: DynamicGraphModel):
     """The chains of the graph's switching edges; raises unless the graph is CT."""
     if graph.time != CT:
         raise WrongKind("the exact condition applies to continuous-time graphs; "
-                        "discrete time needs a matrix-free operator")
+                        "discrete time needs a label operator of its own")
     return graph.table.layout(law=None)
 
 
@@ -143,13 +145,58 @@ def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
     return (pi + sp.diags(diag)).tocsr()
 
 
-def _assemble(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> sp.csr_matrix:
+class ExactGenerator(spla.LinearOperator):
+    """Pi (x) I_n + blockdiag_l (B F_l - D), held as its two factors.
+
+    ``pi`` is the L x L joint edge generator (``pi_matrix``, diagonal
+    included) and ``contact`` the Ln x Ln block diagonal of B F_l - D.  A
+    matvec reads x as an (L, n) array, one row per label, and costs one
+    product with each factor; ``tocsr`` materializes the sum.  The operator
+    is Metzler, which ``spectral_abscissa`` takes on trust.
+    """
+
+    def __init__(self, pi: sp.csr_matrix, contact: sp.csr_matrix, n: int):
+        super().__init__(np.float64, contact.shape)
+        self.pi, self.contact, self.n = pi, contact, n
+
+    def _matvec(self, x):
+        x = np.ravel(x)
+        y = self.contact @ x
+        y += (self.pi @ x.reshape(-1, self.n)).ravel()
+        return y
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The sum, written row by row without a Kronecker product.
+
+        Row (l, i) holds pi's row l left of its diagonal, then the contact
+        row with pi's diagonal entry added, then pi's row l right of its
+        diagonal; pi's column l' lands in column l' * n + i.
+        """
+        n, pi = self.n, self.pi
+        block = (self.contact + sp.diags(np.repeat(pi.diagonal(), n))).tocsr()
+        parts = ((sp.tril(pi, -1, format="csr"), n), (block, 1),
+                 (sp.triu(pi, 1, format="csr"), n))
+        count = sum(np.repeat(np.diff(part.indptr), k) for part, k in parts)
+        indptr = np.concatenate([[0], np.cumsum(count)])
+        indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+        start = indptr[:-1].copy()
+        for part, k in parts:  # part's row r is row r * k + i, for each i < k
+            size = np.diff(part.indptr)
+            for i in range(k):
+                at = np.repeat(start[i::k] - part.indptr[:-1], size) + np.arange(part.nnz)
+                indices[at] = part.indices * k + i
+                data[at] = part.data
+            start += np.repeat(size, k)
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+
+
+def _contact(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> sp.csr_matrix:
+    """blockdiag_l (B F_l - D): the static base in every label's block, plus
+    each switching edge's arcs, at the row node's beta, in the blocks of the
+    labels where its output is on."""
     n, big_l = enum.n, enum.n_labels
-    dim = n * big_l
-    pi = pi_matrix(enum)
-    mat = sp.kron(pi, sp.identity(n, format="csr"), format="csr")
     base = beta[:, None] * enum.static_base - np.diag(delta)
-    mat = mat + sp.kron(sp.identity(big_l, format="csr"), sp.csr_matrix(base), format="csr")
+    mat = sp.kron(sp.identity(big_l, format="csr"), sp.csr_matrix(base), format="csr")
     rows, cols, data = [], [], []
     labels = np.arange(big_l, dtype=np.int64)
     for k, key in enumerate(enum.edge_keys):
@@ -160,22 +207,26 @@ def _assemble(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) ->
                 cols.append(sel * n + j)
                 data.append(np.full(sel.size, beta[i]))
     if rows:
-        extra = sp.coo_matrix((np.concatenate(data),
-                               (np.concatenate(rows), np.concatenate(cols))),
-                              shape=(dim, dim)).tocsr()
-        mat = mat + extra
-    return mat.tocsr()
+        mat = mat + sp.coo_matrix((np.concatenate(data),
+                                   (np.concatenate(rows), np.concatenate(cols))),
+                                  shape=mat.shape).tocsr()
+    return mat
+
+
+def _generator(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> ExactGenerator:
+    return ExactGenerator(pi_matrix(enum), _contact(enum, beta, delta), enum.n)
 
 
 def assemble_exponential_generator(graph: DynamicGraphModel,
                                    params: EpidemicParams) -> sp.csr_matrix:
     """Sparse assembly of Pi (x) I_n + blockdiag_l (B F_l - D).
 
-    The joint edge generator enters as one Kronecker product; the per-label
-    blocks are assembled per edge and on-state over the labels where that
-    edge is in that state, never materializing the dense square.
+    ``ExactGenerator.tocsr`` of the two factors: the per-label blocks are
+    assembled per edge and on-state over the labels where that edge is in
+    that state, and the joint edge generator is written into every node's
+    rows, never materializing the dense square.
     """
-    return _assemble(enumerate_subgraphs(graph), params.beta, params.delta)
+    return _generator(enumerate_subgraphs(graph), params.beta, params.delta).tocsr()
 
 
 def _coupling_components(graph: DynamicGraphModel, beta: np.ndarray) -> list:
@@ -207,7 +258,8 @@ def exponential_condition(graph: DynamicGraphModel, params: EpidemicParams):
     maximum over components, a singleton contributes -delta_i, and the edge
     and dimension caps apply per component, all checked before any solve.
     Each block is Metzler, irreducible when its edge chains are, and goes to
-    ``spectral_abscissa``.
+    ``spectral_abscissa`` as an ``ExactGenerator``: never assembled unless
+    its ARPACK solve fails to certify.
     """
     lay = _chain_layout(graph)
     components = _coupling_components(graph, params.beta)
@@ -215,7 +267,7 @@ def exponential_condition(graph: DynamicGraphModel, params: EpidemicParams):
     blocks = [(nodes, _enumerate(graph, nodes, lay)) for nodes in components
               if nodes.size > 1]
     etas = [-params.delta[nodes[0]] for nodes in components if nodes.size == 1]
-    etas += [spectral_abscissa(_assemble(enum, params.beta[nodes], params.delta[nodes]))
+    etas += [spectral_abscissa(_generator(enum, params.beta[nodes], params.delta[nodes]))
              for nodes, enum in blocks]
     eta = float(max(etas, default=-np.inf))
     return eta < 0.0, eta

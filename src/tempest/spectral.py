@@ -179,17 +179,18 @@ def _collatz_wielandt_bracket(m, x: np.ndarray):
 
 
 def _certified_abscissa(m) -> float:
-    """Spectral abscissa of a Metzler matrix, dense or sparse, by one certified ARPACK solve.
+    """Spectral abscissa of a Metzler matrix or operator by one certified ARPACK solve.
 
     ARPACK returns the rightmost Ritz vector; with its sign fixed so its sum
     is positive and every entry positive, the Collatz-Wielandt bracket
     bounds the true root and its midpoint is returned once the bracket is
-    narrower than 1e-10 relative.  The start vector is fixed: ARPACK's
-    default one is random, which would move the result in its last bits.
-    Otherwise the matrix, block-triangular in the order of the strongly
-    connected components of its support, gives the largest abscissa of its
-    diagonal blocks; only an irreducible one takes the power iteration, and
-    one of dimension up to 1024 whose bracket stalls is solved densely.
+    narrower than 1e-10 relative.  Both take matvecs only.  The start vector
+    is fixed: ARPACK's default one is random, which would move the result in
+    its last bits.  Otherwise an operator is materialized by its ``tocsr``,
+    and the matrix, block-triangular in the order of the strongly connected
+    components of its support, gives the largest abscissa of its diagonal
+    blocks; only an irreducible one takes the power iteration, and one of
+    dimension up to 1024 whose bracket stalls is solved densely.
     """
     try:
         _, vecs = spla.eigs(m, k=1, which="LR", tol=_ARPACK_TOL, v0=np.ones(m.shape[0]))
@@ -203,6 +204,8 @@ def _certified_abscissa(m) -> float:
             lo, hi = _collatz_wielandt_bracket(m, x)
             if hi - lo <= _CERTIFY_RTOL * max(1.0, abs(hi)):
                 return 0.5 * (lo + hi)
+    if isinstance(m, spla.LinearOperator):
+        m = m.tocsr()
     count, labels = connected_components(m != 0, directed=True, connection="strong")
     if count == 1:
         try:
@@ -218,13 +221,18 @@ def _certified_abscissa(m) -> float:
 def spectral_abscissa(m) -> float:
     """Maximum real part of the eigenvalues (the Perron root for Metzler input).
 
-    Sparse input must be Metzler, or ValueError is raised.  Sparse input
-    above 2x2 and dense Metzler input above 64x64 take one ARPACK solve
-    certified by the Collatz-Wielandt bracket; when that fails, reducible
-    input is split into its irreducible diagonal blocks and irreducible
-    input takes the shifted power iteration.  Every other dense matrix is
-    solved densely, by the symmetric eigensolver where it is symmetric.
+    Sparse input must be Metzler, or ValueError is raised.  A
+    ``LinearOperator`` with a ``tocsr`` method is taken to be Metzler on its
+    caller's word.  Sparse input and operators above 2x2 and dense Metzler
+    input above 64x64 take one ARPACK solve certified by the
+    Collatz-Wielandt bracket; when that fails, an operator is materialized,
+    reducible input is split into its irreducible diagonal blocks and
+    irreducible input takes the shifted power iteration.  Every other dense
+    matrix is solved densely, by the symmetric eigensolver where it is
+    symmetric.
     """
+    if isinstance(m, spla.LinearOperator):
+        return _certified_abscissa(m) if m.shape[0] > 2 else spectral_abscissa(m.tocsr())
     if sp.issparse(m):
         m = m.tocsr()
         # a negative entry off the diagonal has a column other than its row

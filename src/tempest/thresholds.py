@@ -143,7 +143,7 @@ def _as_mean(source) -> MeanMatrix:
 
 def _check(mean: MeanMatrix, params: EpidemicParams, kind: str, time: str):
     if mean.kind != kind:
-        raise WrongKind(f"certificate needs a {kind.upper()} graph, got {mean.kind.upper()}")
+        raise WrongKind(f"certificate needs an {kind.upper()} graph, got {mean.kind.upper()}")
     if mean.time != time:
         raise WrongKind(f"certificate needs a {time.upper()} graph, got {mean.time.upper()}")
     if params.n != mean.n:

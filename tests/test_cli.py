@@ -180,6 +180,9 @@ class TestCliRuns:
         (["threshold", *IV30, "--delta", "2"], None),
         (["threshold", *IV30, "--delta", "0.05", "--beta", "2"], None),
         (["threshold", *CT4, "--delta", "1", "--param", "search_lo=20"], None),
+        (["threshold", *IV30, "--delta", "0.05", "--certificate", "t2"], None),
+        (["threshold", "--preset", "small_world", "--graph-param", "n=6",
+          "--graph-param", "r=0.3", "--delta", "1", "--certificate", "t3"], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "s_max=abc"], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", 's_grid=["a"]'], None),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "family=m1"], None),
@@ -212,6 +215,7 @@ class TestCliRuns:
             "threshold dt search_hi above one", "threshold search_lo above search_hi",
             "threshold dt delta above one", "threshold dt beta above one",
             "threshold search_lo above the default search_hi",
+            "threshold ct certificate on dt graph", "threshold amei certificate on amai graph",
             "chung s_max", "chung s_grid", "chung family m1", "empirical delta list",
             "figure456 delta list", "oracle mode", "oracle expect m9",
             "empirical negative beta", "empirical beta above one", "figure456 beta above one",

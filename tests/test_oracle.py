@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -289,6 +290,34 @@ class TestReducibleGenerators:
         first = exponential_condition(g, params)[1]
         assert exponential_condition(g, params)[1] == first  # bit-identical
 
+    def test_block_solved_through_its_factors(self, monkeypatch):
+        # ARPACK's eta on the assembled matrix, reached by matvecs with the two
+        # factors alone, at a memory peak at least a tenth below the assembly's
+        # (a solve through the assembled matrix peaks at least as high), on the
+        # graph of test_repeated_calls_bit_identical
+        pairs = [(k, k + 1) for k in range(7)] + [(0, 2), (1, 4), (2, 5), (3, 6), (4, 7), (0, 7)]
+        g = markov_graph(8, AMEI, pairs)
+        params = EpidemicParams.homogeneous(0.3, 1.0, 8)
+        arpack = float(spla.eigs(assemble_exponential_generator(g, params), k=1, which="LR",
+                                 tol=1e-13, return_eigenvectors=False).real.max())
+
+        def traced(f):
+            tracemalloc.start()
+            try:
+                return f(g, params), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, assembly_peak = traced(assemble_exponential_generator)
+
+        def refuse(self):
+            raise RuntimeError("the block was materialized")
+
+        monkeypatch.setattr(oracle.ExactGenerator, "tocsr", refuse)
+        (_, eta), solve_peak = traced(exponential_condition)
+        assert eta == pytest.approx(arpack, abs=1e-9)
+        assert solve_peak < 0.9 * assembly_peak, (solve_peak, assembly_peak)
+
     def test_stalled_power_iteration_falls_back_to_dense(self):
         # a case the property below found: ARPACK does not certify this
         # 192-dimensional block, and its spectral gap stalls the power iteration
@@ -378,6 +407,10 @@ class TestAggregatedChains:
         dense = helpers.reference_exact_generator(g, beta, delta)
         assembled = assemble_exponential_generator(g, params).toarray()
         np.testing.assert_allclose(assembled, dense, rtol=0, atol=1e-13)
+        # the operator each block is solved through applies the same matrix
+        x = np.random.default_rng(0).standard_normal(assembled.shape[0])
+        np.testing.assert_allclose(oracle._generator(enumerate_subgraphs(g), beta, delta) @ x,
+                                   assembled @ x, rtol=0, atol=1e-13)
         stable, eta = exponential_condition(g, params)
         assert eta == pytest.approx(helpers.block_eta(dense), abs=1e-9)
         assert stable == (eta < 0)

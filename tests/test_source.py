@@ -64,8 +64,9 @@ def test_cli_reaches_certificates_through_the_registry():
 
 
 def test_oracle_leaves_the_abscissa_solver_to_spectral():
-    # spectral_abscissa alone picks between dense and iterative solvers
-    assert "eigvals" not in _referenced_names("oracle.py")
+    # spectral_abscissa alone picks between dense and iterative solvers, and
+    # alone calls ARPACK
+    assert not {"eigvals", "eigs", "eigsh"} & _referenced_names("oracle.py")
 
 
 def test_graphs_and_thresholds_leave_the_abscissa_solver_to_spectral():
