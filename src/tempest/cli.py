@@ -88,10 +88,12 @@ def _epidemic(cfg: ExperimentConfig, n: int) -> EpidemicParams:
 
 
 def _grid(spec, name="beta grid") -> np.ndarray:
-    """The grid of a number, a list of numbers or a 'lo:hi:count' string."""
+    """The grid of a number, a list of numbers, a comma-separated list or a
+    'lo:hi:count' string."""
     try:
-        if isinstance(spec, (list, tuple, int, float)):
-            return np.atleast_1d(np.asarray(spec, dtype=float))
+        values = spec.split(",") if isinstance(spec, str) and "," in spec else spec
+        if isinstance(values, (list, tuple, int, float)):
+            return np.atleast_1d(np.asarray(values, dtype=float))
         lo, hi, count = str(spec).split(":")
         return np.linspace(float(lo), float(hi), int(count))
     except (TypeError, ValueError) as exc:
@@ -431,8 +433,6 @@ def _assemble_config(args) -> ExperimentConfig:
     for key in ("certificate", "panel", "family", "paths", "steps", "beta_grid"):
         value = getattr(args, key, None)
         if value is not None:
-            if key == "beta_grid" and "," in str(value):
-                value = _grid(str(value).split(",")).tolist()
             params[key] = value
     if not params:
         doc.pop("params")

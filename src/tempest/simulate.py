@@ -382,7 +382,7 @@ class EmpiricalThresholdReport:
     beta_bracket: tuple | None = None
 
 
-_WORKER_STATE: dict = {}
+_WORKER_STATE: dict = {}  # a spawned worker's payload; the one-thread path never sets it
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -391,7 +391,10 @@ def _empirical_init(payload):
 
 
 def _empirical_task(pid):
-    pl = _WORKER_STATE["payload"]
+    return _path_final(_WORKER_STATE["payload"], pid)
+
+
+def _path_final(pl, pid):
     rng = rngmod.generator(pl["seed"], rngmod.TAG_PATH, pid)
     counts, _, _ = _dt_run(pl["graph"], pl["beta"], pl["delta"], pl["steps"], pl["x0"],
                            True, rng, False)
@@ -445,8 +448,7 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
         with pool:
             results = list(pool.imap_unordered(_empirical_task, range(paths)))
     else:
-        _empirical_init(payload)
-        results = [_empirical_task(pid) for pid in range(paths)]
+        results = [_path_final(payload, pid) for pid in range(paths)]
     finals = np.zeros((beta_grid.size, paths), dtype=np.int64)
     for pid, count in results:
         finals[:, pid] = count

@@ -4,14 +4,16 @@ Four certificates (continuous-time arc-independent, continuous-time
 edge-independent, its homogeneous-rate specialization, and the discrete-time
 edge-independent one) plus the static baselines.  Each produces a
 ThresholdReport carrying the verdict, the certified threshold, the
-optimizer, a decay-rate lower bound, and every named intermediate.
+optimizer, a decay-rate lower bound, and every named intermediate.  T1 and
+T2 are one template, at scaling a = 2 (matrix measure) and a = 1 (abscissa).
 
 All certificates are sufficient conditions: the maximizer reports a value
 attained at a point of its grid or zoom passes, a lower bound on the true
-supremum, so verdicts may be conservative but never unsound.  When the
-certificate objective diverges at the left interval endpoint, the always-on
-support graph is itself stable and the verdict is returned as
-SUPPORT_TRIVIAL with the support-bound decay rate.
+supremum, so verdicts may be conservative but never unsound.  Three routes
+skip the maximization, each built in one place: a deterministic graph is
+rerouted to its static condition, a stable support graph (or an objective
+diverging at the left end) gives SUPPORT_TRIVIAL with the support-bound
+decay rate, and an empty interval gives no certificate (interval_empty).
 """
 
 from __future__ import annotations
@@ -213,89 +215,83 @@ def _static_report(mean: MeanMatrix, params: EpidemicParams, time: str, **inter)
     return ThresholdReport(STATIC_DT, lam4, 1.0, float("nan"), decay, stable, inter)
 
 
-def _support_trivial_report(lhs: float, decay: float, inter: dict) -> ThresholdReport:
-    inter = dict(inter, trivial_regime=True)
+def _support_trivial_report(lhs: float, decay: float, inter: dict, tau_key: str) -> ThresholdReport:
+    """SUPPORT_TRIVIAL: the always-on support graph alone decays at ``decay``."""
+    inter.update({tau_key: math.inf, "s_star": float("nan"), "decay_bound": decay,
+                  "trivial_regime": True})
     return ThresholdReport(SUPPORT_TRIVIAL, lhs, math.inf, float("nan"), decay, True, inter)
 
 
-def _maximized_report(cert, tau_key, lhs, sgn, kp, s0, sbar, objective, decay_at, inter):
-    """T1/T2 verdict from the objective on (s0, sbar]: SUPPORT_TRIVIAL when the
-    support graph's measure ``sgn`` is negative or the objective diverges,
-    no certificate on an empty interval, else the maximum tau as threshold."""
+def _no_certificate(cert: str, lhs: float, inter: dict, tau_key: str) -> ThresholdReport:
+    """Unstable with threshold -inf: the maximization interval is empty."""
+    inter.update({tau_key: -math.inf, "s_star": float("nan"), "interval_empty": True})
+    return ThresholdReport(cert, lhs, -math.inf, float("nan"), None, False, inter)
+
+
+# ---------------------------------------------------------------------------
+# T1 and T2: continuous-time, arc- and edge-independent certificates
+# ---------------------------------------------------------------------------
+
+# T1 bounds mu at a = 2, T2 eta at a = 1.  Per row: kind, family, _mix's
+# measure flag, a, and the names of Delta, c, sbar, lhs, the support's value, tau.
+_CT_TEMPLATES = {
+    T1: (AMAI, "M1", True, 2.0,
+         ("Delta1", "c1", "sbar1", "mu_BAbar_minus_D", "mu_Bsgn_minus_D", "tau_A")),
+    T2: (AMEI, "M2", False, 1.0,
+         ("Delta2", "c2", "sbar2", "eta_BAbar_minus_D", "eta_Bsgn_minus_D", "tau_E")),
+}
+
+
+def _certify_ct(cert: str, graph_or_mean, params: EpidemicParams) -> ThresholdReport:
+    """T1 or T2 from the template of ``cert``: with sgn the support's value,
+    c = sgn - s0/a and sbar = a (delta_min + c^-), the threshold is the maximum
+    over (s0, sbar] of -(s + a c kappa(s)) / (a (1 - kappa(s))).  SUPPORT_TRIVIAL
+    when sgn < 0 or the objective diverges, no certificate on an empty interval."""
+    kind, family, measure, a, names = _CT_TEMPLATES[cert]
+    d_key, c_key, sbar_key, lhs_key, sgn_key, tau_key = names
+    mean = _as_mean(graph_or_mean)
+    _check(mean, params, kind, CT)
+    kp = kappa_params(family, mean, params.beta)
+    if kp.d == 0.0:
+        return _static_report(mean, params, mean.time, routed_from=cert, deterministic=True)
+
+    lhs = _mix(mean, params, support=False, measure=measure)
+    sgn = _mix(mean, params, support=True, measure=measure)
+    s0 = kappa_inv_at_one(kp)
+    c = sgn - s0 / a
+    sbar = a * (params.delta_min + c_minus(c))
+    inter = {d_key: kp.d, c_key: c, sbar_key: sbar, "kappa_inv_1": s0,
+             lhs_key: lhs, sgn_key: sgn,
+             "beta_max": params.beta_max, "delta_min": params.delta_min}
+
+    def objective(s):
+        k = kappa(kp, s)
+        return -(s + a * c * k) / (a * (1.0 - k))
+
     res = None
     if sgn >= 0.0:
         if sbar <= s0:
-            inter.update({tau_key: -math.inf, "s_star": float("nan"), "interval_empty": True})
-            return ThresholdReport(cert, lhs, -math.inf, float("nan"), None, False, inter)
+            return _no_certificate(cert, lhs, inter, tau_key)
         try:
             res = maximize_on_interval(objective, s0, sbar)
         except DivergenceDetected:
             pass
     if res is None:
-        inter.update({tau_key: math.inf, "s_star": float("nan"), "decay_bound": -sgn})
-        return _support_trivial_report(lhs, -sgn, inter)
+        return _support_trivial_report(lhs, -sgn, inter, tau_key)
     tau, s_star = res.value, res.s_star
     stable = lhs < tau
     k_star = kappa(kp, s_star)
-    decay = decay_at(s_star, k_star) if stable else None
+    decay = -lhs * (1.0 - k_star) - s_star / a - c * k_star if stable else None
     inter.update({tau_key: tau, "s_star": s_star, "kappa_s_star": k_star, "decay_bound": decay})
     return ThresholdReport(cert, lhs, tau, s_star, decay, stable, inter)
 
 
-# ---------------------------------------------------------------------------
-# T1: continuous-time, arc-independent certificate
-# ---------------------------------------------------------------------------
-
 def certify_amai_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
-    mean = _as_mean(graph_or_mean)
-    _check(mean, params, AMAI, CT)
-    kp = kappa_params("M1", mean, params.beta)
-    if kp.d == 0.0:
-        return _static_report(mean, params, mean.time, routed_from=T1, deterministic=True)
+    return _certify_ct(T1, graph_or_mean, params)
 
-    lhs = _mix(mean, params, support=False, measure=True)
-    mu_sgn = _mix(mean, params, support=True, measure=True)
-    s0 = kappa_inv_at_one(kp)
-    c1 = mu_sgn - s0 / 2.0
-    sbar1 = 2.0 * params.delta_min + 2.0 * c_minus(c1)
-    inter = {"Delta1": kp.d, "c1": c1, "sbar1": sbar1, "kappa_inv_1": s0,
-             "mu_BAbar_minus_D": lhs, "mu_Bsgn_minus_D": mu_sgn,
-             "beta_max": params.beta_max, "delta_min": params.delta_min}
-
-    def objective(s):
-        k = kappa(kp, s)
-        return -(s + 2.0 * c1 * k) / (2.0 * (1.0 - k))
-
-    return _maximized_report(T1, "tau_A", lhs, mu_sgn, kp, s0, sbar1, objective,
-                             lambda s, k: -lhs * (1.0 - k) - s / 2.0 - c1 * k, inter)
-
-
-# ---------------------------------------------------------------------------
-# T2: continuous-time, edge-independent certificate
-# ---------------------------------------------------------------------------
 
 def certify_amei_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
-    mean = _as_mean(graph_or_mean)
-    _check(mean, params, AMEI, CT)
-    kp = kappa_params("M2", mean, params.beta)
-    if kp.d == 0.0:
-        return _static_report(mean, params, mean.time, routed_from=T2, deterministic=True)
-
-    lhs = _mix(mean, params, support=False)
-    eta_sgn = _mix(mean, params, support=True)
-    s0 = kappa_inv_at_one(kp)
-    c2 = eta_sgn - s0
-    sbar2 = params.delta_min + c_minus(c2)
-    inter = {"Delta2": kp.d, "c2": c2, "sbar2": sbar2, "kappa_inv_1": s0,
-             "eta_BAbar_minus_D": lhs, "eta_Bsgn_minus_D": eta_sgn,
-             "beta_max": params.beta_max, "delta_min": params.delta_min}
-
-    def objective(s):
-        k = kappa(kp, s)
-        return -(s + c2 * k) / (1.0 - k)
-
-    return _maximized_report(T2, "tau_E", lhs, eta_sgn, kp, s0, sbar2, objective,
-                             lambda s, k: -lhs * (1.0 - k) - s - c2 * k, inter)
+    return _certify_ct(T2, graph_or_mean, params)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +356,9 @@ def certify_homogeneous(graph_or_mean, beta: float, delta: float) -> ThresholdRe
              "lambda3": lam3, "eta_sgn": eta_sgn, "beta": beta, "delta": delta}
     lhs = beta / delta
     if xi_h == math.inf:  # the support graph alone decays: delta - beta eta_sgn >= 0
-        decay = delta - beta * eta_sgn
-        inter.update(xi_H=math.inf, s_star=float("nan"), decay_bound=decay)
-        return _support_trivial_report(lhs, decay, inter)
+        return _support_trivial_report(lhs, delta - beta * eta_sgn, inter, "xi_H")
     if xi_h == -math.inf:  # empty interval: cannot certify
-        inter.update(xi_H=xi_h, s_star=float("nan"), interval_empty=True)
-        return ThresholdReport(T3, lhs, -math.inf, float("nan"), None, False, inter)
+        return _no_certificate(T3, lhs, inter, "xi_H")
     threshold = xi_h / lam3
     stable = lhs < threshold
     k_star = kappa(kp, s_star)
@@ -401,8 +394,7 @@ def certify_amei_dt(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
     inter = {"Delta2": kp.d, "lambda4": lam4, "eta_Mmax": eta_max,
              "beta_max": params.beta_max, "delta_min": params.delta_min}
     if lam4 >= 1.0:
-        inter.update(tau_D=-math.inf, s_star=float("nan"), interval_empty=True)
-        return ThresholdReport(T4, lam4, -math.inf, float("nan"), None, False, inter)
+        return _no_certificate(T4, lam4, inter, "tau_D")
 
     log_ratio = math.log(lam4 / eta_max)  # <= 0 by Metzler monotonicity
 

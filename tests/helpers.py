@@ -9,6 +9,7 @@ cross-checked end to end.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,11 @@ from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, station
 from tempest import rng as rngmod
 from tempest.errors import BracketError, DivergenceDetected, EmptyInterval, NumericalFailure
 from tempest.markov import CT, DT
-from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeResult, _log_kappa
+from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeResult, _log_kappa, \
+    c_minus, kappa, kappa_inv_at_one, maximize_on_interval
 from tempest.graphs import GraphPath
-from tempest.thresholds import _as_mean, certify
+from tempest.thresholds import SUPPORT_TRIVIAL, T1, T2, EpidemicParams, ThresholdReport, \
+    _as_mean, _check, _mix, _static_report, certify, kappa_params
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +492,89 @@ def reference_threshold_in_beta(graph_or_mean, delta: float, certificate: str,
         else:
             hi = mid
     return lo
+
+
+# ---------------------------------------------------------------------------
+# T1 and T2 as two functions: the certificate code before they shared one
+# template, kept verbatim (the public two renamed reference_*) so that the
+# template's reports can be compared with theirs bit for bit
+# ---------------------------------------------------------------------------
+
+def _support_trivial_report(lhs: float, decay: float, inter: dict) -> ThresholdReport:
+    inter = dict(inter, trivial_regime=True)
+    return ThresholdReport(SUPPORT_TRIVIAL, lhs, math.inf, float("nan"), decay, True, inter)
+
+
+def _maximized_report(cert, tau_key, lhs, sgn, kp, s0, sbar, objective, decay_at, inter):
+    """T1/T2 verdict from the objective on (s0, sbar]: SUPPORT_TRIVIAL when the
+    support graph's measure ``sgn`` is negative or the objective diverges,
+    no certificate on an empty interval, else the maximum tau as threshold."""
+    res = None
+    if sgn >= 0.0:
+        if sbar <= s0:
+            inter.update({tau_key: -math.inf, "s_star": float("nan"), "interval_empty": True})
+            return ThresholdReport(cert, lhs, -math.inf, float("nan"), None, False, inter)
+        try:
+            res = maximize_on_interval(objective, s0, sbar)
+        except DivergenceDetected:
+            pass
+    if res is None:
+        inter.update({tau_key: math.inf, "s_star": float("nan"), "decay_bound": -sgn})
+        return _support_trivial_report(lhs, -sgn, inter)
+    tau, s_star = res.value, res.s_star
+    stable = lhs < tau
+    k_star = kappa(kp, s_star)
+    decay = decay_at(s_star, k_star) if stable else None
+    inter.update({tau_key: tau, "s_star": s_star, "kappa_s_star": k_star, "decay_bound": decay})
+    return ThresholdReport(cert, lhs, tau, s_star, decay, stable, inter)
+
+
+def reference_certify_amai_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
+    mean = _as_mean(graph_or_mean)
+    _check(mean, params, AMAI, CT)
+    kp = kappa_params("M1", mean, params.beta)
+    if kp.d == 0.0:
+        return _static_report(mean, params, mean.time, routed_from=T1, deterministic=True)
+
+    lhs = _mix(mean, params, support=False, measure=True)
+    mu_sgn = _mix(mean, params, support=True, measure=True)
+    s0 = kappa_inv_at_one(kp)
+    c1 = mu_sgn - s0 / 2.0
+    sbar1 = 2.0 * params.delta_min + 2.0 * c_minus(c1)
+    inter = {"Delta1": kp.d, "c1": c1, "sbar1": sbar1, "kappa_inv_1": s0,
+             "mu_BAbar_minus_D": lhs, "mu_Bsgn_minus_D": mu_sgn,
+             "beta_max": params.beta_max, "delta_min": params.delta_min}
+
+    def objective(s):
+        k = kappa(kp, s)
+        return -(s + 2.0 * c1 * k) / (2.0 * (1.0 - k))
+
+    return _maximized_report(T1, "tau_A", lhs, mu_sgn, kp, s0, sbar1, objective,
+                             lambda s, k: -lhs * (1.0 - k) - s / 2.0 - c1 * k, inter)
+
+
+def reference_certify_amei_ct(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
+    mean = _as_mean(graph_or_mean)
+    _check(mean, params, AMEI, CT)
+    kp = kappa_params("M2", mean, params.beta)
+    if kp.d == 0.0:
+        return _static_report(mean, params, mean.time, routed_from=T2, deterministic=True)
+
+    lhs = _mix(mean, params, support=False)
+    eta_sgn = _mix(mean, params, support=True)
+    s0 = kappa_inv_at_one(kp)
+    c2 = eta_sgn - s0
+    sbar2 = params.delta_min + c_minus(c2)
+    inter = {"Delta2": kp.d, "c2": c2, "sbar2": sbar2, "kappa_inv_1": s0,
+             "eta_BAbar_minus_D": lhs, "eta_Bsgn_minus_D": eta_sgn,
+             "beta_max": params.beta_max, "delta_min": params.delta_min}
+
+    def objective(s):
+        k = kappa(kp, s)
+        return -(s + c2 * k) / (1.0 - k)
+
+    return _maximized_report(T2, "tau_E", lhs, eta_sgn, kp, s0, sbar2, objective,
+                             lambda s, k: -lhs * (1.0 - k) - s - c2 * k, inter)
 
 
 # ---------------------------------------------------------------------------

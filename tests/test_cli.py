@@ -427,6 +427,21 @@ class TestCliRuns:
         rows = open("empirical_0.csv").read().splitlines()[2:]
         assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.01]
 
+    @pytest.mark.parametrize("args, column", [
+        (["empirical", "--preset", "iv", "--graph-param", "n=10", "--paths", "2",
+          "--steps", "10", "--beta-grid", "0.01,0.02"], [0.01, 0.02]),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10", "--paths", "2",
+          "--steps", "10", "--param", "beta_grid=0.01,0.02"], [0.01, 0.02]),
+        (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "draws=200",
+          "--param", "s_grid=0,0.5,1"], [0.0, 0.5, 1.0]),
+    ], ids=["beta grid flag", "beta grid param", "s_grid param"])
+    def test_comma_separated_grids(self, tmp_path, monkeypatch, args, column):
+        # one grid parser reads a comma list from a flag, a --param or a config
+        monkeypatch.chdir(tmp_path)
+        assert main([*args, "--seed", "0"]) == 0
+        rows = open(f"{args[0]}_0.csv").read().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == column
+
     def test_main_entry_returns_zero(self, tmp_path):
         old = os.getcwd()
         os.chdir(tmp_path)

@@ -1,4 +1,6 @@
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -324,6 +326,16 @@ class TestEmpiricalThreshold:
         # a NaN log1p(-beta) lane that never infects
         with pytest.raises(ParamRange, match="beta grid"):
             empirical_threshold(graph_er_iv(10, 0.5, 1), 0.05, grid, paths=2, steps=20)
+
+    def test_one_thread_run_frees_the_graph(self):
+        # the one-thread protocol keeps no payload (graph, beta matrix, x0) in
+        # a module global after it returns
+        g = graph_er_iv(40, 0.2, 1)
+        ref = weakref.ref(g)
+        empirical_threshold(g, 0.05, [5e-4, 1e-3], paths=2, steps=10, seed=1, threads=1)
+        del g
+        gc.collect()
+        assert ref() is None
 
     def test_grid_below_certified_threshold_stays_low(self):
         # a beta grid entirely below the certified threshold keeps z* < 0.1

@@ -108,3 +108,16 @@ def test_one_cell_rule():
                  and any(getattr(op, "id", None) == "AMEI"
                          for op in [node.left, *node.comparators])]
         assert not found, f"{module} compares with AMEI at lines {found}"
+
+
+def test_one_builder_per_certificate_route():
+    # T1 and T2 share one template, and each route's report is written in one
+    # place: the keys "interval_empty" and "trivial_regime" occur once each in
+    # thresholds.py, as a string or a keyword
+    tree = ast.parse((PACKAGE / "thresholds.py").read_text())
+    assert "_maximized_report" not in _referenced_names("thresholds.py")
+    for key in ("interval_empty", "trivial_regime"):
+        uses = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == key
+                or isinstance(node, ast.keyword) and node.arg == key]
+        assert len(uses) == 1, f"{key} written at lines {uses}"

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import json
 import math
 import weakref
 from fractions import Fraction
@@ -162,6 +163,26 @@ class TestCertifyAmeiCt:
                 if rep.stable:
                     assert rep.decay_rate_bound > 0
 
+    @pytest.mark.parametrize("case", [*range(24), "complete r=1", "complete r=5"])
+    def test_t3_stable_implies_t2_stable(self, case):
+        # at homogeneous rates kappa_{beta, beta^2 Delta3}(beta s) = kappa_{1, Delta3}(s)
+        # and sbar2 >= beta sbar3, so T3's interval scaled by beta lies in T2's:
+        # T3 stable implies T2 stable, and the searched thresholds agree
+        rng = np.random.default_rng(case if isinstance(case, int) else 0)
+        if isinstance(case, int):
+            graph = helpers.random_amei_ct(rng, int(rng.integers(3, 12)), p_edge=0.6)
+        else:  # 30 nodes: T3 also certifies outside its trivial regime
+            graph = graph_complete_edge_markovian(30, 1.0, float(case[-1]))
+        mean = mean_matrix(graph)
+        delta = float(rng.uniform(0.3, 2.5))
+        eta = mean.eta_abar()
+        bounds = (1e-6 * delta / eta, 2 * delta / eta)
+        t2, t3 = (threshold_in_beta(mean, delta, c, bounds) for c in ("t2", "t3"))
+        assert t2 == pytest.approx(t3, rel=1e-6)
+        for beta in [*np.linspace(*bounds, 30), *(t3 * np.array([0.9, 0.99, 1.0, 1.01]))]:
+            if certify(mean, "t3", beta, delta).stable:
+                assert certify(mean, "t2", beta, delta).stable, beta
+
     def test_heterogeneous_matches_grid_oracle(self):
         g = helpers.random_amei_ct(np.random.default_rng(5), 8, p_edge=0.6)
         mean = mean_matrix(g)
@@ -194,6 +215,45 @@ class TestCertifyAmeiCt:
         assert rep.certificate == "T2"
         assert rep.lhs == pytest.approx(refs[0], rel=1e-12)
         assert rep.intermediates["eta_Bsgn_minus_D"] == pytest.approx(refs[1], rel=1e-12)
+
+
+class TestContinuousTimeTemplate:
+    """T1 and T2 are one template at scalings a = 2 and a = 1; every report
+    equals the two-function code's in tests/helpers.py, in key order too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reports_equal_the_reference(self, data):
+        kind = data.draw(st.sampled_from(["amai", "amei"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n = data.draw(st.integers(2, 24))
+        p_edge = data.draw(st.sampled_from([0.9, 0.6, 0.3]))
+        static = data.draw(st.sampled_from([0.0, 0.3, 1.0]))  # share of always-on edges
+        edges = {}
+        for i in range(n):
+            for j in range(n):
+                if i != j and (kind == "amai" or i < j) and rng.random() < p_edge:
+                    edges[(i, j)] = build_static_edge(True) if rng.random() < static else \
+                        build_edge_markovian(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0))
+        mean = mean_matrix(DynamicGraphModel(n, kind, edges))
+        # beta around delta / eta(sgn Abar): the support graph's own threshold
+        # (SUPPORT_TRIVIAL below it) and, just above it, the maximized verdicts
+        delta = data.draw(st.floats(0.1, 3.0))
+        eta_sgn = mean.eta_support()
+        u = data.draw(st.one_of(st.floats(-1.5, 0.6), st.floats(0.0, 0.08)))
+        beta = 10 ** u * delta / (eta_sgn if eta_sgn > 0 else 1.0)
+        spread = data.draw(st.sampled_from([0.0, 0.02, 0.5]))  # 0: homogeneous rates
+        if spread:
+            params = EpidemicParams(beta * rng.uniform(1 - spread, 1 + spread, n),
+                                    delta * rng.uniform(1 - spread, 1 + spread, n))
+        else:
+            params = homog(beta, delta, n)
+        new, ref = (certify_amai_ct, helpers.reference_certify_amai_ct) if kind == "amai" \
+            else (certify_amei_ct, helpers.reference_certify_amei_ct)
+        got, expected = new(mean, params), ref(mean, params)
+        assert json.dumps(got.to_dict(), sort_keys=True) \
+            == json.dumps(expected.to_dict(), sort_keys=True)
+        assert list(got.intermediates) == list(expected.intermediates)
 
 
 class TestCertifyHomogeneous:
