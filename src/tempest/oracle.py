@@ -151,8 +151,9 @@ class ExactGenerator(spla.LinearOperator):
     ``pi`` is the L x L joint edge generator (``pi_matrix``, diagonal
     included) and ``contact`` the Ln x Ln block diagonal of B F_l - D.  A
     matvec reads x as an (L, n) array, one row per label, and costs one
-    product with each factor; ``tocsr`` materializes the sum.  The operator
-    is Metzler, which ``spectral_abscissa`` takes on trust.
+    product with each factor; ``diagonal`` reads the sum's diagonal off the
+    factors and ``tocsr`` materializes the sum.  The operator is Metzler,
+    which ``spectral_abscissa`` takes on trust.
     """
 
     def __init__(self, pi: sp.csr_matrix, contact: sp.csr_matrix, n: int):
@@ -164,6 +165,9 @@ class ExactGenerator(spla.LinearOperator):
         y = self.contact @ x
         y += (self.pi @ x.reshape(-1, self.n)).ravel()
         return y
+
+    def diagonal(self) -> np.ndarray:
+        return np.repeat(self.pi.diagonal(), self.n) + self.contact.diagonal()
 
     def tocsr(self) -> sp.csr_matrix:
         """The sum, written row by row without a Kronecker product.

@@ -184,7 +184,8 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
     then the edge chains advance one step.  With ``reinfect``, a uniformly
     random node is re-seeded whenever the update leaves everyone
     susceptible.  Passing ``edge_path`` runs the epidemic on that fixed
-    adjacency trajectory instead of sampling edges.  ``seed`` is an int or a
+    adjacency trajectory instead of sampling edges; it must be a DT path of
+    at least ``steps`` (n, n) adjacencies.  ``seed`` is an int or a
     Generator (for example a tagged stream from ``rng.generator``).
     """
     if graph.m and graph.time != DT:
@@ -195,8 +196,12 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
         raise ParamRange("discrete-time probabilities must lie in [0, 1]")
     x0 = _init_mask(init_infected, n)
     rng, seed = _stream(seed)
-    if edge_path is not None and edge_path.adjacency.shape[0] < steps:
-        raise ValueError("edge path shorter than the requested step count")
+    if edge_path is not None:
+        shape = edge_path.adjacency.shape
+        if edge_path.time_base != DT or len(shape) != 3 or shape[0] < steps \
+                or shape[1:] != (n, n):
+            raise ValueError(f"edge path must be a discrete-time path of at least {steps} "
+                             f"({n}, {n}) adjacencies, got {edge_path.time_base} {shape}")
     counts, reinf, states = _dt_run(graph, beta[:, None], delta, steps, x0, reinfect, rng,
                                     record_states, edge_path)
     return SimulationTrace(np.arange(steps + 1), counts[:, 0], seed, DT, int(reinf[0]),
@@ -204,66 +209,98 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
 
 
 def _cut_points(lay):
-    """Cut points of the switching rows' chains, states listed on-states first,
-    as one (width - 1, rows (width + 1)) array: column law[k] - 1 holds row k's
-    initial law, column law[k] + s its law from state s; n_on[k] counts its
-    on-states.  A row moves to the count of cut points <= its uniform."""
-    cuts = lay.cuts(on_first=True)
-    rows, laws, points = cuts.shape
-    return (cuts.reshape(rows * laws, points).T.copy(), np.arange(rows) * laws + 1,
-            lay.output.sum(axis=1).astype(np.intp))
+    """Integer cut points of the switching rows' chains, states listed
+    on-states first, as one (width + 1, width - 1, rows) array: [0] from each
+    row's initial law, [1 + s] from its law out of state s; and n_on, each
+    row's number of on-states.  Generator.random draws (raw >> 11) 2**-53,
+    and k 2**-53 >= c exactly when k >= ceil(c 2**53), so a row moves to the
+    count of its integer cut points <= raw >> 11; a cut point past 1 (the
+    inf padding) becomes 2**53, above every k."""
+    return (_integer_cuts(lay.cuts(on_first=True).transpose(1, 2, 0)),
+            lay.output.sum(axis=1).astype(np.min_scalar_type(lay.output.shape[1])))
+
+
+def _integer_cuts(cuts):
+    """ceil(c 2**53) of each cut point c clipped to [0, 1], as C-ordered uint64."""
+    cuts = np.clip(cuts, 0.0, 1.0)
+    cuts *= 2.0 ** 53
+    return np.ceil(cuts, out=cuts).astype(np.uint64, order="C")
 
 
 def _dt_run(graph: DynamicGraphModel, beta, delta, steps, x0, reinfect, rng, record_states,
             edge_path: GraphPath | None = None):
     """Synchronous SIS steps of G lanes, one per column of the (n, G) ``beta``,
-    on one edge trajectory: the graph's edges, one integer chain state each,
-    kept in a dense adjacency A so that all lanes' contacts are one product
-    A @ X, or the adjacency of ``edge_path``.  Per step the edges draw first,
-    one uniform each (from their initial law at step 0); the lanes then share
+    on one edge trajectory: the graph's edges, one small-integer chain state
+    each, kept in a dense float32 adjacency stored transposed (arc (i, j) of
+    ``graphs.arcs`` at cell j n + i, exact below 2**24), or the adjacency of
+    ``edge_path``.  The lanes are held lanes-major, a (G, n) X, so their
+    contacts are one product X @ A^T; a lane with at most n/8 infected nodes
+    sums their rows of A^T instead.  Both give the exact integer counts.
+    Per step the edges draw first, one raw Philox word each (from their
+    initial law at step 0), compared as raw >> 11 with integer cut points:
+    the word Generator.random turns into the edge's uniform, so the draws
+    are those of float uniforms, in the same order.  The lanes then share
     one infection and then one recovery uniform per node; each extinct lane
-    then draws its re-infected node, in lane order.  One lane thus draws as a
-    single run.  Returns the (steps + 1, G) infected counts, the
+    then draws its re-infected node, in lane order.  One lane thus draws as
+    a single run.  Returns the (steps + 1, G) infected counts, the
     re-infections per lane and, if recorded, the (steps + 1, n, G) states."""
     n, lanes = beta.shape
     if edge_path is None:
-        table, adj = graph.table, np.zeros((n, n), dtype=np.float32)  # exact below 2**24
-        flat, lay = adj.reshape(-1), table.layout()
-        cells = [i * n + j for i, j in arcs(graph.kind, table.i, table.j)]
-        for cell in cells:
+        table, lay = graph.table, graph.table.layout()
+        adj = np.zeros((n, n), dtype=np.float32)
+        flat = adj.reshape(-1)
+        # per arc, its switching cells in ascending order (cheaper to write
+        # than scattered ones) and the rows they read
+        scatter = []
+        for i, j in arcs(graph.kind, table.i, table.j):
+            cell = j * n + i
             flat[cell[table.template == STATIC_ON]] = 1.0
-        cells = [cell[lay.rows] for cell in cells]
-        cuts, law, n_on = _cut_points(lay)
-        state = np.full(lay.rows.size, -1)  # column law - 1: each row's initial law
+            cell = cell[lay.rows]
+            order = np.argsort(cell)
+            scatter.append((cell[order], slice(None) if (np.diff(order) == 1).all() else order))
+        cuts, n_on = _cut_points(lay)
+        raw, dtype = rng.bit_generator.random_raw, n_on.dtype
     with np.errstate(divide="ignore"):
-        log1m_beta = np.log1p(-beta)
-    x = np.repeat(x0[:, None], lanes, axis=1)
+        log1m_beta = np.log1p(-beta.T)
+    x = np.repeat(x0[None, :], lanes, axis=0)
     counts = np.empty((steps + 1, lanes), dtype=np.int64)
-    counts[0] = x.sum(axis=0)
+    counts[0] = x.sum(axis=1)
     states = [x] if record_states else None
     reinfections = np.zeros(lanes, dtype=np.int64)
     for k in range(steps):
         if edge_path is None:
-            u, cols = rng.random(state.size), law + state
-            state = sum((u >= cut[cols] for cut in cuts[1:]),
-                        (u >= cuts[0][cols]).astype(np.intp))
+            u = raw(n_on.size)
+            u >>= 11
+            if k:  # each state s moves by its own cut points
+                state = sum((state == s) * (u >= cut).sum(axis=0, dtype=dtype)
+                            for s, cut in enumerate(cuts[1:]))
+            else:
+                state = (u >= cuts[0]).sum(axis=0, dtype=dtype)
             on = (state < n_on).astype(np.float32)
-            for cell in cells:
-                flat[cell] = on
-        a = adj if edge_path is None else edge_path.adjacency[k]
-        contacts = a @ x.astype(a.dtype)
+            for cell, order in scatter:
+                flat[cell] = on[order]
+        a = adj if edge_path is None else edge_path.adjacency[k].T
+        xa, few = x.astype(a.dtype), counts[k] <= n // 8
+        if few.any():
+            contacts = np.empty((lanes, n), dtype=a.dtype)
+            contacts[~few] = xa[~few] @ a
+            for g in np.flatnonzero(few):
+                contacts[g] = a[x[g]].sum(axis=0)
+        else:
+            contacts = xa @ a
+        # u < p_inf = -expm1(c log(1 - beta)), i.e. expm1(c log(1 - beta)) < -u;
+        # without infected contacts the left side is 0 or NaN and never infects
+        u_inf, u_rec = rng.random(n), rng.random(n)
         with np.errstate(invalid="ignore"):
-            p_inf = np.where(contacts > 0, -np.expm1(contacts * log1m_beta), 0.0)
-        new_inf = ~x & (rng.random(n)[:, None] < p_inf)
-        recov = x & (rng.random(n)[:, None] < delta[:, None])
-        x = (x & ~recov) | new_inf
-        for g in np.flatnonzero(~x.any(axis=0)) if reinfect else ():
-            x[rng.integers(n), g] = True
+            x = np.where(x, u_rec >= delta, np.expm1(contacts * log1m_beta) < -u_inf)
+        counts[k + 1] = x.sum(axis=1)
+        for g in np.flatnonzero(counts[k + 1] == 0) if reinfect else ():
+            x[g, rng.integers(n)] = True
+            counts[k + 1, g] = 1
             reinfections[g] += 1
-        counts[k + 1] = x.sum(axis=0)
         if record_states:
             states.append(x)
-    return counts, reinfections, np.asarray(states) if record_states else None
+    return counts, reinfections, np.asarray(states).swapaxes(1, 2) if record_states else None
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +460,8 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
     if paths < 1 or steps < 1:
         raise ValueError(f"empirical threshold needs paths >= 1 and steps >= 1, "
                          f"got {paths} and {steps}")
+    if threads < 1:
+        raise ValueError(f"empirical threshold needs threads >= 1, got {threads}")
     if graph.time != DT:
         raise ValueError("empirical threshold needs a discrete-time graph")
     if not ((beta_grid >= 0) & (beta_grid <= 1)).all():

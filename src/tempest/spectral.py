@@ -21,6 +21,7 @@ _POWER_MAX_ITER = 100_000
 _POWER_TOL = 1e-10
 _ARPACK_TOL = 1e-12
 _CERTIFY_RTOL = 1e-10
+_POLISH_STEPS = 40      # shifted power steps from a positive Ritz vector whose bracket is wide
 _DIVERGENCE_CAP = 1e15  # an objective value above this counts as divergence
 _REFINE_BRACKETS = 3    # zoomed brackets around the best grid points
 _GRID = np.geomspace(1e-9, 1.0, 4096)     # the maximizer's grid, built once
@@ -184,9 +185,12 @@ def _certified_abscissa(m) -> float:
     ARPACK returns the rightmost Ritz vector; with its sign fixed so its sum
     is positive and every entry positive, the Collatz-Wielandt bracket
     bounds the true root and its midpoint is returned once the bracket is
-    narrower than 1e-10 relative.  Both take matvecs only.  The start vector
-    is fixed: ARPACK's default one is random, which would move the result in
-    its last bits.  Otherwise an operator is materialized by its ``tocsr``,
+    narrower than 1e-10 relative.  A positive vector whose bracket is wider
+    takes up to _POLISH_STEPS steps x <- (M + cI) x, c = max(0, -min M_ii),
+    which damp the far eigencomponents the Ritz vector still carries.  All
+    of it takes matvecs and the diagonal only.  The start vector is fixed:
+    ARPACK's default one is random, which would move the result in its last
+    bits.  Otherwise an operator is materialized by its ``tocsr``,
     and the matrix, block-triangular in the order of the strongly connected
     components of its support, gives the largest abscissa of its diagonal
     blocks; only an irreducible one takes the power iteration, and one of
@@ -200,10 +204,17 @@ def _certified_abscissa(m) -> float:
         x = vecs[:, 0].real
         if x.sum() < 0:
             x = -x
-        if x.min() > 0:
+        shift = None
+        for _ in range(_POLISH_STEPS + 1):
+            if not x.min() > 0:
+                break
             lo, hi = _collatz_wielandt_bracket(m, x)
             if hi - lo <= _CERTIFY_RTOL * max(1.0, abs(hi)):
                 return 0.5 * (lo + hi)
+            if shift is None:  # M + shift I is nonnegative
+                shift = max(0.0, -float(m.diagonal().min()))
+            x = m @ x + shift * x
+            x /= np.linalg.norm(x)
     if isinstance(m, spla.LinearOperator):
         m = m.tocsr()
     count, labels = connected_components(m != 0, directed=True, connection="strong")
@@ -222,9 +233,9 @@ def spectral_abscissa(m) -> float:
     """Maximum real part of the eigenvalues (the Perron root for Metzler input).
 
     Sparse input must be Metzler, or ValueError is raised.  A
-    ``LinearOperator`` with a ``tocsr`` method is taken to be Metzler on its
-    caller's word.  Sparse input and operators above 2x2 and dense Metzler
-    input above 64x64 take one ARPACK solve certified by the
+    ``LinearOperator`` with ``tocsr`` and ``diagonal`` methods is taken to be
+    Metzler on its caller's word.  Sparse input and operators above 2x2 and
+    dense Metzler input above 64x64 take one ARPACK solve certified by the
     Collatz-Wielandt bracket; when that fails, an operator is materialized,
     reducible input is split into its irreducible diagonal blocks and
     irreducible input takes the shifted power iteration.  Every other dense

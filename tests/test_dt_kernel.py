@@ -31,7 +31,7 @@ from tempest import (
     stationary_distribution,
 )
 from tempest import rng as rngmod
-from tempest.simulate import _dt_run
+from tempest.simulate import _dt_run, _integer_cuts
 
 P3 = np.array([[0.5, 0.5, 0.0], [0.2, 0.5, 0.3], [0.0, 0.6, 0.4]])
 
@@ -342,3 +342,58 @@ class TestDeclaredInitialState:
         hits = sum(simulate_dt_exact(g, (1.0, 0.0), 1, init_infected=[0], seed=s).final_count == 2
                    for s in range(400))
         assert hits == infected
+
+
+class TestIntegerEdgeDraws:
+    # the kernel compares raw >> 11 of each edge's Philox word with integer cut
+    # points instead of building Generator.random's floats
+
+    def test_raw_words_are_generator_random(self):
+        words, floats = (rngmod.generator(3, rngmod.TAG_PATH, 1) for _ in range(2))
+        for size in (1000, 7, 333):  # interleaved with the node draws of a step
+            raw = words.bit_generator.random_raw(size) >> 11
+            np.testing.assert_array_equal(raw * 2.0 ** -53, floats.random(size))
+            np.testing.assert_array_equal(words.random(50), floats.random(50))
+            assert words.integers(500) == floats.integers(500)
+
+    @pytest.mark.parametrize("c", [0.0, 2.0 ** -53, 0.5, 1 - 2.0 ** -53, 1.0, 1 + 2.0 ** -52,
+                                   np.inf, -0.25, 2.0 ** -60, 0.1, 1 / 3])
+    def test_integer_cut_is_the_float_rule(self, c):
+        k0 = int(_integer_cuts(np.array([c]))[0])
+        ks = np.array(sorted({k for k in (0, 1, 2 ** 52, 2 ** 53 - 1, k0 - 1, k0, k0 + 1)
+                              if 0 <= k < 2 ** 53}), dtype=np.uint64)
+        np.testing.assert_array_equal(ks >= np.uint64(k0), ks * 2.0 ** -53 >= c)
+
+
+class TestProtocolScale:
+    def test_final_counts_unchanged(self):
+        # recorded before the kernel held its lanes lanes-major and drew its
+        # edges as raw Philox words: the same draws give the same counts
+        rep = empirical_threshold(graph_er_iv(120, 0.2, 5), 0.05,
+                                  [1e-3, 4e-3, 8e-3, 1.2e-2, 2e-2], paths=2, steps=150, seed=3)
+        np.testing.assert_array_equal(rep.final_counts,
+                                      [[1, 1], [8, 14], [59, 37], [74, 79], [90, 92]])
+
+
+class TestInputChecks:
+    def test_continuous_time_edge_path_rejected(self):
+        g = graph_complete_edge_markovian(4, 0.5, 0.5, time="dt")
+        ct = sample_graph_path(graph_complete_edge_markovian(4, 0.5, 0.5), horizon=20.0, seed=1)
+        assert ct.adjacency.shape[0] >= 10
+        with pytest.raises(ValueError, match="edge path"):
+            simulate_dt_exact(g, (0.3, 0.3), 10, edge_path=ct)
+
+    def test_edge_path_of_another_size_rejected(self):
+        g = graph_complete_edge_markovian(10, 0.5, 0.5, time="dt")
+        big = sample_graph_path(graph_complete_edge_markovian(12, 0.5, 0.5, time="dt"), steps=20,
+                                seed=1)
+        with pytest.raises(ValueError, match="edge path"):
+            simulate_dt_exact(g, (0.3, 0.3), 10, edge_path=big)
+        with pytest.raises(ValueError, match="edge path"):
+            simulate_dt_exact(g, (0.3, 0.3), 30, edge_path=sample_graph_path(g, steps=20, seed=1))
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads >= 1"):
+            empirical_threshold(graph_er_iv(10, 0.5, 1), 0.05, [0.1], paths=2, steps=5,
+                                threads=threads)

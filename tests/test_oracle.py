@@ -202,6 +202,14 @@ def state_block_eta(g, params):
     return helpers.block_eta(assemble_exponential_generator(g, params).toarray())
 
 
+def stalled_gap_graph():
+    """A graph whose 192-dimensional block stalls the power iteration from ones."""
+    rates = {(0, 6): (1.0, 0.25), (0, 1): (1.0, 1.0), (0, 2): (0.25, 0.25),
+             (0, 4): (0.25, 0.25), (4, 7): (0.25, 0.25)}
+    g = DynamicGraphModel(8, AMEI, {k: build_edge_markovian(*qr) for k, qr in rates.items()})
+    return g, EpidemicParams(np.full(8, 0.1), np.array([1.0, 1, 1, 1, 2, 1, 0.25, 0.25]))
+
+
 # Union graph: a 7-node component and the isolated node 7 (dimension 4,096).
 FAULT_PAIRS = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6), (4, 6)]
 
@@ -321,12 +329,48 @@ class TestReducibleGenerators:
     def test_stalled_power_iteration_falls_back_to_dense(self):
         # a case the property below found: ARPACK does not certify this
         # 192-dimensional block, and its spectral gap stalls the power iteration
-        rates = {(0, 6): (1.0, 0.25), (0, 1): (1.0, 1.0), (0, 2): (0.25, 0.25),
-                 (0, 4): (0.25, 0.25), (4, 7): (0.25, 0.25)}
-        g = DynamicGraphModel(8, AMEI, {k: build_edge_markovian(*qr) for k, qr in rates.items()})
-        params = EpidemicParams(np.full(8, 0.1), np.array([1.0, 1, 1, 1, 2, 1, 0.25, 0.25]))
+        g, params = stalled_gap_graph()
         stable, eta = exponential_condition(g, params)
         assert stable and eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
+
+    def test_stalled_power_iteration_falls_back_to_dense_without_polish(self, monkeypatch):
+        # the block above certifies once its Ritz vector is polished; without
+        # the polish it still reaches the power iteration, which stalls
+        import tempest.spectral as spectral
+        from tempest.errors import ConvergenceFailure
+        g, params = stalled_gap_graph()
+        stalled, original = [], spectral.power_iteration_abscissa
+
+        def power_iteration(m):
+            try:
+                return original(m)
+            except ConvergenceFailure:
+                stalled.append(m.shape[0])
+                raise
+
+        monkeypatch.setattr(spectral, "power_iteration_abscissa", power_iteration)
+        monkeypatch.setattr(spectral, "_POLISH_STEPS", 0)
+        stable, eta = exponential_condition(g, params)
+        assert stalled == [192]
+        assert stable and eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
+
+    def test_wide_ritz_bracket_is_polished_on_the_operator(self, monkeypatch):
+        # a case the property below found: the Ritz vector of this block
+        # (dimension 1,536) is positive but its bracket is too wide, and the
+        # power iteration from ones stalls on the gap to the next eigenvalue,
+        # -0.25086; a few shifted power steps from the Ritz vector certify it
+        edges = {k: build_edge_markovian(1.0, 1.0)
+                 for k in [(0, 1), (1, 2), (3, 6), (6, 0), (0, 3), (2, 3), (4, 3)]}
+        edges[(0, 4)] = build_edge_markovian(1.0, 2.0)
+        g = DynamicGraphModel(8, AMAI, edges)
+        params = EpidemicParams(np.full(8, 0.1), np.array([1, 0.25, 0.25, 1, 1, 1, 1, 1.0]))
+
+        def refuse(self):
+            raise RuntimeError("the block was materialized")
+
+        monkeypatch.setattr(oracle.ExactGenerator, "tocsr", refuse)
+        stable, eta = exponential_condition(g, params)
+        assert stable and eta == pytest.approx(-0.24914067611125418, abs=1e-9)  # dense eigvals
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
