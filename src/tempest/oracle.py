@@ -3,11 +3,12 @@
 The exponential-size exact stability condition of a continuous-time graph
 (the Kronecker sum of the switching edges' chain generators over
 mixed-radix labels, one digit per edge chain state, of dimension
-n * prod_e k_e, solved through its two sparse factors and assembled only
-on request or when the solve cannot be certified), exhaustive and Monte-Carlo
-evaluation of the expected spectral statistics of the certificate random
-matrices M1..M4, and empirical verification of the matrix concentration
-tail bound that powers every linear-size certificate.
+n * prod_e k_e, solved through its two sparse factors by ARPACK and the
+power loop its Ritz vector starts, and assembled only on request or when
+that solve cannot be certified), exhaustive and Monte-Carlo evaluation of
+the expected spectral statistics of the certificate random matrices
+M1..M4, and empirical verification of the matrix concentration tail bound
+that powers every linear-size certificate.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ def exponential_condition(graph: DynamicGraphModel, params: EpidemicParams):
     maximum over components, a singleton contributes -delta_i, and the edge
     and dimension caps apply per component, all checked before any solve.
     Each block is Metzler, irreducible when its edge chains are, and goes to
-    ``spectral_abscissa`` as an ``ExactGenerator``: never assembled unless
-    its ARPACK solve fails to certify.
+    ``spectral_abscissa`` as an ``ExactGenerator``, solved on its two
+    factors and assembled only when that solve cannot be certified.
     """
     lay = _chain_layout(graph)
     components = _coupling_components(graph, params.beta)

@@ -7,6 +7,8 @@ maximization with a certified-lower-bound contract.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +19,10 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ConvergenceFailure, DivergenceDetected, DomainError, EmptyInterval, NumericalFailure
 
 _DENSE_FALLBACK_DIM = 64
-_POWER_MAX_ITER = 100_000
-_POWER_TOL = 1e-10
+_DENSE_STALL_DIM = 1024  # an irreducible block up to this size goes dense when the loop stalls
 _ARPACK_TOL = 1e-12
 _CERTIFY_RTOL = 1e-10
-_POLISH_STEPS = 40      # shifted power steps from a positive Ritz vector whose bracket is wide
+_CERTIFY_ULPS = 64     # the bracket's rounding floor, in ulps of max |M_ii|
 _DIVERGENCE_CAP = 1e15  # an objective value above this counts as divergence
 _REFINE_BRACKETS = 3    # zoomed brackets around the best grid points
 _GRID = np.geomspace(1e-9, 1.0, 4096)     # the maximizer's grid, built once
@@ -117,116 +118,102 @@ def _is_metzler(m: np.ndarray) -> bool:
     return np.count_nonzero(m >= 0) == m.size - np.count_nonzero(~(m.diagonal() >= 0))
 
 
-def power_iteration_abscissa(m) -> float:
-    """Spectral abscissa of a Metzler matrix by shifted power iteration.
+def power_iteration_abscissa(m, x=None) -> float:
+    """Spectral abscissa of a Metzler matrix or operator by shifted power iteration.
 
-    Iterates on M + cI with c = max_i |M_ii| plus a small positive margin;
-    the margin keeps the diagonal strictly positive so every irreducible
-    block is primitive and the iteration cannot cycle on periodic supports.
-    Convergence is certified by the Collatz-Wielandt bracket
-    min_i (Ax)_i/x_i <= rho <= max_i (Ax)_i/x_i for positive x.
-    Accepts dense arrays or scipy sparse matrices.
+    Starts from the positive ``x`` (default: ones) and steps x <- Mx + cx,
+    c = max(0, -min M_ii) plus a twentieth of the largest row sum of
+    M + max(0, -min M_ii) I, a margin that keeps every irreducible block
+    primitive.  Each step costs one matvec and reads the Collatz-Wielandt
+    bracket min_i (Mx)_i/x_i <= eta <= max_i (Mx)_i/x_i of M itself; its
+    midpoint is returned once it is no wider than 1e-10 max(1, |hi|) plus
+    64 ulps of max_i |M_ii|, the width rounding leaves where the diagonal
+    cancels its row.  A bracket that narrows by less than a tenth over 500
+    steps, or an iterate that is not strictly positive, raises
+    ConvergenceFailure.  Needs matvecs and the diagonal only.
     """
-    sparse = sp.issparse(m)
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0]) if not sparse else float(m.tocsr()[0, 0])
+    ones = np.ones(m.shape[0])
+    x = ones if x is None else x
     diag = m.diagonal()
-    scale = max(float(np.abs(diag).max()),
-                float(abs(m).max() if not sparse else np.abs(m.tocoo().data).max(initial=0.0)))
-    scale = max(scale, 1.0)
-    shift = float(np.abs(diag).max()) + 0.05 * scale
-    ident = sp.identity(n, format="csr") if sparse else np.eye(n)
-    a = (m + shift * ident)
-    if sparse:
-        a = a.tocsr()
-    x = np.full(n, 1.0 / np.sqrt(n))
-    bracket = (np.nan, np.nan)
-    width_checkpoint = np.inf
-    for it in range(1, _POWER_MAX_ITER + 1):
-        y = a @ x
-        ymax = y.max()
-        if ymax <= 0:
-            return -shift if not y.any() else float(y.max()) - shift
-        pos = x > 0
-        ratios = y[pos] / x[pos]
+    floor = _CERTIFY_ULPS * np.finfo(float).eps * float(np.abs(diag).max())
+    shift, width_checkpoint = None, None
+    for it in itertools.count(0):
+        if not x.min() > 0:
+            raise ConvergenceFailure(f"power iterate not positive after {it} iterations",
+                                     iterations=it)
+        y = m @ x
+        ratios = y / x
         lo, hi = float(ratios.min()), float(ratios.max())
-        bracket = (lo - shift, hi - shift)
         width = hi - lo
-        if width <= _POWER_TOL * max(1.0, abs(hi)):
-            return 0.5 * (lo + hi) - shift
+        if width <= _CERTIFY_RTOL * max(1.0, abs(hi)) + floor:
+            return 0.5 * (lo + hi)
         if it % 500 == 0:
             # reducible inputs (e.g. disjoint blocks with distinct roots) keep
             # the bracket frozen forever: bail out early for the dense fallback
-            if width > 0.9 * width_checkpoint:
+            if width_checkpoint is not None and width > 0.9 * width_checkpoint:
                 raise ConvergenceFailure(
                     f"Collatz-Wielandt bracket stagnant after {it} iterations",
-                    iterations=it, bracket=bracket)
+                    iterations=it, bracket=(lo, hi))
             width_checkpoint = width
-        x = y / np.linalg.norm(y)
-        x[x < 0] = 0.0  # round-off guard; iterates of a nonnegative matrix stay >= 0
-    raise ConvergenceFailure(
-        f"power iteration did not converge in {_POWER_MAX_ITER} iterations",
-        iterations=_POWER_MAX_ITER, bracket=bracket)
+        if shift is None:  # only once a step is needed: a certified start pays no matvec more
+            shift = max(0.0, -float(diag.min()))
+            shift += 0.05 * (float((m @ ones).max()) + shift)
+        x = y + shift * x
+        x /= np.linalg.norm(x)
 
 
-def _collatz_wielandt_bracket(m, x: np.ndarray):
-    """(min, max) of (Mx)_i / x_i for a strictly positive x.
+def _ritz_vector(m, scale=None) -> np.ndarray:
+    """ARPACK's rightmost Ritz vector of m, its sum made positive.
 
-    For Metzler M the bracket holds the spectral abscissa.
+    ARPACK bounds the residual in norm only, so the small entries of a
+    Perron vector that spans decades come back poor.  A positive ``scale``
+    near that vector runs the solve on diag(scale)^-1 m diag(scale), whose
+    Perron vector is near ones and so accurate entry by entry.  The start
+    vector is fixed: ARPACK's random default would move the last bits.
     """
-    ratios = (m @ x) / x
-    return float(ratios.min()), float(ratios.max())
+    op = m if scale is None else spla.LinearOperator(
+        m.shape, matvec=lambda v: (m @ (scale * np.ravel(v))) / scale, dtype=float)
+    _, vecs = spla.eigs(op, k=1, which="LR", tol=_ARPACK_TOL, v0=np.ones(m.shape[0]))
+    x = vecs[:, 0].real if scale is None else vecs[:, 0].real * scale
+    return -x if x.sum() < 0 else x
 
 
 def _certified_abscissa(m) -> float:
-    """Spectral abscissa of a Metzler matrix or operator by one certified ARPACK solve.
+    """Spectral abscissa of a Metzler matrix or operator, certified by its bracket.
 
-    ARPACK returns the rightmost Ritz vector; with its sign fixed so its sum
-    is positive and every entry positive, the Collatz-Wielandt bracket
-    bounds the true root and its midpoint is returned once the bracket is
-    narrower than 1e-10 relative.  A positive vector whose bracket is wider
-    takes up to _POLISH_STEPS steps x <- (M + cI) x, c = max(0, -min M_ii),
-    which damp the far eigencomponents the Ritz vector still carries.  All
-    of it takes matvecs and the diagonal only.  The start vector is fixed:
-    ARPACK's default one is random, which would move the result in its last
-    bits.  Otherwise an operator is materialized by its ``tocsr``,
-    and the matrix, block-triangular in the order of the strongly connected
-    components of its support, gives the largest abscissa of its diagonal
-    blocks; only an irreducible one takes the power iteration, and one of
-    dimension up to 1024 whose bracket stalls is solved densely.
+    A positive Ritz vector starts ``power_iteration_abscissa``; if the loop
+    stalls, as on a stiff block, a second ARPACK solve balanced by that
+    vector starts it once more.  Only when ARPACK raises, the vector is not
+    positive or both starts stall is an operator materialized by ``tocsr``
+    and split into the strongly connected components of its support, in
+    whose order its diagonal blocks give eta.  An irreducible matrix takes
+    the loop from ones unless a loop has stalled on it already, and then
+    dense ``eigvals`` up to dimension _DENSE_STALL_DIM; above that the
+    stall is raised.
     """
-    try:
-        _, vecs = spla.eigs(m, k=1, which="LR", tol=_ARPACK_TOL, v0=np.ones(m.shape[0]))
-    except spla.ArpackError:
-        pass
-    else:
-        x = vecs[:, 0].real
-        if x.sum() < 0:
-            x = -x
-        shift = None
-        for _ in range(_POLISH_STEPS + 1):
-            if not x.min() > 0:
-                break
-            lo, hi = _collatz_wielandt_bracket(m, x)
-            if hi - lo <= _CERTIFY_RTOL * max(1.0, abs(hi)):
-                return 0.5 * (lo + hi)
-            if shift is None:  # M + shift I is nonnegative
-                shift = max(0.0, -float(m.diagonal().min()))
-            x = m @ x + shift * x
-            x /= np.linalg.norm(x)
+    stall = None  # the loop's ConvergenceFailure, once it has stalled on m
+    with contextlib.suppress(spla.ArpackError, ConvergenceFailure):
+        x = _ritz_vector(m)
+        if x.min() > 0:
+            try:
+                return power_iteration_abscissa(m, x)
+            except ConvergenceFailure as error:
+                stall = error
+            return power_iteration_abscissa(m, _ritz_vector(m, x))
     if isinstance(m, spla.LinearOperator):
         m = m.tocsr()
     count, labels = connected_components(m != 0, directed=True, connection="strong")
-    if count == 1:
+    if count > 1:
+        return max(spectral_abscissa(m[nodes][:, nodes])
+                   for nodes in (np.flatnonzero(labels == c) for c in range(count)))
+    if stall is None:
         try:
             return power_iteration_abscissa(m)
-        except ConvergenceFailure:  # a spectral gap too small for the iteration
-            if m.shape[0] > 1024:
-                raise
-        return float(np.linalg.eigvals(m.toarray() if sp.issparse(m) else m).real.max())
-    return max(spectral_abscissa(m[nodes][:, nodes])
-               for nodes in (np.flatnonzero(labels == c) for c in range(count)))
+        except ConvergenceFailure as error:
+            stall = error
+    if m.shape[0] > _DENSE_STALL_DIM:
+        raise stall
+    return float(np.linalg.eigvals(m.toarray() if sp.issparse(m) else m).real.max())
 
 
 def spectral_abscissa(m) -> float:
@@ -235,12 +222,14 @@ def spectral_abscissa(m) -> float:
     Sparse input must be Metzler, or ValueError is raised.  A
     ``LinearOperator`` with ``tocsr`` and ``diagonal`` methods is taken to be
     Metzler on its caller's word.  Sparse input and operators above 2x2 and
-    dense Metzler input above 64x64 take one ARPACK solve certified by the
-    Collatz-Wielandt bracket; when that fails, an operator is materialized,
-    reducible input is split into its irreducible diagonal blocks and
-    irreducible input takes the shifted power iteration.  Every other dense
-    matrix is solved densely, by the symmetric eigensolver where it is
-    symmetric.
+    dense Metzler input above 64x64 take one ARPACK solve whose Ritz vector
+    starts the shifted power iteration, certified by the Collatz-Wielandt
+    bracket, and a second solve balanced by that vector if the iteration
+    stalls; only when ARPACK raises, the vector is not positive or both
+    starts stall is an operator materialized, reducible input split into
+    its irreducible diagonal blocks and irreducible input solved from ones
+    or densely (see ``_certified_abscissa``).  Every other dense matrix is
+    solved densely, by the symmetric eigensolver where it is symmetric.
     """
     if isinstance(m, spla.LinearOperator):
         return _certified_abscissa(m) if m.shape[0] > 2 else spectral_abscissa(m.tocsr())

@@ -100,15 +100,15 @@ class ThresholdReport:
                              f"decay_rate_bound={self.decay_rate_bound!r}")
 
     def to_dict(self) -> dict:
-        return {
+        return _jsonable({
             "certificate": self.certificate,
-            "lhs": _jsonable(self.lhs),
-            "threshold": _jsonable(self.threshold),
-            "s_star": _jsonable(self.s_star),
-            "decay_bound": _jsonable(self.decay_rate_bound),
+            "lhs": self.lhs,
+            "threshold": self.threshold,
+            "s_star": self.s_star,
+            "decay_bound": self.decay_rate_bound,
             "stable": self.stable,
-            "intermediates": {k: _jsonable(v) for k, v in self.intermediates.items()},
-        }
+            "intermediates": self.intermediates,
+        })
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)

@@ -210,6 +210,28 @@ def stalled_gap_graph():
     return g, EpidemicParams(np.full(8, 0.1), np.array([1.0, 1, 1, 1, 2, 1, 0.25, 0.25]))
 
 
+def captured_block_graph(scale=1.0):
+    """The 8,192-dimensional block whose Ritz bracket narrows slowly, edge rates times ``scale``."""
+    rates = {(0, 1): (2.2622437020042465, 2.8118487186216696),
+             (0, 4): (1.1296681568544864, 2.873871942006031),
+             (0, 6): (1.437256957872415, 1.591257616351934),
+             (1, 2): (2.9494665022446434, 1.302837881190559),
+             (1, 3): (0.28723428433907255, 0.3333333333333333),
+             (1, 4): (0.4017321337000884, 2.4766048589318648),
+             (2, 3): (2.3865746914800585, 2.171314452560013),
+             (3, 5): (2.5770671970946806, 1.5832704691243578),
+             (4, 6): (1.129957155820064, 0.1716501225486976),
+             (5, 7): (1.8376259435401827, 1.3183687780807851)}
+    edges = {k: build_edge_markovian(q * scale, r * scale) for k, (q, r) in rates.items()}
+    edges.update({k: build_static_edge(False) for k in [(0, 7), (2, 6), (3, 7), (4, 5)]})
+    beta = np.full(8, 0.1)
+    beta[[4, 6]] = 1.0
+    delta = np.array([1.6887609760120281, 1.9, 0.46381778307011523, 1.1,
+                      1.3268695798726509, 0.5114093095397947, 0.7678401289463699,
+                      0.81406025217271])
+    return DynamicGraphModel(8, AMEI, edges), EpidemicParams(beta, delta)
+
+
 # Union graph: a 7-node component and the isolated node 7 (dimension 4,096).
 FAULT_PAIRS = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6), (4, 6)]
 
@@ -327,29 +349,33 @@ class TestReducibleGenerators:
         assert solve_peak < 0.9 * assembly_peak, (solve_peak, assembly_peak)
 
     def test_stalled_power_iteration_falls_back_to_dense(self):
-        # a case the property below found: ARPACK does not certify this
-        # 192-dimensional block, and its spectral gap stalls the power iteration
+        # a case the property below found: the Ritz vector's own bracket does
+        # not certify this 192-dimensional block, and its spectral gap stalls
+        # the power iteration from ones
         g, params = stalled_gap_graph()
         stable, eta = exponential_condition(g, params)
         assert stable and eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
 
     def test_stalled_power_iteration_falls_back_to_dense_without_polish(self, monkeypatch):
-        # the block above certifies once its Ritz vector is polished; without
-        # the polish it still reaches the power iteration, which stalls
+        # the block above certifies from its Ritz vector; with ARPACK refused it
+        # is materialized and iterated from ones, which stalls on its gap
         import tempest.spectral as spectral
         from tempest.errors import ConvergenceFailure
         g, params = stalled_gap_graph()
         stalled, original = [], spectral.power_iteration_abscissa
 
-        def power_iteration(m):
+        def refuse(*args, **kwargs):
+            raise spla.ArpackError(-1)
+
+        def power_iteration(m, x=None):
             try:
-                return original(m)
+                return original(m, x)
             except ConvergenceFailure:
                 stalled.append(m.shape[0])
                 raise
 
+        monkeypatch.setattr(spla, "eigs", refuse)
         monkeypatch.setattr(spectral, "power_iteration_abscissa", power_iteration)
-        monkeypatch.setattr(spectral, "_POLISH_STEPS", 0)
         stable, eta = exponential_condition(g, params)
         assert stalled == [192]
         assert stable and eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
@@ -371,6 +397,46 @@ class TestReducibleGenerators:
         monkeypatch.setattr(oracle.ExactGenerator, "tocsr", refuse)
         stable, eta = exponential_condition(g, params)
         assert stable and eta == pytest.approx(-0.24914067611125418, abs=1e-9)  # dense eigvals
+
+    def test_slow_ritz_bracket_is_certified_on_the_operator(self, monkeypatch):
+        # a case the property below found at 400 examples: the Ritz vector of
+        # this 8,192-dimensional block is positive, but its bracket narrows
+        # slowly under the shifted power steps; it must certify to 1e-10
+        # without being materialized
+        g, params = captured_block_graph()
+        mat = assemble_exponential_generator(g, params)
+        assert mat.shape[0] == 8192
+        arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-15, v0=np.ones(8192),
+                                 return_eigenvectors=False).real.max())
+
+        def refuse(self):
+            raise RuntimeError("the block was materialized")
+
+        monkeypatch.setattr(oracle.ExactGenerator, "tocsr", refuse)
+        stable, eta = exponential_condition(g, params)
+        assert stable and eta == pytest.approx(arpack, abs=1e-10)
+
+    def test_stiff_block_is_certified_at_its_rounding_floor(self, monkeypatch):
+        # the block above with every edge rate scaled up: the diagonal
+        # (about -2e6 at 1e5) cancels its row, so no bracket is narrower than
+        # a few ulps of it, and ARPACK's vector, accurate in norm only, needs
+        # the balanced second solve; the shifted power steps gain almost
+        # nothing against so large a shift
+        g, params = captured_block_graph(1e5)
+        mat = assemble_exponential_generator(g, params)
+        arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-15, v0=np.ones(8192),
+                                 return_eigenvectors=False).real.max())
+        floor = 64 * np.finfo(float).eps * np.abs(mat.diagonal()).max()
+        materialized, tocsr = [], oracle.ExactGenerator.tocsr
+
+        def counted(self):
+            materialized.append(self.shape[0])
+            return tocsr(self)
+
+        monkeypatch.setattr(oracle.ExactGenerator, "tocsr", counted)
+        stable, eta = exponential_condition(g, params)
+        assert materialized == []
+        assert stable and abs(eta - arpack) <= 1e-10 + floor, (eta, arpack, floor)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

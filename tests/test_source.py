@@ -86,6 +86,21 @@ def test_one_certificate_maximizer():
     assert "_golden_max" not in _referenced_names("spectral.py")
 
 
+def test_one_perron_loop():
+    # power_iteration_abscissa is the one Perron loop: _certified_abscissa
+    # starts it from the Ritz vector and has no loop, step cap or bracket
+    # tolerance of its own
+    assert not {"_POLISH_STEPS", "_POWER_TOL", "_collatz_wielandt_bracket"} \
+        & _referenced_names("spectral.py")
+    tree = ast.parse((PACKAGE / "spectral.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_certified_abscissa")
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(func)}
+    assert "power_iteration_abscissa" in names and "_CERTIFY_RTOL" not in names
+    loops = [node.lineno for node in ast.walk(func) if isinstance(node, (ast.For, ast.While))]
+    assert not loops, f"_certified_abscissa loops at lines {loops}"
+
+
 def test_one_chain_layout():
     # EdgeTable.layout alone tells MARKOV2 rows from chain templates; the
     # simulators and the oracle read its arrays

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,24 @@ from tempest import (
 )
 from tempest.errors import DivergenceDetected, DomainError, EmptyInterval, NumericalFailure
 from tempest import graph_complete_edge_markovian, graph_small_world
+
+
+class RefusingOperator(spla.LinearOperator):
+    """A sparse Metzler matrix as an operator whose ``tocsr`` refuses to materialize it."""
+
+    def __init__(self, m):
+        super().__init__(np.float64, m.shape)
+        self.m, self.matvecs = m, 0
+
+    def _matvec(self, x):
+        self.matvecs += 1
+        return self.m @ np.ravel(x)
+
+    def diagonal(self):
+        return self.m.diagonal()
+
+    def tocsr(self):
+        raise AssertionError("the operator was materialized")
 
 
 class TestKappa:
@@ -151,23 +170,49 @@ class TestSpectralAbscissa:
             spectral_abscissa(sp.csr_matrix(a + a.T))
 
     def test_sparse_route_is_one_certified_arpack_solve(self, rng, monkeypatch):
+        # one eigs call, then one matvec for the Ritz vector's own bracket
         import scipy.sparse as sp
-        import tempest.spectral as spectral
-
-        def no_power_iteration(*args, **kwargs):
-            raise AssertionError("the certified route must not need the power iteration")
-
         m = random_metzler(rng, 120, density=0.1)
         dense = float(np.linalg.eigvals(m).real.max())
-        monkeypatch.setattr(spectral, "power_iteration_abscissa", no_power_iteration)
-        assert spectral_abscissa(sp.csr_matrix(m)) == pytest.approx(dense, abs=1e-10)
+        op = RefusingOperator(sp.csr_matrix(m))
+        calls, eigs = [], spla.eigs
+
+        def counted(*args, **kwargs):
+            out = eigs(*args, **kwargs)
+            calls.append(op.matvecs)
+            return out
+
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("the certified route must not solve densely")
+
+        monkeypatch.setattr(spla, "eigs", counted)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        assert spectral_abscissa(op) == pytest.approx(dense, abs=1e-10)
+        assert len(calls) == 1 and op.matvecs == calls[0] + 1
 
     def test_wide_bracket_falls_back_to_power_iteration(self, rng, monkeypatch):
+        # a positive but poor Ritz vector starts the power iteration on the
+        # operator itself, which is never materialized
         import scipy.sparse as sp
-        import tempest.spectral as spectral
-        m = sp.csr_matrix(random_metzler(rng, 120, density=0.1))
-        monkeypatch.setattr(spectral, "_collatz_wielandt_bracket", lambda m, x: (-1.0, 1.0))
-        assert spectral_abscissa(m) == pytest.approx(power_iteration_abscissa(m), abs=1e-9)
+        m = random_metzler(rng, 120, density=0.1)
+        dense = float(np.linalg.eigvals(m).real.max())
+        poor = 1.0 + 0.5 * rng.random((120, 1))
+        monkeypatch.setattr(spla, "eigs", lambda *args, **kwargs: (np.zeros(1), poor + 0j))
+        op = RefusingOperator(sp.csr_matrix(m))
+        assert spectral_abscissa(op) == pytest.approx(dense, abs=1e-10)
+
+    def test_power_iteration_meets_the_bracket_tolerance(self, rng):
+        # generator-like input: diagonal near -50 n, abscissa near -0.05; the
+        # tolerance 1e-10 holds for eta itself, not for the shifted root, and
+        # the rounding floor (64 ulps of at most 3,200) stays below it
+        for _ in range(30):
+            n = int(rng.integers(5, 65))
+            q = rng.random((n, n))
+            np.fill_diagonal(q, 0.0)
+            np.fill_diagonal(q, -q.sum(axis=1))
+            m = 100.0 * q - 0.05 * np.eye(n) + np.diag(rng.uniform(0.0, 0.01, n))
+            dense = float(np.linalg.eigvals(m).real.max())
+            assert abs(power_iteration_abscissa(m) - dense) <= 1e-10 * max(1.0, abs(dense))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
