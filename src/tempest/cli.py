@@ -127,8 +127,17 @@ def _protocol(cfg: ExperimentConfig):
     grid = _grid(cfg.params.get("beta_grid", "5e-4:10e-4:12"))
     if not ((grid >= 0) & (grid <= 1)).all():
         raise ConfigError(f"beta grid must lie in [0, 1], got {grid.tolist()}")
-    return (graph, _positive(cfg, "delta", 0.05, float, "epidemic"), grid,
-            _positive(cfg, "paths", 100), _positive(cfg, "steps", 1000))
+    delta = _positive(cfg, "delta", 0.05, float, "epidemic")
+    if delta > 1:
+        raise ConfigError(f"the protocol's recovery probability exceeds 1: delta {delta!r}")
+    return graph, delta, grid, _positive(cfg, "paths", 100), _positive(cfg, "steps", 1000)
+
+
+def _protocol_fields(report) -> dict:
+    """The re-infection protocol's results, as the JSON of empirical and figure456 holds them."""
+    return {"beta_grid": report.beta_grid, "y_star": report.y_star, "z_star": report.z_star,
+            "z_stderr": report.z_stderr, "beta_star": report.beta_star,
+            "beta_bracket": report.beta_bracket, "paths": report.paths, "steps": report.horizon}
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +161,7 @@ def _run_threshold(cfg: ExperimentConfig):
               "eta_abar": mean.eta_abar(), "eta_support": mean.eta_support()}
 
     try:  # the certificate, the search bounds and the DT rates are read from the config
-        if np.isscalar(cfg.epidemic.get("beta")):
-            beta_hat = _positive(cfg, "beta", None, float, "epidemic")
-        else:
+        if "beta" not in cfg.epidemic:
             lo = _positive(cfg, "search_lo", 1e-8, float)
             hi = _positive(cfg, "search_hi", _search_hi(mean, delta), float)
             if graph.time == DT and hi > 1:
@@ -163,6 +170,10 @@ def _run_threshold(cfg: ExperimentConfig):
             beta_hat = threshold_in_beta(mean, delta, cert, (lo, hi))
             result["beta_threshold"] = beta_hat
             result["search_bounds"] = [lo, hi]
+        elif np.isscalar(cfg.epidemic["beta"]):
+            beta_hat = _positive(cfg, "beta", None, float, "epidemic")
+        else:
+            raise ConfigError("threshold takes one scalar epidemic.beta, not a per-node list")
         result["report"] = certify(mean, cert, beta_hat, delta).to_dict()
     except (BracketError, ParamRange, WrongKind) as exc:
         raise ConfigError(str(exc)) from exc
@@ -198,10 +209,7 @@ def _run_empirical(cfg: ExperimentConfig):
                                  threads=cfg.resolve_threads())
     rows = list(zip(report.beta_grid, report.y_star, report.z_star))
     path = _write_csv(_out_path(cfg, "csv"), cfg, ["beta", "y_star", "z_star"], rows)
-    side = _write_json(os.path.splitext(path)[0] + ".json", cfg, {
-        "beta_star": report.beta_star, "beta_bracket": report.beta_bracket,
-        "z_stderr": report.z_stderr, "paths": report.paths, "steps": report.horizon})
-    return [path, side]
+    return [path, _write_json(os.path.splitext(path)[0] + ".json", cfg, _protocol_fields(report))]
 
 
 def _run_oracle(cfg: ExperimentConfig):
@@ -290,7 +298,12 @@ def _run_figure456(cfg: ExperimentConfig):
     fig4 = fig4_csv(os.path.join(outdir, "fig4.csv"), cfg, mean, delta, grid, t4_thr)
     report = empirical_threshold(graph, delta, grid, paths, steps, seed=cfg.seed,
                                  threads=cfg.resolve_threads())
+    summary = dict(_protocol_fields(report), n=graph.n, edges=graph.m,
+                   dead_pairs=len(graph.metadata.get("dead_pairs", ())), eta_abar=eta,
+                   threshold_t4=t4_thr, threshold_static=static_thr,
+                   ordered=report.beta_star is not None and t4_thr < report.beta_star < static_thr)
     return [fig4, fig5_csv(os.path.join(outdir, "fig5.csv"), cfg, report, t4_thr, static_thr),
+            _write_json(os.path.join(outdir, "fig5.json"), cfg, summary),
             fig6_csv(os.path.join(outdir, "fig6.csv"), cfg, graph, delta, steps)]
 
 

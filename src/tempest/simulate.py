@@ -464,8 +464,9 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
         raise ValueError(f"empirical threshold needs threads >= 1, got {threads}")
     if graph.time != DT:
         raise ValueError("empirical threshold needs a discrete-time graph")
-    if not ((beta_grid >= 0) & (beta_grid <= 1)).all():
-        raise ParamRange(f"discrete-time beta grid must lie in [0, 1], got {beta_grid.tolist()}")
+    if not (0 <= delta <= 1 and ((beta_grid >= 0) & (beta_grid <= 1)).all()):
+        raise ParamRange(f"discrete-time delta and beta grid must lie in [0, 1], "
+                         f"got delta {delta!r} and beta grid {beta_grid.tolist()}")
     n = graph.n
     payload = {
         "graph": graph, "beta": np.tile(beta_grid, (n, 1)), "delta": np.full(n, float(delta)),

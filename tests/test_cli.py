@@ -207,6 +207,9 @@ class TestCliRuns:
         (["simulate", *CT4, "--beta", "0.1", "--delta", "1", "--param", 'init=["a"]'], None),
         (["spectra", "--graph-file", "twice.json"], None),
         (["spectra", "--graph-file", "static_string.json"], None),
+        (["empirical", "--preset", "iv", "--graph-param", "n=10", "--delta", "2"], None),
+        (["figure456", "--preset", "iv", "--graph-param", "n=10", "--delta", "2"], None),
+        (["threshold", *IV30, "--delta", "0.05", "--config", "beta_list.json"], None),
     ], ids=["missing config", "malformed config", "malformed graph file", "threads env",
             "non-object config", "non-object graph file", "beta grid without count",
             "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
@@ -222,7 +225,8 @@ class TestCliRuns:
             "figure456 zero beta",
             "simulate init empty", "simulate init out of range", "simulate init negative",
             "simulate init not an id", "graph file repeated edge",
-            "graph file static on string"])
+            "graph file static on string", "empirical delta above one",
+            "figure456 delta above one", "threshold beta list"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                args, threads_env):
         monkeypatch.chdir(tmp_path)
@@ -231,6 +235,8 @@ class TestCliRuns:
         (tmp_path / "short_beta.json").write_text(
             json.dumps({"epidemic": {"beta": [0.1, 0.2], "delta": 1.0}}))
         (tmp_path / "delta_list.json").write_text(json.dumps({"epidemic": {"delta": [0.1, 0.2]}}))
+        (tmp_path / "beta_list.json").write_text(
+            json.dumps({"epidemic": {"beta": [1e-4 * (k + 1) for k in range(30)]}}))
         markov2 = {"type": "markov2", "params": {"q": 0.5, "r": 0.5}}
         (tmp_path / "twice.json").write_text(json.dumps({"n": 2, "kind": "amei", "edges": [
             {"i": 0, "j": 1, "model": markov2},
@@ -417,6 +423,22 @@ class TestCliRuns:
         fig5 = open(tmp_path / "figs" / "fig5.csv").read().splitlines()
         assert fig5[-2].startswith("threshold_t4,")
         assert fig5[-1].startswith("threshold_static,")
+        # fig5.json holds the CSV's numbers and the instance they came from
+        doc = json.load(open(tmp_path / "figs" / "fig5.json"))
+        assert doc["config_hash"] == read_header(tmp_path / "figs" / "fig5.csv")["config_hash"]
+        res = doc["result"]
+        rows = [row.split(",") for row in fig5[2:]]
+        assert [[float(b), float(z)] for b, z in rows[:-2]] == \
+            [list(pair) for pair in zip(res["beta_grid"], res["z_star"])]
+        assert float(rows[-2][1]) == res["threshold_t4"]
+        assert float(rows[-1][1]) == res["threshold_static"]
+        graph = tempest.graph_er_iv(40, 0.3, 2)
+        assert (res["n"], res["edges"]) == (40, graph.m)
+        assert res["dead_pairs"] == len(graph.metadata["dead_pairs"])
+        assert (res["paths"], res["steps"]) == (3, 80)
+        beta_star = res["beta_star"]
+        assert res["ordered"] == (beta_star is not None
+                                  and res["threshold_t4"] < beta_star < res["threshold_static"])
 
     def test_empirical_accepts_zero_beta(self, tmp_path, monkeypatch):
         # only figure456 certifies T4 at each grid beta and needs beta > 0

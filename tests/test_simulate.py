@@ -327,6 +327,12 @@ class TestEmpiricalThreshold:
         with pytest.raises(ParamRange, match="beta grid"):
             empirical_threshold(graph_er_iv(10, 0.5, 1), 0.05, grid, paths=2, steps=20)
 
+    @pytest.mark.parametrize("delta", [-0.5, 1.5, np.nan])
+    def test_delta_outside_the_unit_interval_rejected(self, delta):
+        # delta > 1 recovers every node each step (z* = 0), delta < 0 none
+        with pytest.raises(ParamRange, match="delta"):
+            empirical_threshold(graph_er_iv(30, 0.3, 1), delta, [0.01, 0.02], paths=2, steps=20)
+
     def test_one_thread_run_frees_the_graph(self):
         # the one-thread protocol keeps no payload (graph, beta matrix, x0) in
         # a module global after it returns

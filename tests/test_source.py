@@ -136,3 +136,33 @@ def test_one_builder_per_certificate_route():
                 if isinstance(node, ast.Constant) and node.value == key
                 or isinstance(node, ast.keyword) and node.arg == key]
         assert len(uses) == 1, f"{key} written at lines {uses}"
+
+
+
+def test_scripts_drive_the_public_cli():
+    # the scripts reach tempest through public names only, and the Section IV
+    # script through tempest.cli alone: figure456 is the one Section IV pipeline
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    assert scripts
+    for path in scripts:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # bound name -> the dotted tempest name it stands for
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tempest":
+                imported.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+            elif isinstance(node, ast.Import):
+                for a in node.names:  # "import tempest.x" binds tempest, "... as y" tempest.x
+                    if a.name.split(".")[0] == "tempest":
+                        imported[a.asname or "tempest"] = a.name if a.asname else "tempest"
+        used = set(imported.values())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                root = node
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in imported:
+                    used.add(f"{imported[root.id]}.{ast.unparse(node).partition('.')[2]}")
+        private = sorted(name for name in used if any(p.startswith("_") for p in name.split(".")))
+        assert not private, f"{path.name} refers to private tempest names: {private}"
+        if path.name == "reproduce_section_iv.py":
+            assert set(imported.values()) == {"tempest.cli"}
