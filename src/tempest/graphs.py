@@ -191,6 +191,7 @@ class EdgeTable:
     r: np.ndarray
     time: str = CT
     chains: tuple = ()
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.i, self.j, self.template = (np.asarray(a, dtype=np.intp)
@@ -237,6 +238,14 @@ class EdgeTable:
     @property
     def m(self) -> int:
         return self.i.size
+
+    def derived(self, key, build):
+        """``build(self)``, made on the first call with ``key`` and kept: a
+        table is not changed after construction, so what is derived from it
+        serves every later call."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     def edge(self, k: int) -> EdgeProcessModel:
         """The process of edge k as an object."""
@@ -441,9 +450,10 @@ def sample_graph_path(graph: DynamicGraphModel, *, horizon=None, steps=None,
     want = CT if horizon is not None else DT
     if graph.m and graph.time != want:
         raise ValueError(f"graph is {graph.time}, but the requested path is {want}")
-    length = float(horizon) if want == CT else int(steps)
-    if length <= 0:
-        raise ValueError("horizon must be positive")
+    length = horizon if want == CT else steps
+    if not 0 < length < np.inf:  # NaN fails too; an endless horizon would never stop a CT walk
+        raise ValueError(f"horizon must be positive and finite, got {length!r}")
+    length = float(length) if want == CT else int(length)
     table = graph.table
     lay = table.layout()
     cuts, edges = lay.cuts(), np.arange(lay.rows.size)

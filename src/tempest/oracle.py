@@ -67,11 +67,6 @@ class SubgraphEnumeration:
     def stride(self) -> np.ndarray:
         return np.cumprod(np.concatenate([[1], self.size[:-1]])).astype(np.int64)
 
-    def with_digit(self, labels: np.ndarray, k: int, s: int) -> np.ndarray:
-        """The entries of ``labels`` (all labels, ascending) whose digit k is s."""
-        stride = int(self.stride[k])
-        return labels.reshape(-1, int(self.size[k]), stride)[:, s].ravel()
-
     def adjacency(self, label: int) -> np.ndarray:
         f = self.static_base.copy()
         digits = label // self.stride % self.size
@@ -127,34 +122,65 @@ def pi_matrix(enum: SubgraphEnumeration) -> sp.csr_matrix:
 
     A positive rate s -> t of edge k moves every label whose digit k is s to
     ``label + (t - s) * stride_k``; diagonal entries make rows sum to zero.
+    Written as CSR directly, edge by edge: over edges 0..k, the row of label
+    s * stride_k + l' is edge k's moves down from s (ascending t), the row of
+    l' over edges 0..k-1 shifted by s * stride_k, then edge k's moves up.  So
+    every row lists the moves down from the last edge to the first, its
+    diagonal, then the moves up, and its columns ascend.  The rows are kept
+    as one table of equal width, padded with negative columns.  A label
+    without moves has no diagonal entry; a diagonal is minus the sum of its
+    row's moves in column order.
     """
     big_l = enum.n_labels
     if enum.m == 0:
         return sp.csr_matrix((1, 1))
-    labels = np.arange(big_l, dtype=np.int64)
-    rows, cols, data = [], [], []
+    columns, rates = np.zeros((1, 1), dtype=np.int32), np.zeros((1, 1))
+    diagonal = np.zeros(1, dtype=np.int64)  # each row's diagonal slot
     for k, (size, stride) in enumerate(zip(enum.size.tolist(), enum.stride.tolist())):
-        gen = enum.generator[k]
-        for s, t in zip(*np.nonzero(gen[:size, :size] > 0)):  # off-diagonal rates
-            sel = enum.with_digit(labels, k, s)
-            rows.append(sel)
-            cols.append(sel + (t - s) * stride)
-            data.append(np.full(sel.size, gen[s, t]))
-    pi = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(big_l, big_l)).tocsr()
-    diag = -np.asarray(pi.sum(axis=1)).ravel()
-    return (pi + sp.diags(diag)).tocsr()
+        gen = enum.generator[k, :size, :size]
+        moves = [(np.flatnonzero(gen[s, :s] > 0), s + 1 + np.flatnonzero(gen[s, s + 1:] > 0))
+                 for s in range(size)]
+        inner, label = columns.shape[1], np.arange(stride)[:, None]
+        width = inner + max(down.size + up.size for down, up in moves)
+        prev = columns, rates
+        columns = np.empty((size * stride, width), dtype=np.int32)
+        rates = np.empty((size * stride, width))
+        for s, (down, up) in enumerate(moves):  # row block s: digit k is s
+            rows, mid = slice(s * stride, (s + 1) * stride), slice(down.size, down.size + inner)
+            end = mid.stop + up.size
+            columns[rows, :down.size], rates[rows, :down.size] = down * stride + label, gen[s, down]
+            np.add(prev[0], s * stride, out=columns[rows, mid])
+            rates[rows, mid] = prev[1]
+            columns[rows, mid.stop:end], rates[rows, mid.stop:end] = up * stride + label, gen[s, up]
+            columns[rows, end:] = _NO_ENTRY
+        diagonal = np.concatenate([diagonal + down.size for down, _ in moves])
+    labels = np.arange(big_l)
+    valid = columns >= 0
+    count = valid.sum(axis=1) - 1
+    valid[labels, diagonal] = False
+    moving = count > 0
+    # the row sums scipy's CSR sum takes: one reduceat over each moving row's moves
+    rates[labels[moving], diagonal[moving]] = -np.add.reduceat(
+        rates.ravel().take(np.flatnonzero(valid)), (np.cumsum(count) - count)[moving])
+    valid[labels, diagonal] = moving
+    at = np.flatnonzero(valid)
+    return sp.csr_matrix((rates.ravel().take(at), columns.ravel().take(at),
+                          np.concatenate([[0], np.cumsum(count + moving)])),
+                         shape=(big_l, big_l))
+
+
+_NO_ENTRY = -(1 << 30)  # a padding slot's column: negative after any shift below the label cap
 
 
 class ExactGenerator(spla.LinearOperator):
     """Pi (x) I_n + blockdiag_l (B F_l - D), held as its two factors.
 
     ``pi`` is the L x L joint edge generator (``pi_matrix``, diagonal
-    included) and ``contact`` the Ln x Ln block diagonal of B F_l - D.  A
-    matvec reads x as an (L, n) array, one row per label, and costs one
-    product with each factor; ``diagonal`` reads the sum's diagonal off the
-    factors and ``tocsr`` materializes the sum.  The operator is Metzler,
-    which ``spectral_abscissa`` takes on trust.
+    included) and ``contact`` the Ln x Ln block diagonal of B F_l - D, both
+    CSR with sorted indices.  A matvec reads x as an (L, n) array, one row
+    per label, and costs one product with each factor; ``diagonal`` reads the
+    sum's diagonal off the factors and ``tocsr`` materializes the sum.  The
+    operator is Metzler, which ``spectral_abscissa`` takes on trust.
     """
 
     def __init__(self, pi: sp.csr_matrix, contact: sp.csr_matrix, n: int):
@@ -171,51 +197,74 @@ class ExactGenerator(spla.LinearOperator):
         return np.repeat(self.pi.diagonal(), self.n) + self.contact.diagonal()
 
     def tocsr(self) -> sp.csr_matrix:
-        """The sum, written row by row without a Kronecker product.
+        """The sum, materialized a block of labels at a time.
 
-        Row (l, i) holds pi's row l left of its diagonal, then the contact
-        row with pi's diagonal entry added, then pi's row l right of its
-        diagonal; pi's column l' lands in column l' * n + i.
+        Pi (x) I_n is written without a Kronecker product: its row (l, i) is
+        pi's row l with column l' moved to l' n + i, so it is pi's rows, each
+        taken n times, their columns scaled by n and shifted by i.  Each
+        block's sum with the contact rows goes into arrays sized for both
+        factors' entries, so the peak is the result plus one block.
         """
-        n, pi = self.n, self.pi
-        block = (self.contact + sp.diags(np.repeat(pi.diagonal(), n))).tocsr()
-        parts = ((sp.tril(pi, -1, format="csr"), n), (block, 1),
-                 (sp.triu(pi, 1, format="csr"), n))
-        count = sum(np.repeat(np.diff(part.indptr), k) for part, k in parts)
-        indptr = np.concatenate([[0], np.cumsum(count)])
-        indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-        start = indptr[:-1].copy()
-        for part, k in parts:  # part's row r is row r * k + i, for each i < k
-            size = np.diff(part.indptr)
-            for i in range(k):
-                at = np.repeat(start[i::k] - part.indptr[:-1], size) + np.arange(part.nnz)
-                indices[at] = part.indices * k + i
-                data[at] = part.data
-            start += np.repeat(size, k)
-        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+        n, pi, contact = self.n, self.pi, self.contact
+        big_l, rows = pi.shape[0], self.shape[0]
+        scaled = sp.csr_matrix((pi.data, pi.indices * n, pi.indptr), shape=(big_l, rows))
+        size = pi.nnz * n + contact.nnz
+        index = np.int32 if max(size, rows) < 2 ** 31 else np.int64
+        data, indices = np.empty(size), np.empty(size, dtype=index)
+        indptr = np.zeros(rows + 1, dtype=index)
+        step = max(1, _BLOCK_ROWS // n)
+        for first in range(0, big_l, step):
+            last = min(first + step, big_l)
+            lo, hi = first * n, last * n  # the block's rows
+            kron = scaled[np.repeat(np.arange(first, last), n)]
+            kron.indices += np.repeat(np.tile(np.arange(n, dtype=kron.indices.dtype), last - first),
+                                      np.diff(kron.indptr))
+            start, stop = contact.indptr[lo], contact.indptr[hi]  # its contact rows, as views
+            block = kron + sp.csr_matrix((contact.data[start:stop], contact.indices[start:stop],
+                                          contact.indptr[lo:hi + 1] - start), shape=kron.shape)
+            at = indptr[lo]
+            data[at:at + block.nnz], indices[at:at + block.nnz] = block.data, block.indices
+            indptr[lo + 1:hi + 1] = at + block.indptr[1:]
+        return sp.csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr), shape=self.shape)
+
+
+_BLOCK_ROWS = 1 << 13  # rows ExactGenerator.tocsr sums at a time
 
 
 def _contact(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> sp.csr_matrix:
     """blockdiag_l (B F_l - D): the static base in every label's block, plus
     each switching edge's arcs, at the row node's beta, in the blocks of the
-    labels where its output is on."""
+    labels where its output is on.
+
+    Written as CSR directly, from an (L, cells) table of the cells a block
+    can hold, in row-major order: a nonzero cell of the base, present in
+    every label, and a switching arc with a nonzero beta, present where its
+    edge is on.  The present cells read row by row are the CSR entries.
+    """
     n, big_l = enum.n, enum.n_labels
     base = beta[:, None] * enum.static_base - np.diag(delta)
-    mat = sp.kron(sp.identity(big_l, format="csr"), sp.csr_matrix(base), format="csr")
-    rows, cols, data = [], [], []
-    labels = np.arange(big_l, dtype=np.int64)
+    cells = {(i, j): (base[i, j], None) for i, j in zip(*np.nonzero(base))}
     for k, key in enumerate(enum.edge_keys):
-        for s in np.flatnonzero(enum.output[k] > 0):
-            sel = enum.with_digit(labels, k, s)
-            for i, j in arcs(enum.kind, *key):  # row node i is infected at beta_i
-                rows.append(sel * n + i)
-                cols.append(sel * n + j)
-                data.append(np.full(sel.size, beta[i]))
-    if rows:
-        mat = mat + sp.coo_matrix((np.concatenate(data),
-                                   (np.concatenate(rows), np.concatenate(cols))),
-                                  shape=mat.shape).tocsr()
-    return mat
+        for i, j in arcs(enum.kind, *key):  # row node i is infected at beta_i
+            if beta[i] != 0:
+                cells[i, j] = (beta[i], k)
+    keys = sorted(cells)
+    present = np.ones((big_l, len(keys)), dtype=bool)
+    for c, key in enumerate(keys):
+        k = cells[key][1]
+        if k is not None:  # digit k steps through edge k's states every stride_k labels
+            on = np.repeat(enum.output[k, :enum.size[k]] > 0, enum.stride[k])
+            present[:, c] = np.tile(on, big_l // on.size)
+    node, column = np.array(keys, dtype=np.int32).reshape(-1, 2).T
+    member = np.zeros((len(keys), n), dtype=np.float32)  # the row node of each cell
+    member[np.arange(len(keys)), node] = 1.0
+    count = (present.astype(np.float32) @ member).astype(np.int64)  # exact below 2**24
+    at = np.flatnonzero(present)
+    values = np.array([cells[key][0] for key in keys], dtype=float)
+    cols = np.arange(big_l, dtype=np.int32)[:, None] * np.int32(n) + column
+    return sp.csr_matrix((np.broadcast_to(values, present.shape).ravel().take(at),
+                          cols.ravel().take(at), np.concatenate([[0], np.cumsum(count)])),
+                         shape=(big_l * n, big_l * n))
 
 
 def _generator(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> ExactGenerator:

@@ -14,6 +14,7 @@ import numpy as np
 # Domain tags used as the first element of a spawn key.
 TAG_EDGE = 1          # per-edge chain sampling: (TAG_EDGE, i, j)
 TAG_PATH = 2          # per Monte-Carlo path: (TAG_PATH, path_id), shared by every grid beta
+TAG_CT = 3            # one continuous-time simulation run seeded by an int: (TAG_CT,)
 TAG_DRAW = 4          # random-matrix samplers
 TAG_INSTANCE = 5      # random instance generation in experiments/tests
 

