@@ -532,6 +532,10 @@ def graph_small_world(n: int, r: float, rate_scale: float = 1.0) -> DynamicGraph
     return DynamicGraphModel(n, AMAI, table, metadata={"preset": "small_world", "r": r})
 
 
+#: pairs of graph_er_iv drawn per call to the generator; memory is O(_CHUNK)
+_CHUNK = 1 << 20
+
+
 def graph_er_iv(n: int, er_prob: float, seed: int,
                 gauss_mode: str = "variance") -> DynamicGraphModel:
     """Discrete-time ER experiment graph: truncated-Gaussian switch rates.
@@ -544,7 +548,12 @@ def graph_er_iv(n: int, er_prob: float, seed: int,
 
     Pairs whose r clamps to 0 become statically-on edges; pairs clamping to
     r = 1 can never activate (q = 0) and are recorded as dead pairs instead
-    of edges.  ``metadata`` keeps the ER skeleton and the dead pairs.
+    of edges.  ``metadata["dead_pairs"]`` holds them as one (k, 2) integer
+    array, sorted; the table's pairs plus the dead pairs are the ER skeleton.
+
+    Every pair's uniform, then every pair's Gaussian, is drawn in
+    ``np.triu_indices(n, 1)`` order, ``_CHUNK`` pairs per call: memory stays
+    O(edges + chunk), and the draws equal one full-length call each.
     """
     if n < 2 or not 0 <= er_prob <= 1:
         raise ValueError("need n >= 2 and er_prob in [0, 1]")
@@ -555,16 +564,21 @@ def graph_er_iv(n: int, er_prob: float, seed: int,
     else:
         raise ValueError("gauss_mode must be 'variance' or 'std'")
     rng = rngmod.generator(seed, rngmod.TAG_INSTANCE)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < er_prob
-    r_all = np.clip(rng.normal(0.5, sigma, size=iu.size), 0.0, 1.0)
-    i, j, r = iu[keep], ju[keep], r_all[keep]
+    pairs = n * (n - 1) // 2
+    chunks = [(s, min(_CHUNK, pairs - s)) for s in range(0, pairs, _CHUNK)]
+    kept = [np.flatnonzero(rng.random(size) < er_prob) for _, size in chunks]
+    r = np.clip(np.concatenate([rng.normal(0.5, sigma, size)[local]
+                                for (_, size), local in zip(chunks, kept)]), 0.0, 1.0)
+    k = np.concatenate([s + local for (s, _), local in zip(chunks, kept)])
+    rows = np.arange(n - 1)
+    first = rows * (2 * n - rows - 1) // 2  # linear index of pair (i, i + 1)
+    i = np.searchsorted(first, k, side="right") - 1
+    j = k - first[i] + i + 1
     dead = r >= 1.0
-    er_pairs = list(zip(i.tolist(), j.tolist()))
-    dead_pairs = list(zip(i[dead].tolist(), j[dead].tolist()))
+    dead_pairs = np.column_stack((i[dead], j[dead]))
     i, j, r = i[~dead], j[~dead], r[~dead]
     table = _two_state_table(i, j, r <= 0.0, 1.0 - r, r, DT)
-    meta = {"preset": "iv", "er_pairs": er_pairs, "dead_pairs": dead_pairs,
+    meta = {"preset": "iv", "dead_pairs": dead_pairs,
             "er_prob": er_prob, "gauss_mode": gauss_mode, "seed": int(seed)}
     return DynamicGraphModel(n, AMEI, table, metadata=meta)
 

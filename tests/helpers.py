@@ -22,7 +22,7 @@ from tempest.errors import BracketError, DivergenceDetected, EmptyInterval, Nume
 from tempest.markov import CT, DT
 from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeResult, _log_kappa, \
     c_minus, kappa, kappa_inv_at_one, maximize_on_interval
-from tempest.graphs import STATIC_ON, GraphPath, arcs
+from tempest.graphs import STATIC_ON, GraphPath, _two_state_table, arcs
 from tempest.simulate import SimulationTrace, _init_mask, _rates, _stream
 from tempest.thresholds import SUPPORT_TRIVIAL, T1, T2, EpidemicParams, ThresholdReport, \
     _as_mean, _check, _mix, _static_report, certify, kappa_params
@@ -61,6 +61,29 @@ def random_amei_dt(rng, n, p_edge=0.5, prob_lo=0.1, prob_hi=0.9):
                                                      rng.uniform(prob_lo, prob_hi),
                                                      time="dt")
     return DynamicGraphModel(n, AMEI, edges)
+
+
+def reference_graph_er_iv(n: int, er_prob: float, seed: int,
+                          gauss_mode: str = "variance") -> DynamicGraphModel:
+    """The Section IV ER builder drawn all at once over ``np.triu_indices``.
+
+    Every pair's uniform, then every pair's Gaussian, in one call each;
+    ``metadata`` holds the ER skeleton ``er_pairs`` and the ``dead_pairs``
+    as lists of (i, j) tuples.
+    """
+    sigma = float(np.sqrt(1.0 / 8.0)) if gauss_mode == "variance" else 1.0 / 8.0
+    rng = rngmod.generator(seed, rngmod.TAG_INSTANCE)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < er_prob
+    r_all = np.clip(rng.normal(0.5, sigma, size=iu.size), 0.0, 1.0)
+    i, j, r = iu[keep], ju[keep], r_all[keep]
+    dead = r >= 1.0
+    er_pairs = list(zip(i.tolist(), j.tolist()))
+    dead_pairs = list(zip(i[dead].tolist(), j[dead].tolist()))
+    i, j, r = i[~dead], j[~dead], r[~dead]
+    table = _two_state_table(i, j, r <= 0.0, 1.0 - r, r, DT)
+    meta = {"er_pairs": er_pairs, "dead_pairs": dead_pairs}
+    return DynamicGraphModel(n, AMEI, table, metadata=meta)
 
 
 def random_metzler(rng, n, density=0.6, scale=1.0):

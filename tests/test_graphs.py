@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import edge_on_probability
+from helpers import edge_on_probability, reference_graph_er_iv
 import tempest
+from tempest import graphs
 from tempest import (
     AMAI,
     AMEI,
@@ -197,8 +199,8 @@ class TestSupportMatrix:
         g = graph_er_iv(60, 0.4, seed=9)
         s = support_matrix(mean_matrix(g))
         expected = np.zeros((60, 60))
-        dead = set(map(tuple, g.metadata["dead_pairs"]))
-        for (i, j) in g.metadata["er_pairs"]:
+        dead = set(map(tuple, g.metadata["dead_pairs"].tolist()))
+        for (i, j) in reference_graph_er_iv(60, 0.4, seed=9).metadata["er_pairs"]:
             if (i, j) not in dead:  # q = 0 edges can never activate
                 expected[i, j] = expected[j, i] = 1.0
         np.testing.assert_array_equal(s, expected)
@@ -253,7 +255,7 @@ class TestExperimentGraphIV:
     def test_complete_small_case_rates_complementary(self):
         g = graph_er_iv(3, 1.0, seed=1)
         a = mean_matrix(g).a_bar
-        assert len(g.metadata["er_pairs"]) == 3
+        assert g.m + len(g.metadata["dead_pairs"]) == 3
         for (i, j), edge in g.edges.items():
             q, r = edge.params["q"], edge.params["r"]
             assert q + r == pytest.approx(1.0)
@@ -261,17 +263,46 @@ class TestExperimentGraphIV:
 
     def test_mean_degree_matches_binomial_expectation(self):
         g = graph_er_iv(500, 0.2, seed=11)
-        mean_degree = 2 * len(g.metadata["er_pairs"]) / 500
+        mean_degree = 2 * (g.m + len(g.metadata["dead_pairs"])) / 500
         assert abs(mean_degree - 0.2 * 499) < 5.0
 
     def test_gauss_std_mode_rarely_clamps(self):
         g = graph_er_iv(100, 0.5, seed=2, gauss_mode="std")
         n_static = sum(1 for e in g.edges.values() if e.is_static)
-        assert n_static == 0 and not g.metadata["dead_pairs"]
+        assert n_static == 0 and len(g.metadata["dead_pairs"]) == 0
 
     def test_all_edges_discrete_time(self):
         g = graph_er_iv(20, 0.5, seed=5)
         assert g.time == "dt"
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("gauss_mode", ["variance", "std"])
+    @pytest.mark.parametrize("er_prob", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 60, 500])
+    def test_matches_the_full_length_reference(self, n, er_prob, gauss_mode, chunk, monkeypatch):
+        # chunked draws give the one-call draws: same table, same dead pairs;
+        # a chunk of 7 pairs makes every build past n = 4 span several chunks
+        if chunk is not None:
+            monkeypatch.setattr(graphs, "_CHUNK", chunk)
+        for seed in (1, 2, 3, 4, 5, 2024):
+            g = graph_er_iv(n, er_prob, seed, gauss_mode)
+            ref = reference_graph_er_iv(n, er_prob, seed, gauss_mode)
+            for column in ("i", "j", "template", "q", "r"):
+                np.testing.assert_array_equal(getattr(g.table, column),
+                                              getattr(ref.table, column), err_msg=column)
+            dead = g.metadata["dead_pairs"]
+            assert dead.shape == (len(ref.metadata["dead_pairs"]), 2)
+            assert dead.tolist() == [list(p) for p in ref.metadata["dead_pairs"]]
+
+    def test_build_memory_is_linear_in_edges(self):
+        # n = 4000 has 8e6 pairs: one float64 per pair alone would be 61 MiB
+        tracemalloc.start()
+        try:
+            graph_er_iv(4000, 10 / 4000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestGraphJson:

@@ -186,3 +186,14 @@ def test_only_rng_builds_random_streams():
             elif isinstance(node, ast.Attribute) and node.attr == "RandomState":
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} RandomState")
     assert not found, f"random streams built outside rng.py: {found}"
+
+
+def test_er_builder_holds_no_per_pair_table():
+    # graph_er_iv draws n(n - 1)/2 pairs in chunks: a full index table or a
+    # list of Python tuples would make its memory O(n^2)
+    tree = ast.parse((PACKAGE / "graphs.py").read_text())
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "graph_er_iv")
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(body) if isinstance(node, ast.Call)}
+    assert not {"triu_indices", "tolist"} & called
