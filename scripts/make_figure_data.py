@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
-"""Emit plot-ready CSV data for the threshold-factor surfaces and the
-500-node experiment figures by driving the CLI.
+"""Emit plot-ready CSV data for the three threshold-factor surface panels
+of figure 3 (pure formula evaluation) by driving the CLI.
 
-The xi_H surface panels are cheap (pure formula evaluation).  The
-experiment figures re-run the re-infection protocol; pass --paths to
-trade accuracy for time.
+The experiment figures 4-6 come from scripts/reproduce_section_iv.py.
 """
 
 import argparse
@@ -23,29 +21,12 @@ def run(args):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="figure_data")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--paths", type=int, default=100)
-    ap.add_argument("--steps", type=int, default=1000)
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("TEMPEST_THREADS", os.cpu_count() or 1)))
-    ap.add_argument("--skip-experiment", action="store_true",
-                    help="only emit the figure-3 surfaces")
     args = ap.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
     for panel in "abc":
         run(["figure3", "--panel", panel, "--seed", "0",
              "--out", os.path.join(args.out, f"figure3_{panel}.csv")])
-    if args.skip_experiment:
-        return
-    run(["figure456", "--preset", "iv",
-         "--graph-param", "n=500", "--graph-param", "er_prob=0.2",
-         "--graph-param", f"graph_seed={args.seed}",
-         "--delta", "0.05", "--seed", str(args.seed),
-         "--beta-grid", "5e-4:10e-4:12",
-         "--paths", str(args.paths), "--steps", str(args.steps),
-         "--threads", str(args.threads),
-         "--out", os.path.join(args.out, "figure456")])
 
 
 if __name__ == "__main__":

@@ -31,21 +31,23 @@ def main(argv=None):
     ap.add_argument("--er-prob", type=float, default=0.2)
     ap.add_argument("--paths", type=int, default=100)
     ap.add_argument("--steps", type=int, default=1000)
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("TEMPEST_THREADS", os.cpu_count() or 1)))
+    ap.add_argument("--threads", type=int, default=None,
+                    help="worker processes (default: TEMPEST_THREADS, else the CPU count)")
     ap.add_argument("--gauss-std", action="store_true",
                     help="read the Gaussian dispersion 1/8 as a standard deviation")
     ap.add_argument("--out", default="section_iv_out")
     args = ap.parse_args(argv)
 
     mode = "std" if args.gauss_std else "variance"
+    if args.threads is None and not os.environ.get("TEMPEST_THREADS"):
+        args.threads = os.cpu_count() or 1
+    threads = [] if args.threads is None else ["--threads", str(args.threads)]
     code = cli.main(["figure456", "--preset", "iv", "--graph-param", f"n={args.n}",
                      "--graph-param", f"er_prob={args.er_prob!r}",
                      "--graph-param", f"graph_seed={args.seed}",
                      "--graph-param", f"gauss_mode={mode}",
                      "--seed", str(1000 * args.seed + 7), "--paths", str(args.paths),
-                     "--steps", str(args.steps), "--threads", str(args.threads),
-                     "--out", args.out])
+                     "--steps", str(args.steps), *threads, "--out", args.out])
     if code:
         return code
     with open(os.path.join(args.out, "fig5.json")) as fh:

@@ -26,7 +26,6 @@ from .graphs import (  # noqa: F401
     graph_to_json,
     mean_matrix,
     sample_graph_path,
-    support_matrix,
 )
 from .markov import CT, DT, MarkovChainSpec, stationary_distribution  # noqa: F401
 from .oracle import (  # noqa: F401

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -80,15 +79,19 @@ def build_static_edge(on: bool, time: str = CT) -> EdgeProcessModel:
                             builder="static", params={"on": bool(on)})
 
 
-def build_edge_markovian(q: float, r: float, time: str = CT) -> EdgeProcessModel:
-    """2-state on/off edge: off->on at rate (probability) q, on->off at r."""
+def _check_markov2(q, r, time: str) -> None:
     if q <= 0 or r <= 0:
         raise InvalidRates(f"need q > 0 and r > 0, got q={q}, r={r}")
+    if time != CT and (q > 1 or r > 1):
+        raise InvalidRates("discrete-time transition probabilities must be <= 1")
+
+
+def build_edge_markovian(q: float, r: float, time: str = CT) -> EdgeProcessModel:
+    """2-state on/off edge: off->on at rate (probability) q, on->off at r."""
+    _check_markov2(q, r, time)
     if time == CT:
         m = np.array([[-q, q], [r, -r]], dtype=float)
     else:
-        if q > 1 or r > 1:
-            raise InvalidRates("discrete-time transition probabilities must be <= 1")
         m = np.array([[1 - q, q], [r, 1 - r]], dtype=float)
     chain = MarkovChainSpec(("off", "on"), time, m)
     return EdgeProcessModel(chain, np.array([0, 1]),
@@ -180,8 +183,9 @@ class EdgeTable:
     ``template[k]`` is STATIC_OFF, STATIC_ON, MARKOV2 (the chain of
     ``build_edge_markovian``) or CHAIN0 + t for ``chains[t]``, one
     EdgeProcessModel shared by all edges with that chain (Coxian and other
-    multi-state edges).  ``q`` and ``r`` hold the off->on and on->off rates
-    of the MARKOV2 rows.  ``layout`` gives every switching row's chain.
+    multi-state edges), the one kind of edge kept as an object.  ``q`` and
+    ``r`` hold the off->on and on->off rates of the MARKOV2 rows.  ``layout``
+    gives every switching row's chain.
     """
 
     i: np.ndarray
@@ -211,30 +215,6 @@ class EdgeTable:
         if not ((np.minimum(q, r) > 0) & (np.maximum(q, r) <= top)).all():
             raise InvalidRates("2-state edges need finite rates q, r > 0 (at most 1 in DT)")
 
-    @classmethod
-    def from_edges(cls, edges) -> "EdgeTable":
-        """Table of a ``{(i, j): EdgeProcessModel}`` mapping."""
-        keys = sorted(edges)
-        times = {edges[key].time for key in keys}
-        if len(times) > 1:
-            raise ValueError("all edge processes must share one time base")
-        template, q, r, chains = [], [], [], {}
-        for key in keys:
-            edge, chain = edges[key], edges[key].chain
-            if edge.is_static:
-                template.append(STATIC_ON if edge.static_value else STATIC_OFF)
-            elif edge.builder == "markov2":
-                template.append(MARKOV2)
-            else:  # equal chains share one template, whatever object carries them
-                ident = (edge.builder, repr(edge.params), chain.time, chain.states,
-                         chain.initial_state, chain.matrix.tobytes(), edge.output.tobytes())
-                template.append(CHAIN0 + chains.setdefault(ident, (len(chains), edge))[0])
-            q.append(chain.matrix[0, 1] if template[-1] == MARKOV2 else np.nan)
-            r.append(chain.matrix[1, 0] if template[-1] == MARKOV2 else np.nan)
-        ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
-        return cls(ij[:, 0], ij[:, 1], template, q, r, times.pop() if times else CT,
-                   tuple(edge for _, edge in chains.values()))
-
     @property
     def m(self) -> int:
         return self.i.size
@@ -246,15 +226,6 @@ class EdgeTable:
         if key not in self._derived:
             self._derived[key] = build(self)
         return self._derived[key]
-
-    def edge(self, k: int) -> EdgeProcessModel:
-        """The process of edge k as an object."""
-        t = int(self.template[k])
-        if t >= CHAIN0:
-            return self.chains[t - CHAIN0]
-        if t == MARKOV2:
-            return build_edge_markovian(self.q[k], self.r[k], self.time)
-        return build_static_edge(t == STATIC_ON, self.time)
 
     def layout(self, law: str | None = "initial") -> ChainLayout:
         """The chain of every switching row (template >= MARKOV2) as arrays, the
@@ -297,18 +268,44 @@ class EdgeTable:
         return ChainLayout(self.time, rows, size, matrix, output, pi, declared)
 
 
+def _assemble(rows) -> EdgeTable:
+    """The table of a ``{(i, j): row}`` mapping, sorted by (i, j).  A row is a
+    (template, q, r, time) tuple or an EdgeProcessModel; equal chains share one
+    template, numbered in (i, j) order, whatever object carries them."""
+    keys, columns, chains = sorted(rows), [], {}
+    for key in keys:
+        row = edge = rows[key]
+        if isinstance(edge, EdgeProcessModel):
+            chain = edge.chain
+            if edge.is_static:
+                row = STATIC_ON if edge.static_value else STATIC_OFF, np.nan, np.nan, edge.time
+            elif edge.builder == "markov2":
+                row = MARKOV2, chain.matrix[0, 1], chain.matrix[1, 0], edge.time
+            else:
+                ident = (edge.builder, repr(edge.params), chain.time, chain.states,
+                         chain.initial_state, chain.matrix.tobytes(), edge.output.tobytes())
+                t = CHAIN0 + chains.setdefault(ident, (len(chains), edge))[0]
+                row = t, np.nan, np.nan, edge.time
+        columns.append(row)
+    template, q, r, time = zip(*columns) if columns else ((), (), (), (CT,))
+    if any(t != time[0] for t in time):
+        raise ValueError("all edge processes must share one time base")
+    ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    return EdgeTable(ij[:, 0], ij[:, 1], template, q, r, time[0],
+                     tuple(edge for _, edge in chains.values()))
+
+
 class DynamicGraphModel:
     """n nodes plus a table of independent edge processes.
 
-    ``edges`` is an EdgeTable or a ``{(i, j): EdgeProcessModel}`` mapping.
-    The package reads ``graph.table``; ``graph.edges`` gives the processes
-    back as a read-only mapping whose objects are built on each access.
+    ``edges`` is an EdgeTable or a ``{(i, j): EdgeProcessModel}`` mapping,
+    the one place edge objects enter; the package reads ``graph.table``.
     """
 
     def __init__(self, n: int, kind: str, edges, metadata: dict | None = None):
         if kind not in (AMEI, AMAI):
             raise ValueError(f"kind must be '{AMEI}' or '{AMAI}'")
-        table = edges if isinstance(edges, EdgeTable) else EdgeTable.from_edges(edges)
+        table = edges if isinstance(edges, EdgeTable) else _assemble(edges)
         if (table.i == table.j).any():
             raise ValueError("self-loops are not allowed")
         if table.m and (min(table.i.min(), table.j.min()) < 0
@@ -318,10 +315,6 @@ class DynamicGraphModel:
             raise ValueError("AMEI edges must be keyed with i < j")
         self.n, self.kind, self.table = n, kind, table
         self.metadata = {} if metadata is None else metadata
-
-    @property
-    def edges(self) -> MappingProxyType:
-        return MappingProxyType({key: self.table.edge(k) for k, key in enumerate(self.edge_keys())})
 
     @property
     def time(self) -> str:
@@ -366,7 +359,8 @@ class MeanMatrix:
         return self.a_bar.shape[0]
 
     def support(self) -> np.ndarray:
-        return support_matrix(self)
+        """Entry-wise sign of the mean matrix (the {0,1} support graph)."""
+        return (self.a_bar > 0).astype(float)
 
     # Spectra of a_bar and sgn(a_bar) (fn: spectral_abscissa or matrix_measure) are
     # reused heavily by homogeneous-rate certificates; cache them (matrices are read-only).
@@ -413,11 +407,6 @@ def mean_matrix(graph: DynamicGraphModel) -> MeanMatrix:
             k = lay.rows[moving[np.argmax(periodic)]]
             periodic_edge = (int(table.i[k]), int(table.j[k]))
     return MeanMatrix(a, graph.kind, graph.time, periodic_edge)
-
-
-def support_matrix(mean: MeanMatrix) -> np.ndarray:
-    """Entry-wise sign of the mean matrix (the {0,1} support graph)."""
-    return (mean.a_bar > 0).astype(float)
 
 
 @dataclass
@@ -600,10 +589,14 @@ def _edge_to_json(table: EdgeTable, k: int) -> dict:
     return {"type": edge.builder, "params": dict(edge.params), "time": edge.time}
 
 
-def _edge_from_json(model: dict) -> EdgeProcessModel:
+def _row_from_json(model: dict):
+    """The table row of one JSON edge model: a Coxian edge, a chain template,
+    is the one model that becomes an object."""
     kind, params, time = model["type"], model.get("params", {}), model.get("time", CT)
     if kind == "markov2":
-        return build_edge_markovian(params["q"], params["r"], time)
+        q, r = params["q"], params["r"]
+        _check_markov2(q, r, time)
+        return MARKOV2, float(q), float(r), time
     if kind == "coxian":
         if time != CT:
             raise ValueError("coxian edges are continuous-time")
@@ -612,7 +605,7 @@ def _edge_from_json(model: dict) -> EdgeProcessModel:
     if kind == "static":
         if not isinstance(params["on"], bool):
             raise ValueError(f"static edge needs 'on' true or false, got {params['on']!r}")
-        return build_static_edge(params["on"], time)
+        return STATIC_ON if params["on"] else STATIC_OFF, np.nan, np.nan, time
     raise ValueError(f"unknown edge model type {kind!r}")
 
 
@@ -628,10 +621,10 @@ def graph_to_json(graph: DynamicGraphModel) -> dict:
 def graph_from_json(doc) -> DynamicGraphModel:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    edges = {}
+    rows = {}
     for e in doc["edges"]:
         key = (int(e["i"]), int(e["j"]))
-        if key in edges:
+        if key in rows:
             raise ValueError(f"edge {key} is listed twice")
-        edges[key] = _edge_from_json(e["model"])
-    return DynamicGraphModel(int(doc["n"]), doc["kind"], edges)
+        rows[key] = _row_from_json(e["model"])
+    return DynamicGraphModel(int(doc["n"]), doc["kind"], _assemble(rows))

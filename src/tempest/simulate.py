@@ -539,13 +539,13 @@ def _path_final(pl, pid):
 
 def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
                         paths: int, steps: int, seed: int = 0,
-                        threads: int = 1, init_infected="all") -> EmpiricalThresholdReport:
+                        threads: int = 1) -> EmpiricalThresholdReport:
     """Re-infection protocol: metastable infected level over a beta grid.
 
-    Runs ``paths`` independent discrete-time simulations with re-infection;
-    y* is the mean infected count at the final step, z* = y* - 1
-    compensates the forced re-infection, and beta* is the largest grid
-    value with z* < 1.  Path ``path_id`` draws from the stream (seed,
+    Runs ``paths`` independent discrete-time simulations with re-infection,
+    each from all nodes infected; y* is the mean infected count at the final
+    step, z* = y* - 1 compensates the forced re-infection, and beta* is the
+    largest grid value with z* < 1.  Path ``path_id`` draws from the stream (seed,
     TAG_PATH, path_id) and runs every grid beta at once on one edge
     trajectory with shared infection and recovery uniforms (common random
     numbers), so results are identical for any thread count.
@@ -569,7 +569,7 @@ def empirical_threshold(graph: DynamicGraphModel, delta: float, beta_grid,
     n = graph.n
     payload = {
         "graph": graph, "beta": np.tile(beta_grid, (n, 1)), "delta": np.full(n, float(delta)),
-        "steps": int(steps), "seed": int(seed), "x0": _init_mask(init_infected, n),
+        "steps": int(steps), "seed": int(seed), "x0": np.ones(n, dtype=bool),
     }
     workers = min(threads, paths)
     if workers > 1:

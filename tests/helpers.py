@@ -9,6 +9,7 @@ cross-checked end to end.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -16,13 +17,15 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
-from tempest import AMAI, AMEI, DynamicGraphModel, build_edge_markovian, stationary_distribution
+from tempest import AMAI, AMEI, DynamicGraphModel, EdgeTable, build_coxian_edge, \
+    build_edge_markovian, build_static_edge, stationary_distribution
 from tempest import rng as rngmod
 from tempest.errors import BracketError, DivergenceDetected, EmptyInterval, NumericalFailure
 from tempest.markov import CT, DT
 from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeResult, _log_kappa, \
     c_minus, kappa, kappa_inv_at_one, maximize_on_interval
-from tempest.graphs import STATIC_ON, GraphPath, _two_state_table, arcs
+from tempest.graphs import CHAIN0, MARKOV2, STATIC_OFF, STATIC_ON, GraphPath, \
+    _two_state_table, arcs
 from tempest.simulate import SimulationTrace, _init_mask, _rates, _stream
 from tempest.thresholds import SUPPORT_TRIVIAL, T1, T2, EpidemicParams, ThresholdReport, \
     _as_mean, _check, _mix, _static_report, certify, kappa_params
@@ -106,6 +109,88 @@ def random_metzler_pair(rng, n):
 # ---------------------------------------------------------------------------
 # Per-edge references for the edge-table kernels
 # ---------------------------------------------------------------------------
+
+def table_edge(table, k: int):
+    """The process of edge k of an edge table as an EdgeProcessModel."""
+    t = int(table.template[k])
+    if t >= CHAIN0:
+        return table.chains[t - CHAIN0]
+    if t == MARKOV2:
+        return build_edge_markovian(table.q[k], table.r[k], table.time)
+    return build_static_edge(t == STATIC_ON, table.time)
+
+
+def edge_objects(graph) -> dict:
+    """``{(i, j): EdgeProcessModel}`` of a graph, rebuilt from its edge table."""
+    return {key: table_edge(graph.table, k) for k, key in enumerate(graph.edge_keys())}
+
+
+def reference_from_edges(edges) -> EdgeTable:
+    """Table of a ``{(i, j): EdgeProcessModel}`` mapping, object by object."""
+    keys = sorted(edges)
+    times = {edges[key].time for key in keys}
+    if len(times) > 1:
+        raise ValueError("all edge processes must share one time base")
+    template, q, r, chains = [], [], [], {}
+    for key in keys:
+        edge, chain = edges[key], edges[key].chain
+        if edge.is_static:
+            template.append(STATIC_ON if edge.static_value else STATIC_OFF)
+        elif edge.builder == "markov2":
+            template.append(MARKOV2)
+        else:  # equal chains share one template, whatever object carries them
+            ident = (edge.builder, repr(edge.params), chain.time, chain.states,
+                     chain.initial_state, chain.matrix.tobytes(), edge.output.tobytes())
+            template.append(CHAIN0 + chains.setdefault(ident, (len(chains), edge))[0])
+        q.append(chain.matrix[0, 1] if template[-1] == MARKOV2 else np.nan)
+        r.append(chain.matrix[1, 0] if template[-1] == MARKOV2 else np.nan)
+    ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    return EdgeTable(ij[:, 0], ij[:, 1], template, q, r, times.pop() if times else CT,
+                     tuple(edge for _, edge in chains.values()))
+
+
+def assert_tables_equal(got, ref):
+    """Equal edge tables: every column bit for bit (NaN included), the time
+    base, and the chains in count and order."""
+    for column in ("i", "j", "template", "q", "r"):
+        a, b = getattr(got, column), getattr(ref, column)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+    assert got.time == ref.time
+    assert len(got.chains) == len(ref.chains)
+    for a, b in zip(got.chains, ref.chains):
+        assert (a.builder, repr(a.params)) == (b.builder, repr(b.params))  # [1] is not [1.0]
+        np.testing.assert_array_equal(a.chain.matrix, b.chain.matrix)
+        np.testing.assert_array_equal(a.output, b.output)
+
+
+def reference_edge_from_json(model: dict):
+    kind, params, time = model["type"], model.get("params", {}), model.get("time", CT)
+    if kind == "markov2":
+        return build_edge_markovian(params["q"], params["r"], time)
+    if kind == "coxian":
+        if time != CT:
+            raise ValueError("coxian edges are continuous-time")
+        return build_coxian_edge(params["up_rates"], params["exit_rates"],
+                                 params["down_rates"], params["return_rates"])
+    if kind == "static":
+        if not isinstance(params["on"], bool):
+            raise ValueError(f"static edge needs 'on' true or false, got {params['on']!r}")
+        return build_static_edge(params["on"], time)
+    raise ValueError(f"unknown edge model type {kind!r}")
+
+
+def reference_graph_from_json(doc) -> DynamicGraphModel:
+    """``graph_from_json`` edge object by edge object: every JSON model
+    becomes an EdgeProcessModel, and the objects a table."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    edges = {}
+    for e in doc["edges"]:
+        key = (int(e["i"]), int(e["j"]))
+        if key in edges:
+            raise ValueError(f"edge {key} is listed twice")
+        edges[key] = reference_edge_from_json(e["model"])
+    return DynamicGraphModel(int(doc["n"]), doc["kind"], reference_from_edges(edges))
 
 def edge_on_probability(edge):
     """Stationary probability that the edge is present: pi(f^{-1}({1}))."""
@@ -365,12 +450,11 @@ def pair_extinction_probability(q, r, beta, delta, t):
 def _edge_laws(graph, stepped):
     """Endpoints, first law row, on-state count and laws of the switching rows
     (none unless ``stepped``), laid out as ``_SwitchingEdges`` reads them."""
-    from tempest.graphs import MARKOV2
     table = graph.table
     rows = np.flatnonzero(table.template >= MARKOV2) if stepped else np.zeros(0, dtype=int)
     laws, first, n_on = [], [], []
     for k in rows:
-        edge = table.edge(k)
+        edge = table_edge(table, k)
         chain = edge.chain
         order = np.concatenate([np.flatnonzero(edge.output == 1), np.flatnonzero(edge.output == 0)])
         if chain.initial_state is not None:
@@ -548,7 +632,7 @@ def reference_exact_generator(graph, beta, delta):
     at its digit of label l.
     """
     n = graph.n
-    edges = sorted(graph.edges.items())
+    edges = sorted(edge_objects(graph).items())
     switching = [(key, e) for key, e in edges if not e.is_static]
     static_on = [key for key, e in edges if e.is_static and e.static_value == 1]
     sizes = [e.chain.n_states for _, e in switching]

@@ -6,9 +6,12 @@ the per-edge implementation at fixed seeds (same streams, same draw order).
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import tempest
@@ -35,6 +38,7 @@ from tempest import (
     sample_graph_path,
     simulate_dt_exact,
 )
+from tempest import CT, DT
 from tempest import rng as rngmod
 from tempest.errors import InvalidRates, NonIrreducible, ReducibleChain
 from tempest.graphs import CHAIN0, MARKOV2
@@ -110,7 +114,7 @@ class TestMeanMatrixReference:
     def test_random_graphs(self, rng, make):
         for n in (2, 5, 9):
             g = make(rng, n)
-            edges = {key: g.edges[key] for key in g.edges}
+            edges = helpers.edge_objects(g)
             np.testing.assert_allclose(mean_matrix(g).a_bar,
                                        helpers.reference_mean_matrix(n, g.kind, edges),
                                        rtol=0, atol=1e-12)
@@ -122,7 +126,7 @@ class TestMeanMatrixReference:
     ])
     def test_presets(self, build):
         g = build()
-        edges = dict(g.edges.items())
+        edges = helpers.edge_objects(g)
         np.testing.assert_allclose(mean_matrix(g).a_bar,
                                    helpers.reference_mean_matrix(g.n, g.kind, edges),
                                    rtol=0, atol=1e-12)
@@ -179,7 +183,8 @@ class TestPathsAndSimulation:
     def test_iv_graph_path_matches_per_edge_reference(self):
         g = graph_er_iv(12, 0.5, seed=2)
         got = sample_graph_path(g, steps=30, seed=4)
-        ref = helpers.reference_graph_path(12, AMEI, dict(g.edges.items()), steps=30, seed=4)
+        ref = helpers.reference_graph_path(12, AMEI, helpers.edge_objects(g), steps=30,
+                                           seed=4)
         np.testing.assert_array_equal(got.adjacency, ref.adjacency)
 
     # Outputs of the per-edge implementation at these seeds, kept by the
@@ -231,24 +236,21 @@ class TestBoundary:
             graph_to_json(DynamicGraphModel(6, AMEI, ct_mixed_edges()))
 
     def test_builders_match_per_edge_objects(self):
+        # the presets fill the arrays the builders' objects give, bit for bit
         g = graph_complete_edge_markovian(4, 0.3, 0.9)
-        for edge in g.edges.values():
-            assert edge.params == {"q": 0.3, "r": 0.9}
-            np.testing.assert_array_equal(edge.chain.matrix,
-                                          build_edge_markovian(0.3, 0.9).chain.matrix)
+        helpers.assert_tables_equal(g.table, helpers.reference_from_edges(
+            {key: build_edge_markovian(0.3, 0.9) for key in g.edge_keys()}))
         sw = graph_small_world(5, 0.25)
-        assert sw.edges[(4, 0)].is_static and sw.edges[(4, 0)].static_value == 1
-        assert sw.edges[(0, 4)].params == {"q": 0.25, "r": 0.75}
+        helpers.assert_tables_equal(sw.table, helpers.reference_from_edges(
+            {(i, j): build_static_edge(True) if j == (i + 1) % 5
+             else build_edge_markovian(0.25, 0.75) for i, j in sw.edge_keys()}))
 
-    def test_edges_view_is_a_sorted_mapping(self):
+    def test_edge_keys_are_sorted(self):
         g = DynamicGraphModel(4, AMAI, {(2, 1): build_edge_markovian(1, 1),
                                         (0, 3): build_static_edge(True),
                                         (1, 2): build_edge_markovian(2, 1)})
-        assert list(g.edges) == [(0, 3), (1, 2), (2, 1)] == g.edge_keys()
-        assert len(g.edges) == g.m == 3
-        assert (2, 1) in g.edges and (1, 0) not in g.edges
-        with pytest.raises(KeyError):
-            g.edges[(3, 0)]
+        assert g.edge_keys() == [(0, 3), (1, 2), (2, 1)]
+        assert g.m == 3
 
     def test_table_rejects_repeated_pairs(self):
         with pytest.raises(ValueError):
@@ -295,6 +297,169 @@ class TestBoundary:
     def test_mean_matrix_rejects_nan(self):
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             MeanMatrix(np.array([[0.0, np.nan], [0.5, 0.0]]), AMAI)
+
+
+# Coxian parameters with integer rates, so that a file may write one chain
+# as [1] in one edge and [1.0] in another
+COXIANS = [
+    {"up_rates": [1], "exit_rates": [0, 1], "down_rates": [], "return_rates": [2]},
+    {"up_rates": [], "exit_rates": [1], "down_rates": [], "return_rates": [3]},
+    {"up_rates": [2], "exit_rates": [1, 1], "down_rates": [1], "return_rates": [1, 2]},
+]
+
+
+def written_as(params, as_float):
+    return {key: [float(x) if as_float else x for x in rates] for key, rates in params.items()}
+
+
+@st.composite
+def coxian_models(draw):
+    if draw(st.booleans()):  # one of the shared chains, rates written as ints or floats
+        params = written_as(draw(st.sampled_from(COXIANS)), draw(st.booleans()))
+    else:  # a chain of its own
+        on, off = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        rate = st.floats(0.1, 3.0)
+        params = {"up_rates": draw(st.lists(rate, min_size=on - 1, max_size=on - 1)),
+                  "exit_rates": draw(st.lists(rate, min_size=on, max_size=on)),
+                  "down_rates": draw(st.lists(rate, min_size=off - 1, max_size=off - 1)),
+                  "return_rates": draw(st.lists(rate, min_size=off, max_size=off))}
+    model = {"type": "coxian", "params": params}
+    return model | ({"time": CT} if draw(st.booleans()) else {})
+
+
+def edge_models(time):
+    rate = st.one_of(st.floats(0.05, 4.0), st.integers(1, 3)) if time == CT \
+        else st.one_of(st.floats(0.01, 1.0), st.just(1))
+    markov2 = st.builds(lambda q, r: {"type": "markov2", "params": {"q": q, "r": r}, "time": time},
+                        rate, rate)
+    static = st.builds(lambda on: {"type": "static", "params": {"on": on}, "time": time},
+                       st.booleans())
+    return st.one_of(markov2, static, coxian_models()) if time == CT else st.one_of(markov2, static)
+
+
+@st.composite
+def graph_documents(draw):
+    time, kind, n = draw(st.sampled_from([CT, DT])), draw(st.sampled_from([AMEI, AMAI])), \
+        draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if (i < j if kind == AMEI else i != j)]
+    keys = draw(st.permutations(pairs))[:draw(st.integers(0, 12))]  # a shuffled file
+    return {"n": n, "kind": kind,
+            "edges": [{"i": i, "j": j, "model": draw(edge_models(time))} for i, j in keys]}
+
+
+def one_edge(model, i=0, j=1):
+    return {"i": i, "j": j, "model": model}
+
+
+def markov2(q=0.5, r=0.5, time=CT):
+    return {"type": "markov2", "params": {"q": q, "r": r}, "time": time}
+
+
+class TestGraphFileReader:
+    """``graph_from_json`` fills the table from the file's rows; the object
+    route it replaced (``helpers.reference_graph_from_json``) is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_documents())
+    def test_table_matches_the_object_route(self, doc):
+        ref = helpers.reference_graph_from_json(json.dumps(doc))
+        for g in (graph_from_json(doc), graph_from_json(json.dumps(doc))):
+            assert (g.n, g.kind) == (ref.n, ref.kind)
+            helpers.assert_tables_equal(g.table, ref.table)
+        # the dict constructor, the other input of the one assembler
+        objects = {(e["i"], e["j"]): helpers.reference_edge_from_json(e["model"])
+                   for e in doc["edges"]}
+        helpers.assert_tables_equal(DynamicGraphModel(doc["n"], doc["kind"], objects).table,
+                                    ref.table)
+
+    def test_chain_ids_follow_sorted_keys_not_the_file(self):
+        # one chain written [1] and [1.0] is one template; ids are numbered in
+        # (i, j) order, whatever order the file lists the edges in
+        edges = [one_edge({"type": "coxian", "params": COXIANS[2]}, 1, 2),
+                 one_edge({"type": "coxian", "params": written_as(COXIANS[0], True)}, 2, 3),
+                 one_edge(markov2(), 0, 2),
+                 one_edge({"type": "coxian", "params": COXIANS[0]}, 0, 1)]
+        doc = {"n": 4, "kind": AMEI, "edges": edges}
+        g = graph_from_json(doc)
+        assert g.table.template.tolist() == [3, 2, 4, 3] and len(g.table.chains) == 2
+        helpers.assert_tables_equal(g.table, helpers.reference_graph_from_json(doc).table)
+
+    @pytest.mark.parametrize("build", [
+        *(pytest.param(lambda n=n, s=s, m=m: graph_er_iv(n, 0.2, s, m), id=f"iv n={n} {m} seed={s}")
+          for n in (60, 500) for m in ("variance", "std") for s in range(1, 6)),
+        pytest.param(lambda: graph_small_world(9, 0.3, rate_scale=2.0), id="small world"),
+        pytest.param(lambda: graph_complete_edge_markovian(7, 0.6, 0.17), id="complete ct"),
+        pytest.param(lambda: graph_complete_edge_markovian(7, 0.6, 0.17, "dt"), id="complete dt"),
+    ])
+    def test_preset_files_read_back_bit_identical(self, build):
+        g = build()
+        doc = graph_to_json(g)
+        got, ref = graph_from_json(doc), helpers.reference_graph_from_json(doc)
+        helpers.assert_tables_equal(got.table, ref.table)
+        helpers.assert_tables_equal(got.table, g.table)
+        assert graph_to_json(got) == doc
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2()), one_edge(markov2(0.9))]},
+         ValueError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge({"type": "mystery", "params": {}})]},
+         ValueError),
+        ({"n": 2, "kind": AMEI,
+          "edges": [one_edge({"type": "static", "params": {"on": "false"}})]}, ValueError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge({"type": "static", "params": {"on": 1}})]},
+         ValueError),
+        ({"n": 2, "kind": AMEI,
+          "edges": [one_edge({"type": "coxian", "params": COXIANS[0], "time": DT})]}, ValueError),
+        ({"n": 2, "kind": AMEI,
+          "edges": [one_edge({"type": "coxian", "params": {**COXIANS[0], "exit_rates": [-1, 1]}})]},
+         InvalidRates),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge({"type": "markov2", "params": {"q": 1}})]},
+         KeyError),
+        ({"n": 2, "kind": AMEI, "edges": [{"i": 0, "j": 1}]}, KeyError),
+        ({"kind": AMEI, "edges": [one_edge(markov2())]}, KeyError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2("0.5"))]}, TypeError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(0.5, None))]}, TypeError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(0.0))]}, InvalidRates),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(0.5, -1.0))]}, InvalidRates),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(1.5, 0.5, DT))]}, InvalidRates),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(float("nan")))]}, InvalidRates),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(0.5, float("nan"), DT))]},
+         InvalidRates),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(float("inf")))]}, InvalidRates),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(0.5, float("inf"), DT))]},
+         InvalidRates),
+        ({"n": 3, "kind": AMEI, "edges": [one_edge(markov2()), one_edge(markov2(time=DT), 1, 2)]},
+         ValueError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(time="weekly"))]}, ValueError),
+        ({"n": 2, "kind": "other", "edges": [one_edge(markov2())]}, ValueError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(), 1, 1)]}, ValueError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(), 1, 0)]}, ValueError),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(), 0, 2)]}, ValueError),
+    ], ids=["edge listed twice", "unknown type", "on a string", "on an int", "dt coxian",
+            "negative coxian rate", "missing rate", "missing model", "missing n", "string rate",
+            "null rate", "zero rate", "negative rate", "dt rate above one", "nan rate",
+            "dt nan rate", "infinite rate", "dt infinite rate", "mixed time bases",
+            "unknown time base", "unknown kind", "self-loop", "amei key order",
+            "endpoint out of range"])
+    def test_malformed_files_raise_the_object_routes_error(self, doc, error):
+        # read from JSON text, where a NaN or infinite rate is written NaN or Infinity
+        text = json.dumps(doc)
+        with pytest.raises(error) as ref:
+            helpers.reference_graph_from_json(text)
+        with pytest.raises(error) as got:
+            graph_from_json(text)
+        assert type(got.value) is type(ref.value) is error
+
+    def test_reading_holds_no_per_edge_objects(self):
+        # the Section IV file, 22,852 edges: an object per edge peaked at 20 MiB
+        doc = graph_to_json(graph_er_iv(500, 0.2, 1))
+        tracemalloc.start()
+        try:
+            graph_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPeriodicity:

@@ -24,9 +24,9 @@ from tempest import (
     graph_to_json,
     mean_matrix,
     sample_graph_path,
-    support_matrix,
 )
 from tempest.errors import InvalidRates, ReducibleChain
+from tempest.graphs import MARKOV2, STATIC_ON
 
 
 def one_edge_path(edge, seed, **length):
@@ -177,27 +177,28 @@ class TestMeanMatrix:
     def test_iv_graph_on_probabilities(self):
         g = graph_er_iv(40, 0.5, seed=3)
         a = mean_matrix(g).a_bar
-        for (i, j), edge in g.edges.items():
-            if edge.is_static:
+        t = g.table
+        for i, j, template, q, r in zip(t.i, t.j, t.template, t.q, t.r):
+            if template == STATIC_ON:
                 assert a[i, j] == 1.0
             else:
-                q, r = edge.params["q"], edge.params["r"]
+                assert template == MARKOV2
                 assert a[i, j] == pytest.approx(q / (q + r), abs=1e-12)
 
 
 class TestSupportMatrix:
     def test_zero_matrix(self):
         m = tempest.MeanMatrix(np.zeros((3, 3)), AMEI)
-        np.testing.assert_array_equal(support_matrix(m), np.zeros((3, 3)))
+        np.testing.assert_array_equal(m.support(), np.zeros((3, 3)))
 
     def test_small_world_support_complete(self):
         g = graph_small_world(6, 0.25)
-        s = support_matrix(mean_matrix(g))
+        s = mean_matrix(g).support()
         np.testing.assert_array_equal(s, 1.0 - np.eye(6))
 
     def test_iv_support_is_er_adjacency_minus_dead_pairs(self):
         g = graph_er_iv(60, 0.4, seed=9)
-        s = support_matrix(mean_matrix(g))
+        s = mean_matrix(g).support()
         expected = np.zeros((60, 60))
         dead = set(map(tuple, g.metadata["dead_pairs"].tolist()))
         for (i, j) in reference_graph_er_iv(60, 0.4, seed=9).metadata["er_pairs"]:
@@ -256,8 +257,8 @@ class TestExperimentGraphIV:
         g = graph_er_iv(3, 1.0, seed=1)
         a = mean_matrix(g).a_bar
         assert g.m + len(g.metadata["dead_pairs"]) == 3
-        for (i, j), edge in g.edges.items():
-            q, r = edge.params["q"], edge.params["r"]
+        t = g.table
+        for i, j, q, r in zip(t.i, t.j, t.q, t.r):
             assert q + r == pytest.approx(1.0)
             assert a[i, j] == pytest.approx(q)  # q/(q+r) = q when q+r = 1
 
@@ -268,7 +269,7 @@ class TestExperimentGraphIV:
 
     def test_gauss_std_mode_rarely_clamps(self):
         g = graph_er_iv(100, 0.5, seed=2, gauss_mode="std")
-        n_static = sum(1 for e in g.edges.values() if e.is_static)
+        n_static = int((g.table.template == STATIC_ON).sum())
         assert n_static == 0 and len(g.metadata["dead_pairs"]) == 0
 
     def test_all_edges_discrete_time(self):

@@ -302,8 +302,8 @@ class TestReducibleGenerators:
         pairs = sorted(zip(iu[picks].tolist(), ju[picks].tolist()))
         left = markov_graph(6, AMEI, pairs, q=1.0, r=0.5)
         right = markov_graph(6, AMEI, pairs, q=0.6, r=1.1)
-        edges = dict(left.edges)
-        edges.update({(i + 6, j + 6): e for (i, j), e in right.edges.items()})
+        edges = helpers.edge_objects(left)
+        edges.update({(i + 6, j + 6): e for (i, j), e in helpers.edge_objects(right).items()})
         g = DynamicGraphModel(12, AMEI, edges)
         with pytest.raises(TooManyEdges):
             enumerate_subgraphs(g)

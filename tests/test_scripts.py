@@ -2,15 +2,28 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tempest
 from tempest import empirical_threshold, graph_er_iv, mean_matrix, threshold_in_beta
 from tempest.thresholds import _jsonable
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PACKAGE_ROOT = str(Path(tempest.__file__).resolve().parents[1])
+
+
+def run_script(name, *args):
+    """The script in a child process that imports the package under test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *args],
+                          capture_output=True, text=True, env=env)
 
 
 def load_script(name):
@@ -62,3 +75,22 @@ def test_section_iv_without_a_crossing_exits_one(section_iv, tmp_path, capsys):
     assert "no crossing" in printed and "VIOLATED" in printed
     assert sorted(p.name for p in out.iterdir()) == \
         ["fig4.csv", "fig5.csv", "fig5.json", "fig6.csv"]
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_malformed_threads_variable_is_a_config_error(value, tmp_path, monkeypatch):
+    # the script leaves TEMPEST_THREADS to the CLI, which reports it as
+    # configuration (the script used to die parsing it for its defaults)
+    monkeypatch.setenv("TEMPEST_THREADS", value)
+    run = run_script("reproduce_section_iv", "--n", "20", "--paths", "2", "--steps", "5",
+                     "--out", str(tmp_path / "iv"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr
+
+
+def test_figure_data_emits_the_figure_3_panels(tmp_path):
+    out = tmp_path / "figs"
+    run = run_script("make_figure_data", "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["figure3_a.csv", "figure3_b.csv", "figure3_c.csv"]

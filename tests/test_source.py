@@ -166,6 +166,10 @@ def test_scripts_drive_the_public_cli():
         assert not private, f"{path.name} refers to private tempest names: {private}"
         if path.name == "reproduce_section_iv.py":
             assert set(imported.values()) == {"tempest.cli"}
+        # and no other script runs a Section IV pipeline of its own
+        names_figure456 = any(isinstance(node, ast.Constant) and node.value == "figure456"
+                              for node in ast.walk(tree))
+        assert names_figure456 == (path.name == "reproduce_section_iv.py"), path.name
 
 
 def test_only_rng_builds_random_streams():
@@ -197,3 +201,18 @@ def test_er_builder_holds_no_per_pair_table():
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(body) if isinstance(node, ast.Call)}
     assert not {"triu_indices", "tolist"} & called
+
+
+def test_graph_files_are_read_into_table_rows():
+    # graph_from_json turns each model into a table row: only a Coxian edge,
+    # a chain template, becomes an object, and no other object route remains
+    tree = ast.parse((PACKAGE / "graphs.py").read_text())
+    bodies = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and node.name in ("graph_from_json", "_row_from_json")]
+    assert len(bodies) == 2
+    names = {getattr(node, "id", getattr(node, "attr", None))
+             for body in bodies for node in ast.walk(body)}
+    assert not {"build_edge_markovian", "build_static_edge", "from_edges",
+                "EdgeProcessModel"} & names
+    assert not hasattr(tempest.DynamicGraphModel, "edges")
+    assert not hasattr(tempest.EdgeTable, "edge")
