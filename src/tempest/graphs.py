@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import InvalidRates, ReducibleChain
-from .markov import CT, DT, MarkovChainSpec, stationary_distribution
+from .markov import CT, DT, MarkovChainSpec, finite_rates, stationary_distribution
 from .spectral import spectral_abscissa
 
 AMEI = "amei"
@@ -80,8 +80,9 @@ def build_static_edge(on: bool, time: str = CT) -> EdgeProcessModel:
 
 
 def _check_markov2(q, r, time: str) -> None:
-    if q <= 0 or r <= 0:
+    if q <= 0 or r <= 0:  # a rate that is not a number raises TypeError here
         raise InvalidRates(f"need q > 0 and r > 0, got q={q}, r={r}")
+    finite_rates((q, r), "2-state edge rates q, r")
     if time != CT and (q > 1 or r > 1):
         raise InvalidRates("discrete-time transition probabilities must be <= 1")
 
@@ -105,10 +106,9 @@ def build_coxian_edge(up_rates, exit_rates, down_rates, return_rates) -> EdgePro
     exit_rates[i].  Off-states d_1..d_m: d_j -> d_{j+1} at down_rates[j],
     d_j -> c_1 at return_rates[j].
     """
-    p = np.array(up_rates, dtype=float)
-    q = np.array(exit_rates, dtype=float)
-    r = np.array(down_rates, dtype=float)
-    s = np.array(return_rates, dtype=float)
+    p, q, r, s = (finite_rates(rates, f"{name} rates") for rates, name in
+                  ((up_rates, "up"), (exit_rates, "exit"), (down_rates, "down"),
+                   (return_rates, "return")))
     n, m = q.size, s.size
     if n < 1 or m < 1 or p.size != n - 1 or r.size != m - 1:
         raise InvalidRates("need len(exit_rates)=n>=1, len(up_rates)=n-1, "

@@ -13,13 +13,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .errors import NumericalFailure, ReducibleChain
+from .errors import InvalidRates, NumericalFailure, ReducibleChain
 
 _ROW_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 
 CT = "ct"
 DT = "dt"
+
+
+def finite_rates(values, what: str) -> np.ndarray:
+    """``values`` as a float array, refused with InvalidRates when any entry is
+    NaN or infinite.  The builders' range checks run on its result: a bound
+    written as a comparison is false for NaN, so NaN would pass it."""
+    arr = np.array(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidRates(f"{what} must be finite, got {arr.tolist()}")
+    return arr
 
 
 @dataclass
@@ -40,7 +50,7 @@ class MarkovChainSpec:
 
     def __post_init__(self):
         self.states = tuple(self.states)
-        m = np.array(self.matrix, dtype=float)
+        m = finite_rates(self.matrix, "chain matrix entries")
         k = len(self.states)
         if m.shape != (k, k):
             raise ValueError(f"matrix shape {m.shape} does not match {k} states")

@@ -3,9 +3,10 @@
 The exponential-size exact stability condition of a continuous-time graph
 (the Kronecker sum of the switching edges' chain generators over
 mixed-radix labels, one digit per edge chain state, of dimension
-n * prod_e k_e, solved through its two sparse factors by ARPACK and the
-power loop its Ritz vector starts, and assembled only on request or when
-that solve cannot be certified), exhaustive and Monte-Carlo evaluation of
+n * prod_e k_e, solved through its two sparse factors by the power loop
+that a Lanczos vector starts where the block is symmetric under a diagonal
+similarity, an ARPACK Ritz vector elsewhere, and assembled only on request
+or when that solve cannot be certified), exhaustive and Monte-Carlo evaluation of
 the expected spectral statistics of the certificate random matrices
 M1..M4, and empirical verification of the matrix concentration tail bound
 that powers every linear-size certificate.
@@ -181,11 +182,17 @@ class ExactGenerator(spla.LinearOperator):
     per label, and costs one product with each factor; ``diagonal`` reads the
     sum's diagonal off the factors and ``tocsr`` materializes the sum.  The
     operator is Metzler, which ``spectral_abscissa`` takes on trust.
+    ``balance``, when given, is the pair (a, b) of ``_balance``: the
+    operator is symmetric under the similarity diag(a (x) b).
     """
 
-    def __init__(self, pi: sp.csr_matrix, contact: sp.csr_matrix, n: int):
+    def __init__(self, pi: sp.csr_matrix, contact: sp.csr_matrix, n: int, balance=None):
         super().__init__(np.float64, contact.shape)
-        self.pi, self.contact, self.n = pi, contact, n
+        self.pi, self.contact, self.n, self.balance = pi, contact, n, balance
+
+    def symmetrizer(self):
+        """A positive s with diag(s)^-1 M diag(s) symmetric, or None."""
+        return None if self.balance is None else np.outer(*self.balance).ravel()
 
     def _matvec(self, x):
         x = np.ravel(x)
@@ -267,8 +274,32 @@ def _contact(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> 
                          shape=(big_l * n, big_l * n))
 
 
+def _balance(enum: SubgraphEnumeration, beta: np.ndarray):
+    """(1/sqrt(pi), sqrt(beta)), pi the joint edge chain's stationary law over
+    the labels, when T = diag(sqrt(pi) (x) B^-1/2) makes the generator
+    symmetric; else None.
+
+    It does when every label's adjacency is symmetric (an edge writes the
+    mirror of each cell it writes), every beta is positive and every
+    switching edge is a 2-state chain with both rates positive.  Such a
+    chain is reversible, so sqrt(pi) Pi sqrt(pi)^-1 is symmetric, and
+    B^-1/2 (B F_l - D) B^1/2 = B^1/2 F_l B^1/2 - D is symmetric.  A chain
+    with a zero rate has a zero in pi, and no such T.
+    """
+    cells = arcs(enum.kind, 0, 1)
+    up, down = enum.generator[:, 0, 1], enum.generator[:, 1, 0]
+    if (set(cells) != {(j, i) for i, j in cells} or (enum.size != 2).any()
+            or not (np.minimum(up, down) > 0).all() or not (beta > 0).all()):
+        return None
+    root = np.ones(1)
+    for q, r in zip(up.tolist(), down.tolist()):  # edge 0 is the least significant digit
+        root = np.kron(np.sqrt([r / (q + r), q / (q + r)]), root)
+    return 1.0 / root, np.sqrt(beta)
+
+
 def _generator(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> ExactGenerator:
-    return ExactGenerator(pi_matrix(enum), _contact(enum, beta, delta), enum.n)
+    return ExactGenerator(pi_matrix(enum), _contact(enum, beta, delta), enum.n,
+                          _balance(enum, beta))
 
 
 def assemble_exponential_generator(graph: DynamicGraphModel,
@@ -557,7 +588,7 @@ def _perron_brackets(cols: np.ndarray, x0: np.ndarray, shift: float):
 
 
 def chung_tail_check(sampler: RandomMatrixSampler, s_grid, draws: int = 10_000,
-                     seed: int = 0, batch: int = 2048) -> ChungTailCheck:
+                     seed: int = 0, batch: int = 512) -> ChungTailCheck:
     """Estimate Pr(eta(X) > eta(E[X]) + s) and pair it with kappa_{C,v^2}(s).
 
     Applies to the symmetric families (M2/M3/M4); C and v^2 are the values

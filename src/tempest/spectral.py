@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceFailure, DivergenceDetected, DomainError, EmptyInterval, NumericalFailure
@@ -21,6 +22,10 @@ from .errors import ConvergenceFailure, DivergenceDetected, DomainError, EmptyIn
 _DENSE_FALLBACK_DIM = 64
 _DENSE_STALL_DIM = 1024  # an irreducible block up to this size goes dense when the loop stalls
 _ARPACK_TOL = 1e-12
+_LANCZOS_TOL = 1e-13    # top Ritz residual that ends Lanczos, relative to max(1, |theta|)
+_LANCZOS_STEPS = 200    # Lanczos steps before a symmetrizable operator goes to ARPACK
+_LANCZOS_CHECK = 5      # Lanczos steps between reads of the top Ritz pair
+_LANCZOS_MIN_DIM = 4096  # below it ARPACK's basis is under 1 MiB and its loop the faster
 _CERTIFY_RTOL = 1e-10
 _CERTIFY_ULPS = 64     # the bracket's rounding floor, in ulps of max |M_ii|
 _DIVERGENCE_CAP = 1e15  # an objective value above this counts as divergence
@@ -178,19 +183,98 @@ def _ritz_vector(m, scale=None) -> np.ndarray:
     return -x if x.sum() < 0 else x
 
 
+def _lanczos(op, v, steps):
+    """The symmetric Lanczos recurrence on ``op`` from ``v``, without
+    reorthogonalization: yields each basis vector v_j with alpha_j = v_j' op v_j
+    and beta_j, the norm of the next residual, and holds three vectors.  It
+    ends early on beta_j = 0, an invariant subspace.  The same ``v`` replays
+    the same vectors bit for bit."""
+    v = v / np.linalg.norm(v)
+    prev, b = np.zeros_like(v), 0.0
+    for _ in range(steps):
+        w = op(v)
+        a = float(w @ v)
+        w -= a * v
+        w -= b * prev
+        b = float(np.linalg.norm(w))
+        yield v, a, b
+        if b == 0.0:
+            return
+        w /= b
+        prev, v = v, w
+
+
+def _top_ritz(steps):
+    """The top Ritz vector's coefficients in the basis of the Lanczos
+    ``steps``, read from the tridiagonal every _LANCZOS_CHECK steps, once
+    its residual |beta_k s_k| is at most _LANCZOS_TOL max(1, |theta|); None
+    if the steps run out first."""
+    alpha, beta = [], []
+    for k, (_, a, b) in enumerate(steps, 1):
+        alpha.append(a)
+        beta.append(b)
+        if k % _LANCZOS_CHECK and b:
+            continue
+        theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(k - 1, k - 1))
+        if abs(b * s[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta[0])):
+            return s[:, 0]
+    return None
+
+
+def _lanczos_vector(m):
+    """Perron vector of an operator whose ``symmetrizer()`` gives a positive
+    s with S = diag(s)^-1 m diag(s) symmetric, from two Lanczos passes on S
+    started from the image of ones; None without such an s or when pass 1
+    misses _LANCZOS_STEPS.
+
+    Pass 1 builds the tridiagonal until its top Ritz pair converges
+    (``_top_ritz``); pass 2 replays the recurrence and sums the Ritz vector,
+    which s maps back to m, its sign fixed so that its sum is positive.  No
+    basis is stored: pass 2 holds the recurrence's three vectors, the sum
+    and s, besides the matvec's own.
+    """
+    scale = m.symmetrizer() if hasattr(m, "symmetrizer") else None
+    if scale is None:
+        return None
+
+    def op(y):
+        out = m @ (scale * y)
+        out /= scale
+        return out
+
+    coef = _top_ritz(_lanczos(op, 1.0 / scale, _LANCZOS_STEPS))
+    if coef is None:
+        return None
+    x = np.zeros_like(scale)
+    for c, (v, _, _) in zip(coef, _lanczos(op, 1.0 / scale, coef.size)):
+        x += c * v
+    x *= scale if x.sum() > 0 else -scale
+    return x
+
+
 def _certified_abscissa(m) -> float:
     """Spectral abscissa of a Metzler matrix or operator, certified by its bracket.
 
-    A positive Ritz vector starts ``power_iteration_abscissa``; if the loop
-    stalls, as on a stiff block, a second ARPACK solve balanced by that
-    vector starts it once more.  Only when ARPACK raises, the vector is not
-    positive or both starts stall is an operator materialized by ``tocsr``
-    and split into the strongly connected components of its support, in
-    whose order its diagonal blocks give eta.  An irreducible matrix takes
-    the loop from ones unless a loop has stalled on it already, and then
-    dense ``eigvals`` up to dimension _DENSE_STALL_DIM; above that the
-    stall is raised.
+    An operator of dimension _LANCZOS_MIN_DIM or more whose
+    ``symmetrizer()`` gives a vector s, with diag(s)^-1 m diag(s)
+    symmetric, first gets its Perron vector from ``_lanczos_vector``; if
+    that vector is strictly positive it starts ``power_iteration_abscissa``.  When Lanczos misses its step budget, the
+    vector is not positive or the loop stalls, the operator takes the route
+    of every other input.  There a positive Ritz vector starts
+    ``power_iteration_abscissa``; if the loop stalls, as on a stiff block,
+    a second ARPACK solve balanced by that vector starts it once more.
+    Only when ARPACK raises, the vector is not positive or both starts
+    stall is an operator materialized by ``tocsr`` and split into the
+    strongly connected components of its support, in whose order its
+    diagonal blocks give eta.  An irreducible matrix takes the loop from
+    ones unless a loop has stalled on it already, and then dense
+    ``eigvals`` up to dimension _DENSE_STALL_DIM; above that the stall is
+    raised.
     """
+    x = _lanczos_vector(m) if m.shape[0] >= _LANCZOS_MIN_DIM else None
+    if x is not None and x.min() > 0:
+        with contextlib.suppress(ConvergenceFailure):
+            return power_iteration_abscissa(m, x)
     stall = None  # the loop's ConvergenceFailure, once it has stalled on m
     with contextlib.suppress(spla.ArpackError, ConvergenceFailure):
         x = _ritz_vector(m)
@@ -221,7 +305,10 @@ def spectral_abscissa(m) -> float:
 
     Sparse input must be Metzler, or ValueError is raised.  A
     ``LinearOperator`` with ``tocsr`` and ``diagonal`` methods is taken to be
-    Metzler on its caller's word.  Sparse input and operators above 2x2 and
+    Metzler on its caller's word, and one whose ``symmetrizer()`` returns a
+    vector s, symmetric under diag(s), on the same word: from dimension
+    _LANCZOS_MIN_DIM up its power iteration starts from two Lanczos passes
+    when they converge.  Sparse input and operators above 2x2 and
     dense Metzler input above 64x64 take one ARPACK solve whose Ritz vector
     starts the shifted power iteration, certified by the Collatz-Wielandt
     bracket, and a second solve balanced by that vector if the iteration

@@ -413,6 +413,9 @@ class TestGraphFileReader:
         ({"n": 2, "kind": AMEI,
           "edges": [one_edge({"type": "coxian", "params": {**COXIANS[0], "exit_rates": [-1, 1]}})]},
          InvalidRates),
+        ({"n": 2, "kind": AMEI, "edges": [one_edge(
+            {"type": "coxian", "params": {**COXIANS[0], "exit_rates": [float("nan"), 1]}})]},
+         InvalidRates),
         ({"n": 2, "kind": AMEI, "edges": [one_edge({"type": "markov2", "params": {"q": 1}})]},
          KeyError),
         ({"n": 2, "kind": AMEI, "edges": [{"i": 0, "j": 1}]}, KeyError),
@@ -436,7 +439,7 @@ class TestGraphFileReader:
         ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(), 1, 0)]}, ValueError),
         ({"n": 2, "kind": AMEI, "edges": [one_edge(markov2(), 0, 2)]}, ValueError),
     ], ids=["edge listed twice", "unknown type", "on a string", "on an int", "dt coxian",
-            "negative coxian rate", "missing rate", "missing model", "missing n", "string rate",
+            "negative coxian rate", "nan coxian rate", "missing rate", "missing model", "missing n", "string rate",
             "null rate", "zero rate", "negative rate", "dt rate above one", "nan rate",
             "dt nan rate", "infinite rate", "dt infinite rate", "mixed time bases",
             "unknown time base", "unknown kind", "self-loop", "amei key order",

@@ -51,6 +51,23 @@ class TestEdgeBuilders:
         with pytest.raises(InvalidRates):
             build_edge_markovian(1.2, 0.5, time="dt")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("time", ["ct", "dt"])
+    def test_edge_markovian_rejects_non_finite_rates(self, bad, time):
+        # a comparison with NaN is false, so only a finiteness check refuses it;
+        # an infinite CT rate made [[-inf, inf], ...] after a numpy warning
+        for q, r in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(InvalidRates, match="finite"):
+                build_edge_markovian(q, r, time=time)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("slot", range(4), ids=["up", "exit", "down", "return"])
+    def test_coxian_rejects_non_finite_rates(self, bad, slot):
+        rates = [[0.7], [0.3, 1.1], [0.4], [0.9, 0.6]]
+        rates[slot][0] = bad
+        with pytest.raises(InvalidRates, match="finite"):
+            build_coxian_edge(*rates)
+
     def test_coxian_generator_rows_sum_to_zero(self):
         edge = build_coxian_edge([0.7], [0.3, 1.1], [0.4], [0.9, 0.6])
         np.testing.assert_allclose(edge.chain.matrix.sum(axis=1), 0.0, atol=1e-14)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tempest import AMEI, DynamicGraphModel, EdgeProcessModel, MarkovChainSpec, \
     mean_matrix, sample_graph_path, simulate_ct_exact, stationary_distribution
-from tempest.errors import ReducibleChain
+from tempest.errors import InvalidRates, ReducibleChain
 
 
 def two_state_ct(q, r):
@@ -84,6 +84,17 @@ class TestChainValidation:
     def test_unknown_time_base(self):
         with pytest.raises(ValueError):
             MarkovChainSpec(("a",), "weekly", [[0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("time, matrix", [
+        ("ct", [[-1.0, 1.0], [0.5, -0.5]]), ("dt", [[0.5, 0.5], [0.2, 0.8]])])
+    def test_non_finite_entries_are_invalid_rates(self, bad, time, matrix):
+        # NaN passed every range check here, each a comparison that NaN fails
+        for cell in ((0, 1), (1, 1)):
+            m = np.array(matrix)
+            m[cell] = bad
+            with pytest.raises(InvalidRates, match="finite"):
+                MarkovChainSpec(("a", "b"), time, m)
 
 
 class TestPeriodicity:

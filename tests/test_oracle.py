@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,9 +30,19 @@ from tempest import (
     pi_matrix,
     sample_certificate_matrix,
     simulate_ct_exact,
+    spectral_abscissa,
 )
-from tempest import oracle
+from tempest import oracle, spectral
 from tempest.errors import TooManyConfigurations, TooManyEdges, WrongKind
+
+
+def refuse_lanczos(mp):
+    """Keep every block on the ARPACK route: no operator offers a symmetrizer."""
+    mp.setattr(oracle.ExactGenerator, "symmetrizer", lambda self: None)
+
+
+def refuse_call(*args, **kwargs):
+    raise RuntimeError("a refused route was taken")
 
 
 def arc_graph(rates):
@@ -337,7 +348,8 @@ class TestReducibleGenerators:
         # ARPACK's eta on the assembled matrix, reached by matvecs with the two
         # factors alone, at a memory peak at least a tenth below the assembly's
         # (a solve through the assembled matrix peaks at least as high), on the
-        # graph of test_repeated_calls_bit_identical
+        # graph of test_repeated_calls_bit_identical, on the ARPACK route
+        refuse_lanczos(monkeypatch)
         pairs = [(k, k + 1) for k in range(7)] + [(0, 2), (1, 4), (2, 5), (3, 6), (4, 7), (0, 7)]
         g = markov_graph(8, AMEI, pairs)
         params = EpidemicParams.homogeneous(0.3, 1.0, 8)
@@ -360,6 +372,38 @@ class TestReducibleGenerators:
         (_, eta), solve_peak = traced(exponential_condition)
         assert eta == pytest.approx(arpack, abs=1e-9)
         assert solve_peak < 0.9 * assembly_peak, (solve_peak, assembly_peak)
+
+    def test_lanczos_route_holds_no_basis(self, monkeypatch):
+        # the block above, whose 2-state AMEI edges make it symmetrizable: two
+        # Lanczos passes give ARPACK's eta on the assembled matrix with ARPACK
+        # and materialization refused, and the solve peaks at a few vectors of
+        # the dimension, under a third of the ARPACK route's 20-vector basis
+        pairs = [(k, k + 1) for k in range(7)] + [(0, 2), (1, 4), (2, 5), (3, 6), (4, 7), (0, 7)]
+        g = markov_graph(8, AMEI, pairs)
+        params = EpidemicParams.homogeneous(0.3, 1.0, 8)
+        mat = assemble_exponential_generator(g, params)
+        arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-13,
+                                 return_eigenvectors=False).real.max())
+        op = oracle._generator(enumerate_subgraphs(g), params.beta, params.delta)
+        assert op.symmetrizer() is not None
+
+        def solve():
+            tracemalloc.start()
+            try:
+                return spectral_abscissa(op), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with monkeypatch.context() as mp:
+            refuse_lanczos(mp)
+            arpack_route, arpack_peak = solve()
+        monkeypatch.setattr(spla, "eigs", refuse_call)
+        monkeypatch.setattr(oracle.ExactGenerator, "tocsr", refuse_call)
+        eta, peak = solve()
+        assert eta == pytest.approx(arpack, abs=1e-9)
+        assert eta == pytest.approx(arpack_route, abs=1e-9)
+        vector = op.shape[0] * 8
+        assert peak <= 8 * vector and peak < arpack_peak / 3, (peak / vector, arpack_peak / vector)
 
     def test_stalled_power_iteration_falls_back_to_dense(self):
         # a case the property below found: the Ritz vector's own bracket does
@@ -388,6 +432,7 @@ class TestReducibleGenerators:
                 raise
 
         monkeypatch.setattr(spla, "eigs", refuse)
+        refuse_lanczos(monkeypatch)
         monkeypatch.setattr(spectral, "power_iteration_abscissa", power_iteration)
         stable, eta = exponential_condition(g, params)
         assert stalled == [192]
@@ -415,7 +460,8 @@ class TestReducibleGenerators:
         # a case the property below found at 400 examples: the Ritz vector of
         # this 8,192-dimensional block is positive, but its bracket narrows
         # slowly under the shifted power steps; it must certify to 1e-10
-        # without being materialized
+        # without being materialized (on the ARPACK route)
+        refuse_lanczos(monkeypatch)
         g, params = captured_block_graph()
         mat = assemble_exponential_generator(g, params)
         assert mat.shape[0] == 8192
@@ -434,7 +480,8 @@ class TestReducibleGenerators:
         # (about -2e6 at 1e5) cancels its row, so no bracket is narrower than
         # a few ulps of it, and ARPACK's vector, accurate in norm only, needs
         # the balanced second solve; the shifted power steps gain almost
-        # nothing against so large a shift
+        # nothing against so large a shift (on the ARPACK route)
+        refuse_lanczos(monkeypatch)
         g, params = captured_block_graph(1e5)
         mat = assemble_exponential_generator(g, params)
         arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-15, v0=np.ones(8192),
@@ -478,6 +525,112 @@ class TestReducibleGenerators:
         assert eta >= -delta.min() - 1e-9  # B F - D >= -D in the Metzler order
         if assemble_exponential_generator(g, params).shape[0] <= 512:
             assert eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
+
+
+def lanczos_everywhere(mp):
+    """Let operators of any dimension above 2x2 take the Lanczos route."""
+    mp.setattr(spectral, "_LANCZOS_MIN_DIM", 3)
+
+
+class TestLanczosRoute:
+    """Blocks of 2-state AMEI graphs, symmetric under diag(sqrt(pi) (x) B^-1/2)."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e5], ids=["x1", "x1e5"])
+    def test_captured_blocks(self, scale, monkeypatch):
+        # at x1 the 8,192-dimensional block certifies from the Lanczos vector
+        # without ARPACK; at x1e5 its spread spectrum keeps pass 1 from
+        # converging within the step budget, and the ARPACK route takes over
+        g, params = captured_block_graph(scale)
+        mat = assemble_exponential_generator(g, params)
+        arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-15, v0=np.ones(8192),
+                                 return_eigenvectors=False).real.max())
+        floor = 64 * np.finfo(float).eps * np.abs(mat.diagonal()).max()
+        calls, eigs = [], spla.eigs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigs", counted)
+        monkeypatch.setattr(oracle.ExactGenerator, "tocsr", refuse_call)
+        stable, eta = exponential_condition(g, params)
+        assert (len(calls) > 0) == (scale > 1)
+        assert stable and abs(eta - arpack) <= 1e-10 + floor, (eta, arpack, floor)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_arpack_route(self, data):
+        # random AMEI graphs of 2-state edges, static-on and static-off edges
+        # and heterogeneous rates: Lanczos (ARPACK refused) against the
+        # ARPACK route (the symmetrizer refused), and dense eigvals when small
+        n = data.draw(st.integers(2, 7), label="n")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                                    max_size=12), label="edges")
+        rate = st.floats(0.1, 3.0)
+        edges = {}
+        for key in chosen:
+            kind_e = data.draw(st.sampled_from(["markov2", "chain", "static on", "static off"]))
+            if kind_e == "markov2":
+                edges[key] = build_edge_markovian(data.draw(rate), data.draw(rate))
+            elif kind_e == "chain":
+                edges[key] = two_state_chain_edge(data.draw(rate), data.draw(rate),
+                                                  data.draw(st.booleans()))
+            else:
+                edges[key] = build_static_edge(kind_e == "static on")
+            if sum(not e.is_static for e in edges.values()) > 10:
+                edges[key] = build_static_edge(True)
+        g = DynamicGraphModel(n, AMEI, edges)
+        beta = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n),
+                                  label="beta"))
+        delta = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n),
+                                   label="delta"))
+        params = EpidemicParams(beta, delta)
+        op = oracle._generator(enumerate_subgraphs(g), beta, delta)
+        scale = op.symmetrizer()
+        assert scale is not None and scale.min() > 0
+        # diag(s)^-1 M diag(s) is symmetric to rounding
+        sym = sp.diags(1.0 / scale) @ op.tocsr() @ sp.diags(scale)
+        assert abs(sym - sym.T).max() <= 1e-13 * abs(sym).max()
+        with pytest.MonkeyPatch.context() as mp:
+            lanczos_everywhere(mp)
+            refuse_lanczos(mp)
+            arpack_route = exponential_condition(g, params)[1]
+        with pytest.MonkeyPatch.context() as mp:
+            lanczos_everywhere(mp)
+            mp.setattr(spla, "eigs", refuse_call)
+            stable, eta = exponential_condition(g, params)
+        assert eta == pytest.approx(arpack_route, abs=1e-9)
+        assert stable == (eta < 0)
+        if op.shape[0] <= 512:
+            dense = helpers.reference_exact_generator(g, beta, delta)
+            assert eta == pytest.approx(helpers.block_eta(dense), abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["amai", "three-state chain", "coxian", "never moves"])
+    def test_blocks_that_do_not_qualify_keep_the_arpack_route(self, case, monkeypatch):
+        # no symmetrizer, whatever the dimension: the eta is the one the
+        # ARPACK route gives, bit for bit
+        pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+        if case == "amai":
+            g = markov_graph(4, AMAI, pairs + [(1, 0), (3, 2)], q=0.8, r=1.3)
+        else:
+            other = {"three-state chain": EdgeProcessModel(
+                MarkovChainSpec(("a", "b", "c"), "ct",
+                                [[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [0.5, 0.0, -0.5]]),
+                np.array([0, 1, 1])),
+                     "coxian": COX3,
+                     "never moves": EdgeProcessModel(
+                         MarkovChainSpec(("a", "b"), "ct", np.zeros((2, 2))), np.array([0, 1]))}
+            edges = helpers.edge_objects(markov_graph(4, AMEI, pairs, q=0.8, r=1.3))
+            edges[(0, 2)] = other[case]
+            g = DynamicGraphModel(4, AMEI, edges)
+        params = EpidemicParams(np.array([0.4, 0.9, 0.6, 0.7]), np.array([1.0, 0.5, 0.8, 0.6]))
+        assert oracle._generator(enumerate_subgraphs(g), params.beta,
+                                 params.delta).symmetrizer() is None
+        parent = exponential_condition(g, params)
+        lanczos_everywhere(monkeypatch)
+        monkeypatch.setattr(spectral, "_lanczos", refuse_call)
+        assert exponential_condition(g, params) == parent
 
 
 def two_state_chain_edge(a, b, on_first):

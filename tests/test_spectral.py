@@ -201,6 +201,31 @@ class TestSpectralAbscissa:
         op = RefusingOperator(sp.csr_matrix(m))
         assert spectral_abscissa(op) == pytest.approx(dense, abs=1e-10)
 
+    @pytest.mark.parametrize("budget", [None, 5], ids=["lanczos", "budget missed"])
+    def test_symmetrizable_operator_takes_two_lanczos_passes(self, rng, budget, monkeypatch):
+        # M = diag(s) S diag(s)^-1 with S symmetric Metzler: an operator that
+        # offers s is solved by Lanczos on S, without ARPACK, and certified on M
+        # itself; one that misses the step budget takes the ARPACK route
+        import scipy.sparse as sp
+        import tempest.spectral as spectral
+        a = random_metzler(rng, 300, density=0.05)
+        sym = np.triu(a, 1) + np.triu(a, 1).T + np.diag(np.diag(a))
+        s = np.exp(rng.uniform(-2.0, 2.0, 300))
+        op = RefusingOperator(sp.csr_matrix(s[:, None] * sym / s))
+        op.symmetrizer = lambda: s
+        eigs, calls = spla.eigs, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_LANCZOS_MIN_DIM", 3)
+        monkeypatch.setattr(spla, "eigs", counted)
+        if budget is not None:
+            monkeypatch.setattr(spectral, "_LANCZOS_STEPS", budget)
+        assert spectral_abscissa(op) == pytest.approx(np.linalg.eigvalsh(sym)[-1], abs=1e-10)
+        assert (len(calls) > 0) == (budget is not None)
+
     def test_power_iteration_meets_the_bracket_tolerance(self, rng):
         # generator-like input: diagonal near -50 n, abscissa near -0.05; the
         # tolerance 1e-10 holds for eta itself, not for the shifted root, and
