@@ -30,8 +30,8 @@ from .markov import CT, DT
 from .oracle import RandomMatrixSampler, chung_tail_check, expected_certificate, \
     exponential_condition
 from .simulate import _init_mask, empirical_threshold, simulate_ct_exact, simulate_dt_exact
-from .thresholds import CERTIFICATES, EpidemicParams, _jsonable, certify, threshold_in_beta, \
-    xi_h_factor
+from .thresholds import CERTIFICATES, EpidemicParams, _jsonable, _mix, certify, \
+    threshold_in_beta, xi_h_factor
 
 FIGURE3_PANELS = {"a": (100, 10.0), "b": (1000, 100.0), "c": (10000, 1000.0)}
 
@@ -88,10 +88,10 @@ def _epidemic(cfg: ExperimentConfig, n: int) -> EpidemicParams:
 
 
 def _grid(spec, name="beta grid") -> np.ndarray:
-    """The grid of a number, a list of numbers, a comma-separated list or a
-    'lo:hi:count' string."""
+    """The grid of a number, a list of numbers, a 'lo:hi:count' string or
+    any other string, read as one or more comma-separated numbers."""
     try:
-        values = spec.split(",") if isinstance(spec, str) and "," in spec else spec
+        values = spec.split(",") if isinstance(spec, str) and ":" not in spec else spec
         if isinstance(values, (list, tuple, int, float)):
             return np.atleast_1d(np.asarray(values, dtype=float))
         lo, hi, count = str(spec).split(":")
@@ -258,12 +258,10 @@ def _run_spectra(cfg: ExperimentConfig):
               "eta_abar": mean.eta_abar(), "eta_support": mean.eta_support()}
     if cfg.epidemic:
         params = _epidemic(cfg, graph.n)
-        from .spectral import matrix_measure, spectral_abscissa
-        bad = params.beta[:, None] * mean.a_bar - np.diag(params.delta)
-        result["eta_BAbar_minus_D"] = spectral_abscissa(bad)
-        result["mu_BAbar_minus_D"] = matrix_measure(bad)
+        result["eta_BAbar_minus_D"] = _mix(mean, params, support=False)
+        result["mu_BAbar_minus_D"] = _mix(mean, params, support=False, measure=True)
         if graph.time == DT:
-            result["lambda4"] = spectral_abscissa(bad + np.eye(graph.n))
+            result["lambda4"] = _mix(mean, params, support=False, plus_identity=True)
     return [_write_json(_out_path(cfg, "json"), cfg, result)]
 
 
@@ -400,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--paths", type=int, default=None)
             p.add_argument("--steps", type=int, default=None)
             p.add_argument("--beta-grid", dest="beta_grid", default=None,
-                           help="lo:hi:count or comma-separated list")
+                           help="lo:hi:count, or one or more comma-separated numbers")
     return parser
 
 

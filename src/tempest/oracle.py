@@ -243,34 +243,39 @@ def _contact(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> 
     each switching edge's arcs, at the row node's beta, in the blocks of the
     labels where its output is on.
 
-    Written as CSR directly, from an (L, cells) table of the cells a block
-    can hold, in row-major order: a nonzero cell of the base, present in
-    every label, and a switching arc with a nonzero beta, present where its
-    edge is on.  The present cells read row by row are the CSR entries.
+    Written as CSR directly, the way ``pi_matrix`` is, from the cells a block
+    can hold, lexsorted by (row, column): a nonzero cell of the base, present
+    in every label, and a switching arc with a nonzero beta, present where
+    its edge is on.  Each (label, node) row counts its entries by one sum
+    over that node's contiguous cells of an (L, cells) presence table, and
+    the present cells read label by label are the CSR entries, taken off
+    broadcast views of the cells' values and columns.  The sums need every
+    node to hold a cell, which its -delta_i diagonal is.
     """
+    if not (delta > 0).all():
+        raise ValueError("recovery rates must be positive: each row counts from its diagonal")
     n, big_l = enum.n, enum.n_labels
     base = beta[:, None] * enum.static_base - np.diag(delta)
-    cells = {(i, j): (base[i, j], None) for i, j in zip(*np.nonzero(base))}
-    for k, key in enumerate(enum.edge_keys):
-        for i, j in arcs(enum.kind, *key):  # row node i is infected at beta_i
-            if beta[i] != 0:
-                cells[i, j] = (beta[i], k)
-    keys = sorted(cells)
-    present = np.ones((big_l, len(keys)), dtype=bool)
-    for c, key in enumerate(keys):
-        k = cells[key][1]
-        if k is not None:  # digit k steps through edge k's states every stride_k labels
+    node, column = np.nonzero(base)
+    value, edge = base[node, column], np.full(node.size, -1)
+    keys = np.array(enum.edge_keys, dtype=np.intp).reshape(-1, 2)
+    for i, j in arcs(enum.kind, *keys.T):  # row node i is infected at beta_i
+        live = beta[i] != 0
+        node, column = np.concatenate([node, i[live]]), np.concatenate([column, j[live]])
+        value = np.concatenate([value, beta[i[live]]])
+        edge = np.concatenate([edge, np.arange(keys.shape[0])[live]])
+    order = np.lexsort((column, node))
+    node, column, value, edge = node[order], column[order], value[order], edge[order]
+    present = np.ones((big_l, node.size), dtype=bool)
+    for c, k in enumerate(edge.tolist()):
+        if k >= 0:  # digit k steps through edge k's states every stride_k labels
             on = np.repeat(enum.output[k, :enum.size[k]] > 0, enum.stride[k])
             present[:, c] = np.tile(on, big_l // on.size)
-    node, column = np.array(keys, dtype=np.int32).reshape(-1, 2).T
-    member = np.zeros((len(keys), n), dtype=np.float32)  # the row node of each cell
-    member[np.arange(len(keys)), node] = 1.0
-    count = (present.astype(np.float32) @ member).astype(np.int64)  # exact below 2**24
-    at = np.flatnonzero(present)
-    values = np.array([cells[key][0] for key in keys], dtype=float)
-    cols = np.arange(big_l, dtype=np.int32)[:, None] * np.int32(n) + column
-    return sp.csr_matrix((np.broadcast_to(values, present.shape).ravel().take(at),
-                          cols.ravel().take(at), np.concatenate([[0], np.cumsum(count)])),
+    count = np.add.reduceat(present, np.searchsorted(node, np.arange(n)), axis=1, dtype=np.int64)
+    cols = np.broadcast_to(column.astype(np.int32), present.shape)[present]
+    cols += np.repeat(np.arange(big_l, dtype=np.int32) * np.int32(n), count.sum(axis=1))
+    return sp.csr_matrix((np.broadcast_to(value, present.shape)[present], cols,
+                          np.concatenate([[0], np.cumsum(count)])),
                          shape=(big_l * n, big_l * n))
 
 

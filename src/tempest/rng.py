@@ -28,8 +28,10 @@ def generator(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_sequence(master_seed, *key)))
 
 
-def as_generator(seed_or_rng) -> np.random.Generator:
-    """Accept either a master seed or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return generator(int(seed_or_rng))
+def stream(seed, *key) -> tuple[np.random.Generator, int]:
+    """Generator and master seed of one run: an int seeds the stream
+    (seed, *key); a Generator is used as given, and its master seed is read
+    off its seed sequence."""
+    if isinstance(seed, np.random.Generator):
+        return seed, int(seed.bit_generator.seed_seq.entropy)
+    return generator(int(seed), *key), int(seed)

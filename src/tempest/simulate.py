@@ -43,14 +43,6 @@ def _rates(params, n: int):
     return beta, delta
 
 
-def _stream(seed, *key):
-    """Generator and int seed of one run: an int seeds the stream (seed, *key);
-    a Generator is used as given, and the run records its master seed."""
-    if isinstance(seed, np.random.Generator):
-        return seed, int(seed.bit_generator.seed_seq.entropy)
-    return rngmod.generator(int(seed), *key), int(seed)
-
-
 def _init_mask(init_infected, n: int) -> np.ndarray:
     if isinstance(init_infected, str) and init_infected == "all":
         return np.ones(n, dtype=bool)
@@ -176,7 +168,7 @@ def simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float,
     n = graph.n
     beta, delta = _rates(params, n)
     x = _init_mask(init_infected, n)
-    rng, seed = _stream(seed, rngmod.TAG_CT)
+    rng, seed = rngmod.stream(seed, rngmod.TAG_CT)
     plan = _ct_edges(graph)
     cuts, rate, output, cells, watch = plan.cuts, plan.rate, plan.output, plan.cells, plan.watch
     log1p, heappop, heapreplace, bisect_right = math.log1p, heapq.heappop, heapq.heapreplace, \
@@ -283,7 +275,7 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
     if beta.max() > 1 or delta.max() > 1:
         raise ParamRange("discrete-time probabilities must lie in [0, 1]")
     x0 = _init_mask(init_infected, n)
-    rng, seed = _stream(seed)
+    rng, seed = rngmod.stream(seed)
     if edge_path is not None:
         shape = edge_path.adjacency.shape
         if edge_path.time_base != DT or len(shape) != 3 or shape[0] < steps \

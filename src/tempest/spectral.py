@@ -1,7 +1,8 @@
 """Scalar and spectral kernels shared by every stability certificate.
 
 Houses the concentration function kappa_{b,d} and its inverse at 1, the
-spectral abscissa eta, the matrix measure mu, the c^- clip, and bounded 1-D
+bisection walk that inverse shares with the threshold search, the spectral
+abscissa eta, the matrix measure mu, the c^- clip, and bounded 1-D
 maximization with a certified-lower-bound contract.
 """
 
@@ -80,8 +81,9 @@ def kappa_inv_at_one(params: KappaParams) -> float:
     """The point s0 >= 0 with kappa(s0) = 1 (bisection on log kappa).
 
     kappa maps [0, inf) onto (0, n], so the root exists and is unique for
-    every n >= 1 with d > 0; n = 1 gives s0 = 0 exactly.  Bisects on floats
-    with _log_kappa's formula and numpy's log1p: the same root, bit for bit.
+    every n >= 1 with d > 0; n = 1 gives s0 = 0 exactly.  Bisects on floats,
+    along ``descend``'s path to adjacent floats, with _log_kappa's formula and
+    numpy's log1p: the same root, bit for bit.
     """
     if params.d == 0:
         raise DomainError("kappa_inv_at_one needs d > 0 (d = 0 is routed upstream)")
@@ -94,16 +96,24 @@ def kappa_inv_at_one(params: KappaParams) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise NumericalFailure("kappa inverse bracket exploded")
-    lo = 0.0
-    for _ in range(120):  # bisection to machine precision; monotone objective
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, _ = descend(0.0, hi, 0.0, positive)
     return 0.5 * (lo + hi)
+
+
+def descend(lo: float, hi: float, tol: float, keep_upper):
+    """Follow bisection's midpoints ``0.5 * (lo + hi)`` from (lo, hi) while
+    ``keep_upper(mid)`` says which half to keep.  Stops at a bracket of width
+    <= tol or whose midpoint equals an end in floating point (mid None), or at
+    the first midpoint ``keep_upper`` leaves undecided (returned as mid)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        upper = keep_upper(mid)
+        if upper is None:
+            return lo, hi, mid
+        lo, hi = (mid, hi) if upper else (lo, mid)
+    return lo, hi, None
 
 
 def c_minus(c: float) -> float:

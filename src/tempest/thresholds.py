@@ -28,7 +28,7 @@ from .errors import BracketError, DivergenceDetected, NonIrreducible, ParamRange
     ReducibleChain, WrongKind
 from .graphs import AMAI, AMEI, MeanMatrix, mean_matrix
 from .markov import CT, DT
-from .spectral import KappaParams, c_minus, kappa, kappa_inv_at_one, matrix_measure, \
+from .spectral import KappaParams, c_minus, descend, kappa, kappa_inv_at_one, matrix_measure, \
     maximize_on_interval, spectral_abscissa
 
 T1, T2, T3, T4 = "T1", "T2", "T3", "T4"
@@ -436,22 +436,6 @@ def certify(graph_or_mean, certificate: str, beta: float, delta: float) -> Thres
     return CERTIFICATES[certificate.lower()](graph_or_mean, params)
 
 
-def _descend(lo: float, hi: float, tol: float, keep_upper):
-    """Follow bisection's midpoints ``0.5 * (lo + hi)`` from (lo, hi) while
-    ``keep_upper(mid)`` says which half to keep.  Stops at a bracket of width
-    <= tol or whose midpoint equals an end in floating point (mid None), or at
-    the first midpoint ``keep_upper`` leaves undecided (returned as mid)."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        upper = keep_upper(mid)
-        if upper is None:
-            return lo, hi, mid
-        lo, hi = (mid, hi) if upper else (lo, mid)
-    return lo, hi, None
-
-
 def threshold_in_beta(graph_or_mean, delta: float, certificate: str,
                       search_bounds, tol: float = 1e-7) -> float:
     """Largest homogeneous beta certified stable: the end of bisection's path.
@@ -503,7 +487,7 @@ def threshold_in_beta(graph_or_mean, delta: float, certificate: str,
     if not probe(lo):
         raise BracketError(f"certificate {certificate} is already unstable at beta={lo}")
     while True:
-        a, b, mid = _descend(lo, hi, tol, known)
+        a, b, mid = descend(lo, hi, tol, known)
         if mid is None:
             # every call lands strictly between the closest stable and unstable
             # betas, on a node of the path's tree, so the path ends on the former
@@ -513,7 +497,7 @@ def threshold_in_beta(graph_or_mean, delta: float, certificate: str,
         if math.isfinite(fs) and math.isfinite(fu):
             guess = (s * fu - u * fs) / (fu - fs)
             if a < guess < b:
-                ends = [e for e in _descend(a, b, tol, lambda m: guess >= m)[:2]
+                ends = [e for e in descend(a, b, tol, lambda m: guess >= m)[:2]
                         if known(e) is None]
                 if ends:
                     target = min(ends, key=lambda e: abs(e - guess))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from tempest import AMAI, AMEI, DynamicGraphModel, EdgeTable, build_coxian_edge, \
@@ -26,7 +27,7 @@ from tempest.spectral import _DIVERGENCE_CAP, _REFINE_BRACKETS, ScalarMaximizeRe
     c_minus, kappa, kappa_inv_at_one, maximize_on_interval
 from tempest.graphs import CHAIN0, MARKOV2, STATIC_OFF, STATIC_ON, GraphPath, \
     _two_state_table, arcs
-from tempest.simulate import SimulationTrace, _init_mask, _rates, _stream
+from tempest.simulate import SimulationTrace, _init_mask, _rates
 from tempest.thresholds import SUPPORT_TRIVIAL, T1, T2, EpidemicParams, ThresholdReport, \
     _as_mean, _check, _mix, _static_report, certify, kappa_params
 
@@ -292,7 +293,7 @@ def sample_edge_path(edge, horizon, seed_or_rng, init_index: int | None = None) 
     """Exact trajectory of one edge over [0, horizon] (CT) or `horizon` steps (DT)."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    rng = rngmod.as_generator(seed_or_rng)
+    rng, _ = rngmod.stream(seed_or_rng)
     if init_index is None:
         init_index = initial_index(edge, rng)
     if edge.time == CT:
@@ -356,7 +357,7 @@ def reference_simulate_ct_exact(graph: DynamicGraphModel, params, horizon: float
         raise ValueError("horizon must be positive")
     n = graph.n
     beta, delta = _rates(params, n)
-    rng, seed = _stream(seed)
+    rng, seed = rngmod.stream(seed)
 
     table, lay = graph.table, graph.table.layout()
     edges = np.arange(table.m)
@@ -653,6 +654,42 @@ def reference_exact_generator(graph, beta, delta):
         block = slice(ell * n, (ell + 1) * n)
         out[block, block] += np.asarray(beta)[:, None] * f - np.diag(delta)
     return out
+
+
+def reference_contact(enum, beta, delta):
+    """blockdiag_l (B F_l - D) as ``oracle._contact`` wrote it before it held
+    its cells as arrays: a dict of cells, a float32 membership product for
+    the row counts and an int64 flat index of the present cells.
+
+    The cells a block can hold, in row-major order, are a nonzero cell of
+    the base, present in every label, and a switching arc with a nonzero
+    beta, present where its edge is on; an (L, cells) table marks them, and
+    the present cells read row by row are the CSR entries.
+    """
+    n, big_l = enum.n, enum.n_labels
+    base = beta[:, None] * enum.static_base - np.diag(delta)
+    cells = {(i, j): (base[i, j], None) for i, j in zip(*np.nonzero(base))}
+    for k, key in enumerate(enum.edge_keys):
+        for i, j in arcs(enum.kind, *key):  # row node i is infected at beta_i
+            if beta[i] != 0:
+                cells[i, j] = (beta[i], k)
+    keys = sorted(cells)
+    present = np.ones((big_l, len(keys)), dtype=bool)
+    for c, key in enumerate(keys):
+        k = cells[key][1]
+        if k is not None:  # digit k steps through edge k's states every stride_k labels
+            on = np.repeat(enum.output[k, :enum.size[k]] > 0, enum.stride[k])
+            present[:, c] = np.tile(on, big_l // on.size)
+    node, column = np.array(keys, dtype=np.int32).reshape(-1, 2).T
+    member = np.zeros((len(keys), n), dtype=np.float32)  # the row node of each cell
+    member[np.arange(len(keys)), node] = 1.0
+    count = (present.astype(np.float32) @ member).astype(np.int64)  # exact below 2**24
+    at = np.flatnonzero(present)
+    values = np.array([cells[key][0] for key in keys], dtype=float)
+    cols = np.arange(big_l, dtype=np.int32)[:, None] * np.int32(n) + column
+    return sp.csr_matrix((np.broadcast_to(values, present.shape).ravel().take(at),
+                          cols.ravel().take(at), np.concatenate([[0], np.cumsum(count)])),
+                         shape=(big_l * n, big_l * n))
 
 
 def block_eta(dense):

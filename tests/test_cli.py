@@ -456,13 +456,44 @@ class TestCliRuns:
           "--steps", "10", "--param", "beta_grid=0.01,0.02"], [0.01, 0.02]),
         (["chung", *CT4, "--beta", "0.1", "--delta", "1", "--param", "draws=200",
           "--param", "s_grid=0,0.5,1"], [0.0, 0.5, 1.0]),
-    ], ids=["beta grid flag", "beta grid param", "s_grid param"])
+        (["empirical", "--preset", "iv", "--graph-param", "n=10", "--paths", "2",
+          "--steps", "10", "--beta-grid", "7e-4"], [7e-4]),
+    ], ids=["beta grid flag", "beta grid param", "s_grid param", "one-number beta grid flag"])
     def test_comma_separated_grids(self, tmp_path, monkeypatch, args, column):
-        # one grid parser reads a comma list from a flag, a --param or a config
+        # one grid parser reads a comma list, of one number or more, from a
+        # flag, a --param or a config ('a,b' and '1:2' are config errors above)
         monkeypatch.chdir(tmp_path)
         assert main([*args, "--seed", "0"]) == 0
         rows = open(f"{args[0]}_0.csv").read().splitlines()[2:]
         assert [float(row.split(",")[0]) for row in rows] == column
+
+    @pytest.mark.parametrize("make", [helpers.random_amei_ct, helpers.random_amai_ct,
+                                      helpers.random_amei_dt], ids=["ct amei", "ct amai", "dt"])
+    @pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "heterogeneous"])
+    def test_spectra_epidemic_block(self, tmp_path, monkeypatch, make, homogeneous):
+        # the epidemic block reports the certificates' own values of B Abar - D
+        # (+ I in DT), against dense eigensolves of the mean matrix
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(11)
+        g = make(rng, 6)
+        beta = [0.3] * 6 if homogeneous else rng.uniform(0.1, 0.9, 6).tolist()
+        delta = [0.4] * 6 if homogeneous else rng.uniform(0.1, 0.9, 6).tolist()
+        epidemic = {"beta": 0.3, "delta": 0.4} if homogeneous else {"beta": beta, "delta": delta}
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"task": "spectra", "seed": 0, "graph": {"spec": tempest.graph_to_json(g)},
+             "epidemic": epidemic}))
+        assert main(["spectra", "--config", "cfg.json"]) == 0
+        res = json.load(open("spectra_0.json"))["result"]
+        a_bar = tempest.mean_matrix(g).a_bar
+        bad = np.asarray(beta)[:, None] * a_bar - np.diag(delta)
+        assert res["eta_BAbar_minus_D"] == pytest.approx(
+            helpers.static_ct_dense(a_bar, beta, delta)[1], abs=1e-9)
+        assert res["mu_BAbar_minus_D"] == pytest.approx(helpers._mu_dense(bad), abs=1e-9)
+        if g.time == "dt":
+            assert res["lambda4"] == pytest.approx(
+                helpers.static_dt_dense(a_bar, beta, delta)[1], abs=1e-9)
+        else:
+            assert "lambda4" not in res
 
     def test_main_entry_returns_zero(self, tmp_path):
         old = os.getcwd()

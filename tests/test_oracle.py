@@ -125,6 +125,75 @@ class TestPiMatrix:
         assert all(bin(r ^ c).count("1") == 1 for r, c in zip(rows, cols))
 
 
+# the fixed 14-edge graph of the benchmark's small_exact workload (dimension 131,072)
+SMALL_EXACT_PAIRS = [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 5), (1, 7), (2, 3), (2, 6),
+                     (3, 5), (3, 7), (4, 5), (4, 6), (6, 7)]
+
+
+def same_csr(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+
+class TestContactFactor:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference(self, data):
+        # the CSR arrays of blockdiag_l (B F_l - D), dtypes included, equal the
+        # dict-and-membership-product construction's bit for bit
+        n = data.draw(st.integers(2, 6), label="n")
+        kind = data.draw(st.sampled_from([AMEI, AMAI]), label="kind")
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and (kind == AMAI or i < j)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12),
+                           label="edges")
+        rate = st.floats(0.1, 3.0)
+        edges, labels = {}, 1
+        for key in chosen:
+            kind_e = data.draw(st.sampled_from(["markov2", "coxian", "static on", "static off"]))
+            if kind_e == "markov2":
+                edges[key] = build_edge_markovian(data.draw(rate), data.draw(rate))
+            elif kind_e == "coxian":
+                on, off = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+                edges[key] = build_coxian_edge(
+                    [data.draw(rate) for _ in range(on - 1)], [data.draw(rate) for _ in range(on)],
+                    [data.draw(rate) for _ in range(off - 1)],
+                    [data.draw(rate) for _ in range(off)])
+            else:
+                edges[key] = build_static_edge(kind_e == "static on")
+            if edges[key].chain.n_states * labels > 4096:
+                edges[key] = build_static_edge(data.draw(st.booleans()))
+            labels *= edges[key].chain.n_states
+        enum = enumerate_subgraphs(DynamicGraphModel(n, kind, edges))
+        beta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+                                           min_size=n, max_size=n), label="beta"))
+        delta = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n),
+                                   label="delta"))
+        assert same_csr(oracle._contact(enum, beta, delta),
+                        helpers.reference_contact(enum, beta, delta))
+
+    def test_refuses_a_node_without_its_diagonal(self):
+        # each row's count sums over its node's cells, so every node needs one
+        enum = enumerate_subgraphs(markov_graph(3, AMEI, [(0, 1), (1, 2)]))
+        with pytest.raises(ValueError):
+            oracle._contact(enum, np.full(3, 0.5), np.array([1.0, 0.0, 1.0]))
+
+    def test_small_exact_block_peak(self):
+        # the benchmark's 14-edge block: at most 10 MiB, where the membership
+        # product and the int64 flat index of the reference peak at 13.8 MiB
+        enum = enumerate_subgraphs(markov_graph(8, AMEI, SMALL_EXACT_PAIRS))
+        beta, delta = np.full(8, 0.3), np.ones(8)
+        tracemalloc.start()
+        try:
+            contact = oracle._contact(enum, beta, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert contact.shape == (131_072, 131_072)
+        assert peak <= 10 * 2 ** 20, peak / 2 ** 20
+        assert same_csr(contact, helpers.reference_contact(enum, beta, delta))
+
+
 class TestExponentialCondition:
     def test_no_edges_reduces_to_recovery(self):
         g = DynamicGraphModel(3, AMAI, {})

@@ -216,3 +216,45 @@ def test_graph_files_are_read_into_table_rows():
                 "EdgeProcessModel"} & names
     assert not hasattr(tempest.DynamicGraphModel, "edges")
     assert not hasattr(tempest.EdgeTable, "edge")
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / module).read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _names_in(node) -> set:
+    return {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)}
+
+
+def test_one_bisection_walk():
+    # spectral.descend is the one walk along bisection's midpoints: the kappa
+    # root and the threshold search both follow it, and neither loops itself
+    func = _function("spectral.py", "kappa_inv_at_one")
+    assert "descend" in _names_in(func)
+    loops = [node.lineno for node in ast.walk(func) if isinstance(node, ast.For)]
+    assert not loops, f"kappa_inv_at_one loops at lines {loops}"
+    assert "descend" in _referenced_names("thresholds.py")
+
+
+def test_one_seeded_stream_helper():
+    # rng.py alone turns "an int or a Generator" into a run's stream
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        if path.name == "rng.py":
+            continue
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)}
+        assert not {"as_generator", "_stream"} & defined, path.name
+
+
+def test_contact_factor_counts_rows_without_a_membership_product():
+    # _contact counts rows by sums over each node's cells and reads entries by
+    # mask: no float32 membership product, no int64 flat index
+    assert not {"float32", "flatnonzero"} & _names_in(_function("oracle.py", "_contact"))
+
+
+def test_cli_spectra_reads_the_certificates_values():
+    # the spectra task takes eta and mu of B Abar - D from thresholds._mix,
+    # the builder every certificate uses, and solves nothing by hand
+    assert not {"spectral_abscissa", "matrix_measure"} & _referenced_names("cli.py")
