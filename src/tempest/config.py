@@ -16,6 +16,16 @@ from .graphs import DynamicGraphModel, graph_complete_edge_markovian, graph_er_i
 TASKS = ("threshold", "simulate", "empirical", "oracle", "chung", "spectra",
          "figure3", "figure456")
 
+PRESETS = {  # name: builder of the model from the preset's params and the config's seed
+    "iv": lambda p, seed: graph_er_iv(
+        n=int(p.get("n", 500)), er_prob=float(p.get("er_prob", 0.2)),
+        seed=int(p.get("graph_seed", seed)), gauss_mode=p.get("gauss_mode", "variance")),
+    "small_world": lambda p, seed: graph_small_world(
+        n=int(p["n"]), r=float(p["r"]), rate_scale=float(p.get("rate_scale", 1.0))),
+    "complete_edge_markovian": lambda p, seed: graph_complete_edge_markovian(
+        n=int(p["n"]), q=float(p["q"]), r=float(p["r"]), time=p.get("time", "ct")),
+}
+
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -30,7 +40,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "preset": {"enum": ["iv", "small_world", "complete_edge_markovian"]},
+                "preset": {"enum": list(PRESETS)},
                 "params": {"type": "object"},
                 "spec": {"type": "object"},
                 "file": {"type": "string"},
@@ -122,17 +132,8 @@ def build_graph(cfg: ExperimentConfig) -> DynamicGraphModel:
         raise ConfigError("this task needs a 'graph' block")
     p, preset = dict(g.get("params", {})), g.get("preset")
     try:
-        if preset == "iv":
-            return graph_er_iv(n=int(p.get("n", 500)), er_prob=float(p.get("er_prob", 0.2)),
-                               seed=int(p.get("graph_seed", cfg.seed)),
-                               gauss_mode=p.get("gauss_mode", "variance"))
-        if preset == "small_world":
-            return graph_small_world(n=int(p["n"]), r=float(p["r"]),
-                                     rate_scale=float(p.get("rate_scale", 1.0)))
-        if preset == "complete_edge_markovian":
-            return graph_complete_edge_markovian(
-                n=int(p["n"]), q=float(p["q"]), r=float(p["r"]),
-                time=p.get("time", "ct"))
+        if preset in PRESETS:
+            return PRESETS[preset](p, cfg.seed)
         if "spec" in g:
             return graph_from_json(g["spec"])
         if "file" in g:

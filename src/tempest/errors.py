@@ -40,7 +40,8 @@ class EmptyInterval(TempestError):
 class DivergenceDetected(TempestError):
     """Objective exceeds the divergence cap near the open left endpoint.
 
-    Signals that the sufficient stability condition holds trivially.
+    No certificate objective diverges in exact arithmetic, so this signals a
+    rounding failure, never a verdict.
     """
 
 
@@ -65,7 +66,7 @@ class TooManyConfigurations(TempestError):
 
 
 class ParamRange(TempestError):
-    """A probability parameter left [0, 1] in a discrete-time model."""
+    """A rate or probability outside its range."""
 
 
 class InsufficientData(TempestError):

@@ -27,19 +27,21 @@ from . import rng as rngmod
 from .errors import InsufficientData, ParamRange
 from .graphs import STATIC_ON, DynamicGraphModel, GraphPath, arcs
 from .markov import CT, DT
-from .thresholds import EpidemicParams
+from .thresholds import EpidemicParams, require_dt
 
 
 def _rates(params, n: int):
-    """Accept EpidemicParams or a (beta, delta) pair; simulation allows zeros."""
+    """Accept EpidemicParams or a (beta, delta) pair; simulation allows zeros,
+    and refuses negative and non-finite rates with ParamRange."""
     if isinstance(params, EpidemicParams):
         beta, delta = params.beta, params.delta
     else:
         beta, delta = (np.full(n, rate, dtype=float) for rate in params)
     if beta.shape != (n,) or delta.shape != (n,):
         raise ValueError("rate vectors must have one entry per node")
-    if beta.min() < 0 or delta.min() < 0:
-        raise ValueError("rates must be nonnegative")
+    if not (0 <= beta.min() and beta.max() < math.inf and 0 <= delta.min()
+            and delta.max() < math.inf):
+        raise ParamRange("infection and recovery rates must be finite and nonnegative")
     return beta, delta
 
 
@@ -272,8 +274,7 @@ def simulate_dt_exact(graph: DynamicGraphModel, params, steps: int,
         raise ValueError("simulate_dt_exact needs a discrete-time graph")
     n = graph.n
     beta, delta = _rates(params, n)
-    if beta.max() > 1 or delta.max() > 1:
-        raise ParamRange("discrete-time probabilities must lie in [0, 1]")
+    require_dt(beta, delta)
     x0 = _init_mask(init_infected, n)
     rng, seed = rngmod.stream(seed)
     if edge_path is not None:

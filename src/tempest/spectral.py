@@ -384,7 +384,8 @@ def maximize_on_interval(objective, lo: float, hi: float) -> ScalarMaximizeResul
     is no wider than 1e-14*max(1, |a|, |b|).  The reported value is attained
     at the reported point, hence a certified lower bound on the supremum.
     ``objective`` must accept numpy arrays.  A value above the cap raises
-    DivergenceDetected, which certificate callers read as "holds trivially".
+    DivergenceDetected, which the certificates let propagate: none of their
+    objectives diverges in exact arithmetic.
     """
     if not hi > lo:
         raise EmptyInterval(f"need hi > lo, got ({lo}, {hi}]")

@@ -11,9 +11,10 @@ All certificates are sufficient conditions: the maximizer reports a value
 attained at a point of its grid or zoom passes, a lower bound on the true
 supremum, so verdicts may be conservative but never unsound.  Three routes
 skip the maximization, each built in one place: a deterministic graph is
-rerouted to its static condition, a stable support graph (or an objective
-diverging at the left end) gives SUPPORT_TRIVIAL with the support-bound
-decay rate, and an empty interval gives no certificate (interval_empty).
+rerouted to its static condition, a stable support graph gives
+SUPPORT_TRIVIAL with the support-bound decay rate, and an empty interval
+gives no certificate (interval_empty).  No objective diverges in exact
+arithmetic, so the maximizer's DivergenceDetected propagates as a failure.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketError, DivergenceDetected, NonIrreducible, ParamRange, \
-    ReducibleChain, WrongKind
+from .errors import BracketError, NonIrreducible, ParamRange, ReducibleChain, WrongKind
 from .graphs import AMAI, AMEI, MeanMatrix, mean_matrix
 from .markov import CT, DT
 from .spectral import KappaParams, c_minus, descend, kappa, kappa_inv_at_one, matrix_measure, \
@@ -47,8 +47,8 @@ class EpidemicParams:
         d = np.atleast_1d(np.array(self.delta, dtype=float))
         if b.shape != d.shape or b.ndim != 1:
             raise ValueError("beta and delta must be 1-D vectors of equal length")
-        if b.min() <= 0 or d.min() <= 0:
-            raise ValueError("all rates must be strictly positive")
+        if not (0 < b.min() and b.max() < math.inf and 0 < d.min() and d.max() < math.inf):
+            raise ParamRange("infection and recovery rates must be finite and positive")
         b.setflags(write=False)
         d.setflags(write=False)
         self.beta, self.delta = b, d
@@ -73,11 +73,13 @@ class EpidemicParams:
     def is_homogeneous(self) -> bool:
         return self.beta.min() == self.beta.max() and self.delta.min() == self.delta.max()
 
-    def require_dt(self):
-        if self.delta.max() > 1:
-            raise ParamRange("discrete-time recovery probabilities must satisfy delta_i <= 1")
-        if self.beta.max() > 1:
-            raise ParamRange("discrete-time infection probabilities must satisfy beta_i <= 1")
+
+def require_dt(beta: np.ndarray, delta: np.ndarray):
+    """Refuse DT rates above 1: there beta_i and delta_i are per-step probabilities."""
+    if delta.max() > 1:
+        raise ParamRange("discrete-time recovery probabilities must satisfy delta_i <= 1")
+    if beta.max() > 1:
+        raise ParamRange("discrete-time infection probabilities must satisfy beta_i <= 1")
 
 
 @dataclass
@@ -154,12 +156,15 @@ def _check(mean: MeanMatrix, params: EpidemicParams, kind: str, time: str):
 
 def _mix(mean: MeanMatrix, params: EpidemicParams, *, support: bool,
          plus_identity: bool = False, measure: bool = False) -> float:
-    """eta(B*M - D [+ I]), or mu(B*M - D) with ``measure``, for M = a_bar or sgn(a_bar).
+    """eta(B*M - D [+ I]), or mu(B*M - D) with ``measure``, for M = a_bar or sgn(a_bar),
+    on a DT graph only at rates that are probabilities (``require_dt``).
 
     Homogeneous rates reduce to beta*eta(M) - delta [+ 1] (beta*mu(M) - delta)
     using the cached spectra; heterogeneous AMEI abscissas go through the
     symmetric similarity B^{-1/2}(BM - D)B^{1/2} = B^{1/2} M B^{1/2} - D.
     """
+    if mean.time == DT:
+        require_dt(params.beta, params.delta)
     shift = 1.0 if plus_identity else 0.0
     solver = matrix_measure if measure else spectral_abscissa
     if params.is_homogeneous:
@@ -206,7 +211,6 @@ def _static_report(mean: MeanMatrix, params: EpidemicParams, time: str, **inter)
         inter["eta_BAbar_minus_D"] = lhs
         return ThresholdReport(STATIC_CT, lhs, 0.0, float("nan"),
                                -lhs if stable else None, stable, inter)
-    params.require_dt()
     # spectra first: the support's eigensolve never overlaps the cached w
     lam4 = _mix(mean, params, support=False, plus_identity=True)
     stable = lam4 < 1.0
@@ -246,7 +250,8 @@ def _certify_ct(cert: str, graph_or_mean, params: EpidemicParams) -> ThresholdRe
     """T1 or T2 from the template of ``cert``: with sgn the support's value,
     c = sgn - s0/a and sbar = a (delta_min + c^-), the threshold is the maximum
     over (s0, sbar] of -(s + a c kappa(s)) / (a (1 - kappa(s))).  SUPPORT_TRIVIAL
-    when sgn < 0 or the objective diverges, no certificate on an empty interval."""
+    when sgn < 0, no certificate on an empty interval; else the numerator tends
+    to -a sgn <= 0 at s0, so a DivergenceDetected is a failure and propagates."""
     kind, family, measure, a, names = _CT_TEMPLATES[cert]
     d_key, c_key, sbar_key, lhs_key, sgn_key, tau_key = names
     mean = _as_mean(graph_or_mean)
@@ -268,16 +273,11 @@ def _certify_ct(cert: str, graph_or_mean, params: EpidemicParams) -> ThresholdRe
         k = kappa(kp, s)
         return -(s + a * c * k) / (a * (1.0 - k))
 
-    res = None
-    if sgn >= 0.0:
-        if sbar <= s0:
-            return _no_certificate(cert, lhs, inter, tau_key)
-        try:
-            res = maximize_on_interval(objective, s0, sbar)
-        except DivergenceDetected:
-            pass
-    if res is None:
+    if sgn < 0.0:
         return _support_trivial_report(lhs, -sgn, inter, tau_key)
+    if sbar <= s0:
+        return _no_certificate(cert, lhs, inter, tau_key)
+    res = maximize_on_interval(objective, s0, sbar)
     tau, s_star = res.value, res.s_star
     stable = lhs < tau
     k_star = kappa(kp, s_star)
@@ -383,7 +383,6 @@ def certify_amei_dt(graph_or_mean, params: EpidemicParams) -> ThresholdReport:
         raise NonIrreducible(f"edge ({i},{j}) chain is periodic; "
                              "the discrete-time certificate needs aperiodic chains")
     _check(mean, params, AMEI, DT)
-    params.require_dt()
     # spectra first: the support's eigensolve never overlaps the cached w
     lam4 = _mix(mean, params, support=False, plus_identity=True)
     eta_max = _mix(mean, params, support=True, plus_identity=True)

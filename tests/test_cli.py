@@ -9,7 +9,8 @@ import pytest
 
 import helpers
 import tempest
-from tempest import graph_from_json
+from tempest import graph_from_json, simulate_dt_exact
+from tempest import rng as rngmod
 from tempest.cli import fig5_csv, main
 from tempest.config import ExperimentConfig, build_graph, config_hash
 from tempest.errors import ConfigError
@@ -43,6 +44,22 @@ class TestConfig:
     def test_schema_rejects_extra_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"task": "spectra", "seed": 1, "bogus": 2})
+
+    def test_schema_accepts_the_preset_names(self):
+        for preset in ("iv", "small_world", "complete_edge_markovian"):
+            ExperimentConfig.from_dict({"task": "spectra", "seed": 1, "graph": {"preset": preset}})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"task": "spectra", "seed": 1, "graph": {"preset": "er"}})
+
+    @pytest.mark.parametrize("task, listing", [
+        ("spectra", "--preset {iv,small_world,complete_edge_markovian}"),
+        ("figure3", "--panel {a,b,c}"),
+        ("chung", "--family {m2,m3,m4}"),
+    ])
+    def test_help_lists_the_names(self, capsys, task, listing):
+        with pytest.raises(SystemExit):
+            main([task, "--help"])
+        assert listing in capsys.readouterr().out
 
     def test_hash_is_canonical(self):
         a = {"task": "spectra", "seed": 3, "graph": {"preset": "iv"}}
@@ -210,6 +227,9 @@ class TestCliRuns:
         (["empirical", "--preset", "iv", "--graph-param", "n=10", "--delta", "2"], None),
         (["figure456", "--preset", "iv", "--graph-param", "n=10", "--delta", "2"], None),
         (["threshold", *IV30, "--delta", "0.05", "--config", "beta_list.json"], None),
+        (["spectra", *IV30, "--beta", "2", "--delta", "0.5"], None),
+        (["spectra", *IV30, "--beta", "0.1", "--delta", "3"], None),
+        (["simulate", *CT4, "--config", "nan_beta.json"], None),
     ], ids=["missing config", "malformed config", "malformed graph file", "threads env",
             "non-object config", "non-object graph file", "beta grid without count",
             "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
@@ -226,7 +246,8 @@ class TestCliRuns:
             "simulate init empty", "simulate init out of range", "simulate init negative",
             "simulate init not an id", "graph file repeated edge",
             "graph file static on string", "empirical delta above one",
-            "figure456 delta above one", "threshold beta list"])
+            "figure456 delta above one", "threshold beta list",
+            "spectra dt beta above one", "spectra dt delta above one", "simulate nan beta"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                args, threads_env):
         monkeypatch.chdir(tmp_path)
@@ -237,6 +258,7 @@ class TestCliRuns:
         (tmp_path / "delta_list.json").write_text(json.dumps({"epidemic": {"delta": [0.1, 0.2]}}))
         (tmp_path / "beta_list.json").write_text(
             json.dumps({"epidemic": {"beta": [1e-4 * (k + 1) for k in range(30)]}}))
+        (tmp_path / "nan_beta.json").write_text('{"epidemic": {"beta": NaN, "delta": 1.0}}')
         markov2 = {"type": "markov2", "params": {"q": 0.5, "r": 0.5}}
         (tmp_path / "twice.json").write_text(json.dumps({"n": 2, "kind": "amei", "edges": [
             {"i": 0, "j": 1, "model": markov2},
@@ -494,6 +516,29 @@ class TestCliRuns:
                 helpers.static_dt_dense(a_bar, beta, delta)[1], abs=1e-9)
         else:
             assert "lambda4" not in res
+
+    @pytest.mark.parametrize("reinfect", [False, True])
+    def test_simulate_dt_paths(self, tmp_path, monkeypatch, reinfect):
+        # path pid of a DT graph is simulate_dt_exact on the stream (seed, TAG_PATH, pid)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--preset", "iv", "--graph-param", "n=12",
+                     "--graph-param", "er_prob=0.4", "--beta", "0.1", "--delta", "0.5",
+                     "--paths", "4", "--steps", "30", "--param", f"reinfect={json.dumps(reinfect)}",
+                     "--seed", "5", "--out", "sim.csv"]) == 0
+        rows = np.loadtxt("sim.csv", delimiter=",", skiprows=2, dtype=np.int64)
+        graph = tempest.graph_er_iv(12, 0.4, 5)
+        traces = [simulate_dt_exact(graph, (0.1, 0.5), 30, reinfect=reinfect,
+                                    seed=rngmod.generator(5, rngmod.TAG_PATH, pid))
+                  for pid in range(4)]
+        for pid, trace in enumerate(traces):
+            np.testing.assert_array_equal(rows[rows[:, 0] == pid, 1:],
+                                          np.column_stack([trace.times, trace.infected_counts]))
+        # the flag reaches the kernel: re-seeded runs never die out, plain ones do
+        if reinfect:
+            assert all(t.infected_counts.min() > 0 for t in traces)
+            assert any(t.reinfections for t in traces)
+        else:
+            assert any(t.extinct for t in traces)
 
     def test_main_entry_returns_zero(self, tmp_path):
         old = os.getcwd()

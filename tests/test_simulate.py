@@ -252,6 +252,29 @@ class TestDiscreteTimeSimulation:
         assert trace.infected_counts.shape == (26,)
 
 
+class TestRateRefusals:
+    """simulate._rates refuses NaN, infinite and negative rates before any
+    draw; a zero rate is a valid simulation input."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    @pytest.mark.parametrize("slot", [0, 1], ids=["beta", "delta"])
+    def test_simulators_refuse_rates_out_of_range(self, slot, bad):
+        # unrefused, a NaN beta runs a DT epidemic that never infects, and a
+        # NaN delta one in which every node recovers at the first step
+        rates = [0.3, 0.5]
+        rates[slot] = bad
+        dt = graph_er_iv(10, 0.5, 1)
+        with pytest.raises(ParamRange):
+            simulate_dt_exact(dt, tuple(rates), 5, seed=0)
+        with pytest.raises(ParamRange):
+            simulate_ct_exact(static_complete(4), tuple(rates), 1.0, seed=0)
+        with pytest.raises(ParamRange):
+            propagate_linear(sample_graph_path(dt, steps=5, seed=0), tuple(rates))
+        with pytest.raises(ParamRange):
+            propagate_linear(sample_graph_path(static_complete(4), horizon=1.0, seed=0),
+                             tuple(rates))
+
+
 class TestPropagateLinear:
     def test_ct_decoupled_decay(self):
         g = DynamicGraphModel(3, AMEI, {})

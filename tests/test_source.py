@@ -258,3 +258,33 @@ def test_cli_spectra_reads_the_certificates_values():
     # the spectra task takes eta and mu of B Abar - D from thresholds._mix,
     # the builder every certificate uses, and solves nothing by hand
     assert not {"spectral_abscissa", "matrix_measure"} & _referenced_names("cli.py")
+
+
+def test_one_owner_of_the_discrete_time_rate_rule():
+    # thresholds.require_dt alone refuses DT rates above 1: a module function,
+    # called by _mix (the one builder of B Abar - D) and simulate_dt_exact only
+    tree = ast.parse((PACKAGE / "thresholds.py").read_text())
+    assert "require_dt" in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    callers = set()
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                assert "require_dt" not in _names_in(node), f"{path.name}: class {node.name}"
+            if isinstance(node, ast.FunctionDef) and node.name != "require_dt":
+                if any(isinstance(call, ast.Call) and "require_dt" in _names_in(call.func)
+                       for call in ast.walk(node)):
+                    callers.add((path.name, node.name))
+    assert callers == {("thresholds.py", "_mix"), ("simulate.py", "simulate_dt_exact")}
+
+
+def test_cli_translates_param_range_in_main_alone():
+    # main turns every ParamRange into a config error; no task handler
+    # re-checks a rate or catches ParamRange itself
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    inside = {id(node) for node in ast.walk(main)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "ParamRange" and id(node) not in inside]
+    assert not outside, f"cli.py names ParamRange outside main at lines {outside}"
+    assert "ParamRange" in _names_in(main)

@@ -32,7 +32,8 @@ from tempest import (
     xi_h_factor,
 )
 from tempest import thresholds
-from tempest.errors import BracketError, NonIrreducible, TempestError, WrongKind
+from tempest.errors import BracketError, DivergenceDetected, NonIrreducible, ParamRange, \
+    TempestError, WrongKind
 from tempest.thresholds import CERTIFICATES, _jsonable, certify, kappa_params
 
 
@@ -70,6 +71,41 @@ class TestStaticConditions:
         a = np.ones((4, 4)) - np.eye(4)
         assert static_report(a, homog(0.01, 0.5, 4), "dt").stable is True
         assert static_report(a, homog(0.4, 0.5, 4), "dt").stable is False
+
+
+class TestRateRules:
+    """EpidemicParams refuses rates that are not finite and positive, and
+    _mix refuses discrete-time rates above 1 on behalf of every caller."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("slot", ["beta", "delta"])
+    def test_params_refuse_rates_out_of_range(self, slot, bad):
+        # NaN fails every comparison, so a plain "rate <= 0" test lets it through
+        rates = {"beta": np.full(3, 0.2), "delta": np.full(3, 0.5)}
+        rates[slot][1] = bad
+        with pytest.raises(ParamRange):
+            EpidemicParams(**rates)
+        with pytest.raises(ParamRange):
+            homog(*(bad if key == slot else 0.3 for key in ("beta", "delta")), 3)
+
+    def test_shape_mismatch_stays_a_value_error(self):
+        with pytest.raises(ValueError, match="equal length"):
+            EpidemicParams(np.full(3, 0.2), np.full(2, 0.5))
+
+    @pytest.mark.parametrize("beta, delta", [(1.5, 0.5), (0.1, 1.5)])
+    def test_mix_refuses_discrete_time_rates_above_one(self, beta, delta):
+        mean = mean_matrix(graph_er_iv(20, 0.3, 1))
+        params = homog(beta, delta, 20)
+        for kwargs in ({"support": False}, {"support": True, "plus_identity": True},
+                       {"support": False, "measure": True}):
+            with pytest.raises(ParamRange):
+                thresholds._mix(mean, params, **kwargs)
+        for cert in ("t4", "static_dt"):
+            with pytest.raises(ParamRange):
+                certify(mean, cert, beta, delta)
+        # continuous time has no upper bound on a rate
+        ct = mean_matrix(graph_complete_edge_markovian(5, 1.0, 1.0))
+        assert np.isfinite(thresholds._mix(ct, homog(beta, delta, 5), support=False))
 
 
 class TestCertifyAmaiCt:
@@ -254,6 +290,21 @@ class TestContinuousTimeTemplate:
         assert json.dumps(got.to_dict(), sort_keys=True) \
             == json.dumps(expected.to_dict(), sort_keys=True)
         assert list(got.intermediates) == list(expected.intermediates)
+
+    def test_divergence_is_not_a_stable_verdict(self, monkeypatch):
+        # eta(sgn Abar) = 5 on K6, so sgn = 0.21 * 5 - 1 = 0.05 >= 0: the T2
+        # objective cannot diverge at s0 in exact arithmetic, and a divergence
+        # the maximizer reports must not turn into SUPPORT_TRIVIAL, stable
+        g = graph_complete_edge_markovian(6, 1.0, 1.0)
+        honest = certify_amei_ct(g, homog(0.21, 1.0, 6))
+        assert honest.certificate == "T2" and not honest.stable
+
+        def diverging(objective, lo, hi):
+            raise DivergenceDetected("objective exceeds the divergence cap near lo")
+
+        monkeypatch.setattr(thresholds, "maximize_on_interval", diverging)
+        with pytest.raises(DivergenceDetected):
+            certify_amei_ct(g, homog(0.21, 1.0, 6))
 
 
 class TestCertifyHomogeneous:
