@@ -4,9 +4,11 @@ The exponential-size exact stability condition of a continuous-time graph
 (the Kronecker sum of the switching edges' chain generators over
 mixed-radix labels, one digit per edge chain state, of dimension
 n * prod_e k_e, solved through its two sparse factors by the power loop
-that a Lanczos vector starts where the block is symmetric under a diagonal
-similarity, an ARPACK Ritz vector elsewhere, and assembled only on request
-or when that solve cannot be certified), exhaustive and Monte-Carlo evaluation of
+that a preconditioned eigensolver's vector starts where the block is
+symmetric under a diagonal similarity (solved in the basis of the edges'
+modes, where the joint edge generator is diagonal), an ARPACK Ritz vector
+elsewhere, and assembled only on request or when that solve cannot be
+certified), exhaustive and Monte-Carlo evaluation of
 the expected spectral statistics of the certificate random matrices
 M1..M4, and empirical verification of the matrix concentration tail bound
 that powers every linear-size certificate.
@@ -27,7 +29,7 @@ from .errors import TooManyConfigurations, TooManyEdges, WrongKind
 from .graphs import AMAI, AMEI, STATIC_ON, DynamicGraphModel, MeanMatrix, arcs
 from .markov import CT
 from .spectral import kappa, spectral_abscissa
-from .thresholds import EpidemicParams, kappa_params
+from .thresholds import EpidemicParams, kappa_params, require_dt
 
 _EDGE_CAP = 20
 _DIM_CAP = 2_000_000
@@ -182,17 +184,71 @@ class ExactGenerator(spla.LinearOperator):
     per label, and costs one product with each factor; ``diagonal`` reads the
     sum's diagonal off the factors and ``tocsr`` materializes the sum.  The
     operator is Metzler, which ``spectral_abscissa`` takes on trust.
-    ``balance``, when given, is the pair (a, b) of ``_balance``: the
-    operator is symmetric under the similarity diag(a (x) b).
+    ``modes``, when given, is the tuple of ``_modes``: the operator is
+    symmetric under a diagonal similarity, and ``symmetric_form`` solves it
+    in the edges' mode basis.
     """
 
-    def __init__(self, pi: sp.csr_matrix, contact: sp.csr_matrix, n: int, balance=None):
+    def __init__(self, pi: sp.csr_matrix, contact: sp.csr_matrix, n: int, modes=None):
         super().__init__(np.float64, contact.shape)
-        self.pi, self.contact, self.n, self.balance = pi, contact, n, balance
+        self.pi, self.contact, self.n, self.modes = pi, contact, n, modes
 
-    def symmetrizer(self):
-        """A positive s with diag(s)^-1 M diag(s) symmetric, or None."""
-        return None if self.balance is None else np.outer(*self.balance).ravel()
+    def symmetric_form(self):
+        """(apply, precondition, into, back) of the symmetric route, or None.
+
+        With s = 1/sqrt(pi) (x) sqrt(beta), S = diag(s)^-1 M diag(s) is
+        symmetric, and V = U (x) I_n, U the Kronecker product of the edges'
+        2 x 2 bases, takes it to S' = Lambda (x) I_n + V C_s V, where
+        C_s = B^-1/2 (contact) B^1/2.  ``apply(x, out)`` writes S' x to out,
+        keeping x; ``precondition(r)`` scales r in place by
+        (sigma - Lambda (x) I_n)^-1, which inverts the part of S' that fast
+        edges make stiff; ``into(v)`` is a new V diag(s)^-1 v and ``back(x)``
+        overwrites x with diag(s) V x.  V is orthogonal and symmetric, so
+        each map is one transform (``_transform``); no vector of s is
+        formed, and apply works in place on spans of about _BLOCK_ROWS rows.
+        """
+        if self.modes is None:
+            return None
+        factors, lam, sigma, sqrt_beta = self.modes
+        contact, shape = self.contact, (lam.size, self.n)
+        step = max(1, _BLOCK_ROWS // self.n)
+        spans = [slice(first, first + step) for first in range(0, lam.size, step)]
+
+        def sqrt_pi():  # U's first column: the product of the factors' first columns
+            root = np.ones(1)
+            for g, _ in factors:
+                root = np.kron(g[:, 0], root)
+            return root[:, None]
+
+        def apply(x, out):
+            y = _transform(factors, x, out).reshape(shape)
+            y *= sqrt_beta
+            for labels in spans:  # the contact is block diagonal over the labels
+                lo, hi = labels.start * self.n, min(labels.stop, lam.size) * self.n
+                at, to = contact.indptr[lo], contact.indptr[hi]
+                rows = sp.csr_matrix((contact.data[at:to], contact.indices[at:to],
+                                      contact.indptr[lo:hi + 1] - at), shape=(hi - lo, out.size))
+                out[lo:hi] = rows @ out
+            y /= sqrt_beta
+            _transform(factors, out, out)
+            for labels in spans:
+                y[labels] += lam[labels, None] * x.reshape(shape)[labels]
+
+        def precondition(r):
+            np.divide(r.reshape(shape), (sigma - lam)[:, None], out=r.reshape(shape))
+
+        def into(v):
+            y = v.reshape(shape) * sqrt_pi()
+            y /= sqrt_beta
+            return _transform(factors, y.ravel(), y.ravel())
+
+        def back(x):
+            y = _transform(factors, x, x).reshape(shape)
+            y /= sqrt_pi()
+            y *= sqrt_beta
+            return x
+
+        return apply, precondition, into, back
 
     def _matvec(self, x):
         x = np.ravel(x)
@@ -235,7 +291,7 @@ class ExactGenerator(spla.LinearOperator):
         return sp.csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr), shape=self.shape)
 
 
-_BLOCK_ROWS = 1 << 13  # rows ExactGenerator.tocsr sums at a time
+_BLOCK_ROWS = 1 << 13  # rows ExactGenerator.tocsr sums, and its symmetric form transforms, at a time
 
 
 def _contact(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> sp.csr_matrix:
@@ -279,32 +335,84 @@ def _contact(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> 
                          shape=(big_l * n, big_l * n))
 
 
-def _balance(enum: SubgraphEnumeration, beta: np.ndarray):
-    """(1/sqrt(pi), sqrt(beta)), pi the joint edge chain's stationary law over
-    the labels, when T = diag(sqrt(pi) (x) B^-1/2) makes the generator
-    symmetric; else None.
+def _modes(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray):
+    """(factors, lam, sigma, sqrt(beta)): the edges' mode basis of
+    ``ExactGenerator.symmetric_form``, when T = diag(sqrt(pi) (x) B^-1/2)
+    makes the generator symmetric, pi the joint edge chain's stationary law
+    over the labels; else None.
 
-    It does when every label's adjacency is symmetric (an edge writes the
+    T does when every label's adjacency is symmetric (an edge writes the
     mirror of each cell it writes), every beta is positive and every
     switching edge is a 2-state chain with both rates positive.  Such a
     chain is reversible, so sqrt(pi) Pi sqrt(pi)^-1 is symmetric, and
     B^-1/2 (B F_l - D) B^1/2 = B^1/2 F_l B^1/2 - D is symmetric.  A chain
     with a zero rate has a zero in pi, and no such T.
+
+    Edge k, of rates q (0 -> 1) and r (1 -> 0), has the symmetrized
+    generator [[-q, sqrt(qr)], [sqrt(qr), -r]], whose orthogonal eigenbasis
+    [[sqrt r, sqrt q], [sqrt q, -sqrt r]] / sqrt(q + r) has the eigenvalues
+    0 and -(q + r) and the edge's sqrt(pi) as first column.  Their Kronecker
+    product U (edge 0 the least significant digit) takes sqrt(pi) Pi
+    sqrt(pi)^-1 to diag(lam), lam_l = -(q_k + r_k) summed over the digits
+    of l that are 1.  ``factors`` holds U as Kronecker products of at most
+    four edges' bases, each with the length of the (label, node) block below
+    its lowest digit.  The abscissa of B^1/2 F B^1/2 - D, F the adjacency
+    with every edge on, bounds M's: Pi's part has no positive eigenvalue,
+    and every label's B^1/2 F_l B^1/2 - D lies below that matrix in the
+    Metzler order.  sigma is that bound, clipped at 0 so that sigma lies
+    above every lam_l, plus max_i delta_i, a margin on the contact's scale.
     """
     cells = arcs(enum.kind, 0, 1)
-    up, down = enum.generator[:, 0, 1], enum.generator[:, 1, 0]
+    q, r = enum.generator[:, 0, 1], enum.generator[:, 1, 0]
     if (set(cells) != {(j, i) for i, j in cells} or (enum.size != 2).any()
-            or not (np.minimum(up, down) > 0).all() or not (beta > 0).all()):
+            or not (np.minimum(q, r) > 0).all() or not (beta > 0).all()):
         return None
-    root = np.ones(1)
-    for q, r in zip(up.tolist(), down.tolist()):  # edge 0 is the least significant digit
-        root = np.kron(np.sqrt([r / (q + r), q / (q + r)]), root)
-    return 1.0 / root, np.sqrt(beta)
+    bases = np.stack([np.sqrt(r), np.sqrt(q), np.sqrt(q), -np.sqrt(r)], axis=1)
+    bases = bases.reshape(-1, 2, 2) / np.sqrt(q + r)[:, None, None]
+    factors = []
+    for first in range(0, max(enum.m, 1), 4):  # no edges: one 1 x 1 factor, a copy
+        g = np.ones((1, 1))
+        for basis in bases[first:first + 4]:
+            g = np.kron(basis, g)
+        factors.append((g, enum.n << first))
+    lam = np.zeros(1)
+    for rate in (q + r).tolist():
+        lam = np.concatenate([lam, lam - rate])
+    union = enum.static_base.copy()
+    for i, j in arcs(enum.kind, *np.array(enum.edge_keys, dtype=np.intp).reshape(-1, 2).T):
+        union[i, j] = 1.0
+    sqrt_beta = np.sqrt(beta)
+    top = spectral_abscissa(sqrt_beta[:, None] * union * sqrt_beta - np.diag(delta))
+    sigma = max(top, 0.0) + float(delta.max())
+    return factors, lam, sigma, sqrt_beta
+
+
+def _transform(factors, x, out):
+    """out <- (U (x) I_n) x, U the Kronecker product that ``factors`` hold;
+    out may be x.  Returns out.
+
+    Each factor g acts on its edges' digits, the middle axis of an
+    (outer, len(g), block) view, by matmul.  The first writes out in one
+    matmul when out is not x; every other works in place, on slabs of about
+    _BLOCK_ROWS entries along outer or, when a block is longer, along block.
+    """
+    for k, (g, block) in enumerate(factors):
+        if k == 0 and out is not x:
+            np.matmul(g, x.reshape(-1, g.shape[0], block), out=out.reshape(-1, g.shape[0], block))
+            continue
+        view = out.reshape(-1, g.shape[0], block)
+        cells = max(1, _BLOCK_ROWS // g.shape[0])  # (outer, block) cells of a slab
+        step, width = (max(1, cells // block), block) if block <= cells else (1, cells)
+        for a in range(0, view.shape[0], step):
+            for b in range(0, block, width):
+                part = view[a:a + step, :, b:b + width]
+                part[...] = np.matmul(g, part)
+    return out
 
 
 def _generator(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> ExactGenerator:
     return ExactGenerator(pi_matrix(enum), _contact(enum, beta, delta), enum.n,
-                          _balance(enum, beta))
+                          _modes(enum, beta, delta))
 
 
 def assemble_exponential_generator(graph: DynamicGraphModel,
@@ -379,7 +487,9 @@ class RandomMatrixSampler:
     with independent h_ij ~ Bernoulli(abar_ij): M1's pairs write their cells
     as AMAI edges do, M2-M4's as AMEI edges do (``graphs.arcs``).
     Deterministic pairs (abar in {0,1}) are folded into the base matrix; only
-    genuinely random pairs are sampled or enumerated.
+    genuinely random pairs are sampled or enumerated.  M4 is T4's
+    discrete-time family, so its rates must be probabilities
+    (``thresholds.require_dt``).
     """
 
     which: str
@@ -400,6 +510,8 @@ class RandomMatrixSampler:
         self.abar = a
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         self.delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
+        if self.which == "M4":  # T4's family: discrete-time rates are probabilities
+            require_dt(self.beta, self.delta)
         n = a.shape[0]
         if self.which == "M1":
             kind, (ii, jj) = AMAI, np.nonzero(~np.eye(n, dtype=bool))

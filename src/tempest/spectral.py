@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceFailure, DivergenceDetected, DomainError, EmptyInterval, NumericalFailure
@@ -23,10 +22,9 @@ from .errors import ConvergenceFailure, DivergenceDetected, DomainError, EmptyIn
 _DENSE_FALLBACK_DIM = 64
 _DENSE_STALL_DIM = 1024  # an irreducible block up to this size goes dense when the loop stalls
 _ARPACK_TOL = 1e-12
-_LANCZOS_TOL = 1e-13    # top Ritz residual that ends Lanczos, relative to max(1, |theta|)
-_LANCZOS_STEPS = 200    # Lanczos steps before a symmetrizable operator goes to ARPACK
-_LANCZOS_CHECK = 5      # Lanczos steps between reads of the top Ritz pair
-_LANCZOS_MIN_DIM = 4096  # below it ARPACK's basis is under 1 MiB and its loop the faster
+_SYMMETRIC_TOL = 1e-14    # residual that ends the symmetric solve, relative to max(1, |theta|)
+_SYMMETRIC_STEPS = 200    # steps before a symmetric operator goes to ARPACK
+_SYMMETRIC_MIN_DIM = 4096  # below it ARPACK's loop is the faster
 _CERTIFY_RTOL = 1e-10
 _CERTIFY_ULPS = 64     # the bracket's rounding floor, in ulps of max |M_ii|
 _DIVERGENCE_CAP = 1e15  # an objective value above this counts as divergence
@@ -193,84 +191,99 @@ def _ritz_vector(m, scale=None) -> np.ndarray:
     return -x if x.sum() < 0 else x
 
 
-def _lanczos(op, v, steps):
-    """The symmetric Lanczos recurrence on ``op`` from ``v``, without
-    reorthogonalization: yields each basis vector v_j with alpha_j = v_j' op v_j
-    and beta_j, the norm of the next residual, and holds three vectors.  It
-    ends early on beta_j = 0, an invariant subspace.  The same ``v`` replays
-    the same vectors bit for bit."""
-    v = v / np.linalg.norm(v)
-    prev, b = np.zeros_like(v), 0.0
-    for _ in range(steps):
-        w = op(v)
-        a = float(w @ v)
-        w -= a * v
-        w -= b * prev
-        b = float(np.linalg.norm(w))
-        yield v, a, b
-        if b == 0.0:
-            return
-        w /= b
-        prev, v = v, w
+def _symmetric_vector(m):
+    """Perron vector of an operator whose ``symmetric_form()`` offers
+    (apply, precondition, into, back), from the preconditioned eigensolver
+    LOBPCG on its symmetric S; None without that form or when
+    _SYMMETRIC_STEPS steps leave the residual above
+    _SYMMETRIC_TOL max(1, |theta|).
+
+    ``apply(x, out)`` writes S x to out, ``precondition(r)`` scales r in
+    place by an SPD T, ``into(v)`` maps a vector of m into S's basis and
+    ``back(x)`` maps one back, in place.  From the image of ones, each step
+    takes the Rayleigh quotient theta of the unit x and the residual
+    r = S x - theta x, and moves x to the top Ritz vector of S on the span
+    of x, T r and the step before (Knyazev, SIAM J. Sci. Comput. 23:517,
+    2001), one application of S a step.  ``back`` maps the vector to m, its
+    sign fixed so that its sum is positive.
+    """
+    form = m.symmetric_form() if hasattr(m, "symmetric_form") else None
+    if form is None:
+        return None
+    apply, precondition, into, back = form
+    x = _ascent(apply, precondition, into(np.ones(m.shape[0])))
+    if x is None:
+        return None
+    x = back(x)
+    if x.sum() < 0:
+        np.negative(x, out=x)
+    return x
 
 
-def _top_ritz(steps):
-    """The top Ritz vector's coefficients in the basis of the Lanczos
-    ``steps``, read from the tridiagonal every _LANCZOS_CHECK steps, once
-    its residual |beta_k s_k| is at most _LANCZOS_TOL max(1, |theta|); None
-    if the steps run out first."""
-    alpha, beta = [], []
-    for k, (_, a, b) in enumerate(steps, 1):
-        alpha.append(a)
-        beta.append(b)
-        if k % _LANCZOS_CHECK and b:
-            continue
-        theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(k - 1, k - 1))
-        if abs(b * s[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta[0])):
-            return s[:, 0]
+def _ascent(apply, precondition, x):
+    """The unit top eigenvector that LOBPCG steps reach from x (see
+    ``_symmetric_vector``), or None.
+
+    Holds six vectors: x, w = T r, the step p and their images under S,
+    which follow them by the same combinations.  Every update is a numpy
+    ufunc with ``out``, so no step allocates a full-length temporary.  A
+    Gram matrix that is not positive definite to rounding ends the solve.
+    """
+    x /= np.linalg.norm(x)
+    sx, w, sw = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    p, sp = np.zeros_like(x), np.zeros_like(x)
+    apply(x, sx)
+    size = 2  # the basis is x and w, and p from the second step on
+    for _ in range(_SYMMETRIC_STEPS):
+        theta = float(x @ sx)
+        np.multiply(x, -theta, out=w)
+        w += sx
+        if np.linalg.norm(w) <= _SYMMETRIC_TOL * max(1.0, abs(theta)):
+            return x
+        precondition(w)
+        w /= np.linalg.norm(w)
+        apply(w, sw)
+        c = _ritz_coefficients((x, w, p)[:size], (sx, sw, sp)[:size])
+        if c is None:
+            return None
+        c = (*c, 0.0)[:3]
+        for v, dv, pv in ((x, w, p), (sx, sw, sp)):
+            pv *= c[2]  # p <- c1 w + c2 p, x <- c0 x + p
+            dv *= c[1]
+            pv += dv
+            v *= c[0]
+            v += pv
+        for v, sv in ((x, sx), (p, sp)):
+            norm = np.linalg.norm(v)
+            v /= norm
+            sv /= norm
+        size = 3
     return None
 
 
-def _lanczos_vector(m):
-    """Perron vector of an operator whose ``symmetrizer()`` gives a positive
-    s with S = diag(s)^-1 m diag(s) symmetric, from two Lanczos passes on S
-    started from the image of ones; None without such an s or when pass 1
-    misses _LANCZOS_STEPS.
-
-    Pass 1 builds the tridiagonal until its top Ritz pair converges
-    (``_top_ritz``); pass 2 replays the recurrence and sums the Ritz vector,
-    which s maps back to m, its sign fixed so that its sum is positive.  No
-    basis is stored: pass 2 holds the recurrence's three vectors, the sum
-    and s, besides the matvec's own.
-    """
-    scale = m.symmetrizer() if hasattr(m, "symmetrizer") else None
-    if scale is None:
+def _ritz_coefficients(basis, images):
+    """Coefficients of the top Ritz vector of S on the span of ``basis``
+    (``images`` their images under S), or None when the Gram matrix is not
+    positive definite; by Cholesky-QR of the small Gram matrix."""
+    gram = np.array([[u @ v for v in basis] for u in basis])
+    rayleigh = np.array([[u @ v for v in images] for u in basis])
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         return None
-
-    def op(y):
-        out = m @ (scale * y)
-        out /= scale
-        return out
-
-    coef = _top_ritz(_lanczos(op, 1.0 / scale, _LANCZOS_STEPS))
-    if coef is None:
-        return None
-    x = np.zeros_like(scale)
-    for c, (v, _, _) in zip(coef, _lanczos(op, 1.0 / scale, coef.size)):
-        x += c * v
-    x *= scale if x.sum() > 0 else -scale
-    return x
+    half = np.linalg.solve(low, np.linalg.solve(low, rayleigh + rayleigh.T).T)
+    return np.linalg.solve(low.T, np.linalg.eigh(half)[1][:, -1])
 
 
 def _certified_abscissa(m) -> float:
     """Spectral abscissa of a Metzler matrix or operator, certified by its bracket.
 
-    An operator of dimension _LANCZOS_MIN_DIM or more whose
-    ``symmetrizer()`` gives a vector s, with diag(s)^-1 m diag(s)
-    symmetric, first gets its Perron vector from ``_lanczos_vector``; if
-    that vector is strictly positive it starts ``power_iteration_abscissa``.  When Lanczos misses its step budget, the
-    vector is not positive or the loop stalls, the operator takes the route
-    of every other input.  There a positive Ritz vector starts
+    An operator of dimension _SYMMETRIC_MIN_DIM or more that offers a
+    ``symmetric_form()`` first gets its Perron vector from
+    ``_symmetric_vector``; if that vector is strictly positive it starts
+    ``power_iteration_abscissa``.  When the eigensolver misses its step
+    budget, the vector is not positive or the loop stalls, the operator
+    takes the route of every other input.  There a positive Ritz vector starts
     ``power_iteration_abscissa``; if the loop stalls, as on a stiff block,
     a second ARPACK solve balanced by that vector starts it once more.
     Only when ARPACK raises, the vector is not positive or both starts
@@ -281,7 +294,7 @@ def _certified_abscissa(m) -> float:
     ``eigvals`` up to dimension _DENSE_STALL_DIM; above that the stall is
     raised.
     """
-    x = _lanczos_vector(m) if m.shape[0] >= _LANCZOS_MIN_DIM else None
+    x = _symmetric_vector(m) if m.shape[0] >= _SYMMETRIC_MIN_DIM else None
     if x is not None and x.min() > 0:
         with contextlib.suppress(ConvergenceFailure):
             return power_iteration_abscissa(m, x)
@@ -315,10 +328,10 @@ def spectral_abscissa(m) -> float:
 
     Sparse input must be Metzler, or ValueError is raised.  A
     ``LinearOperator`` with ``tocsr`` and ``diagonal`` methods is taken to be
-    Metzler on its caller's word, and one whose ``symmetrizer()`` returns a
-    vector s, symmetric under diag(s), on the same word: from dimension
-    _LANCZOS_MIN_DIM up its power iteration starts from two Lanczos passes
-    when they converge.  Sparse input and operators above 2x2 and
+    Metzler on its caller's word, and one whose ``symmetric_form()`` offers
+    a symmetric similar operator on the same word: from dimension
+    _SYMMETRIC_MIN_DIM up its power iteration starts from that operator's
+    top eigenvector when the preconditioned eigensolver converges.  Sparse input and operators above 2x2 and
     dense Metzler input above 64x64 take one ARPACK solve whose Ritz vector
     starts the shifted power iteration, certified by the Collatz-Wielandt
     bracket, and a second solve balanced by that vector if the iteration

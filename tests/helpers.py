@@ -656,6 +656,34 @@ def reference_exact_generator(graph, beta, delta):
     return out
 
 
+def reference_modes(graph, beta, delta):
+    """Dense (U, lam, s, sigma) of a block whose switching edges are 2-state
+    chains, edge by edge in ``reference_exact_generator``'s order.
+
+    With q and r edge k's rates 0 -> 1 and 1 -> 0, U = kron(.., U_1, U_0),
+    U_k = [[sqrt r, sqrt q], [sqrt q, -sqrt r]] / sqrt(q + r); lam is the
+    diagonal of the Kronecker sum of the diag(0, -(q + r)); s = 1/sqrt(pi)
+    (x) sqrt(beta), pi the product of the laws (r, q) / (q + r); and
+    sigma = max(eta(B^1/2 F B^1/2 - D), 0) + max delta, with F the
+    adjacency of every static-on and switching edge, by dense eigvalsh.
+    """
+    n = graph.n
+    f, u, lam, pi = np.zeros((n, n)), np.ones((1, 1)), np.zeros(1), np.ones(1)
+    for (i, j), e in sorted(edge_objects(graph).items()):
+        if e.is_static:
+            f[i, j] = f[j, i] = float(e.static_value == 1)
+            continue
+        f[i, j] = f[j, i] = 1.0
+        q, r = e.chain.matrix[0, 1], e.chain.matrix[1, 0]
+        basis = np.array([[math.sqrt(r), math.sqrt(q)], [math.sqrt(q), -math.sqrt(r)]])
+        u = np.kron(basis / math.sqrt(q + r), u)
+        lam = np.kron([0.0, -(q + r)], np.ones(lam.size)) + np.kron(np.ones(2), lam)
+        pi = np.kron(np.array([r, q]) / (q + r), pi)
+    root = np.sqrt(beta)
+    top = np.linalg.eigvalsh(root[:, None] * f * root - np.diag(delta))[-1]
+    return u, lam, np.kron(1.0 / np.sqrt(pi), root), max(top, 0.0) + delta.max()
+
+
 def reference_contact(enum, beta, delta):
     """blockdiag_l (B F_l - D) as ``oracle._contact`` wrote it before it held
     its cells as arrays: a dict of cells, a float32 membership product for

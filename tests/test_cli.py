@@ -230,6 +230,8 @@ class TestCliRuns:
         (["spectra", *IV30, "--beta", "2", "--delta", "0.5"], None),
         (["spectra", *IV30, "--beta", "0.1", "--delta", "3"], None),
         (["simulate", *CT4, "--config", "nan_beta.json"], None),
+        (["chung", "--preset", "iv", "--graph-param", "n=10", "--beta", "0.5", "--delta", "3",
+          "--family", "m4"], None),
     ], ids=["missing config", "malformed config", "malformed graph file", "threads env",
             "non-object config", "non-object graph file", "beta grid without count",
             "beta grid not numbers", "zero paths", "negative horizon", "negative steps",
@@ -247,7 +249,8 @@ class TestCliRuns:
             "simulate init not an id", "graph file repeated edge",
             "graph file static on string", "empirical delta above one",
             "figure456 delta above one", "threshold beta list",
-            "spectra dt beta above one", "spectra dt delta above one", "simulate nan beta"])
+            "spectra dt beta above one", "spectra dt delta above one", "simulate nan beta",
+            "chung m4 delta above one"])
     def test_bad_outside_input_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                args, threads_env):
         monkeypatch.chdir(tmp_path)

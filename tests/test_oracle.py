@@ -26,6 +26,7 @@ from tempest import (
     enumerate_subgraphs,
     expected_certificate,
     exponential_condition,
+    graph_er_iv,
     mean_matrix,
     pi_matrix,
     sample_certificate_matrix,
@@ -33,12 +34,12 @@ from tempest import (
     spectral_abscissa,
 )
 from tempest import oracle, spectral
-from tempest.errors import TooManyConfigurations, TooManyEdges, WrongKind
+from tempest.errors import ParamRange, TooManyConfigurations, TooManyEdges, WrongKind
 
 
-def refuse_lanczos(mp):
-    """Keep every block on the ARPACK route: no operator offers a symmetrizer."""
-    mp.setattr(oracle.ExactGenerator, "symmetrizer", lambda self: None)
+def refuse_symmetric_route(mp):
+    """Keep every block on the ARPACK route: no operator offers a symmetric form."""
+    mp.setattr(oracle.ExactGenerator, "symmetric_form", lambda self: None)
 
 
 def refuse_call(*args, **kwargs):
@@ -418,7 +419,7 @@ class TestReducibleGenerators:
         # factors alone, at a memory peak at least a tenth below the assembly's
         # (a solve through the assembled matrix peaks at least as high), on the
         # graph of test_repeated_calls_bit_identical, on the ARPACK route
-        refuse_lanczos(monkeypatch)
+        refuse_symmetric_route(monkeypatch)
         pairs = [(k, k + 1) for k in range(7)] + [(0, 2), (1, 4), (2, 5), (3, 6), (4, 7), (0, 7)]
         g = markov_graph(8, AMEI, pairs)
         params = EpidemicParams.homogeneous(0.3, 1.0, 8)
@@ -442,11 +443,12 @@ class TestReducibleGenerators:
         assert eta == pytest.approx(arpack, abs=1e-9)
         assert solve_peak < 0.9 * assembly_peak, (solve_peak, assembly_peak)
 
-    def test_lanczos_route_holds_no_basis(self, monkeypatch):
-        # the block above, whose 2-state AMEI edges make it symmetrizable: two
-        # Lanczos passes give ARPACK's eta on the assembled matrix with ARPACK
-        # and materialization refused, and the solve peaks at a few vectors of
-        # the dimension, under a third of the ARPACK route's 20-vector basis
+    def test_symmetric_route_holds_no_basis(self, monkeypatch):
+        # the block above, whose 2-state AMEI edges make it symmetrizable: the
+        # preconditioned eigensolver in the edges' mode basis gives ARPACK's
+        # eta on the assembled matrix with ARPACK and materialization refused,
+        # and the solve peaks at a few vectors of the dimension, under a third
+        # of the ARPACK route's 20-vector basis
         pairs = [(k, k + 1) for k in range(7)] + [(0, 2), (1, 4), (2, 5), (3, 6), (4, 7), (0, 7)]
         g = markov_graph(8, AMEI, pairs)
         params = EpidemicParams.homogeneous(0.3, 1.0, 8)
@@ -454,7 +456,7 @@ class TestReducibleGenerators:
         arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-13,
                                  return_eigenvectors=False).real.max())
         op = oracle._generator(enumerate_subgraphs(g), params.beta, params.delta)
-        assert op.symmetrizer() is not None
+        assert op.symmetric_form() is not None
 
         def solve():
             tracemalloc.start()
@@ -464,7 +466,7 @@ class TestReducibleGenerators:
                 tracemalloc.stop()
 
         with monkeypatch.context() as mp:
-            refuse_lanczos(mp)
+            refuse_symmetric_route(mp)
             arpack_route, arpack_peak = solve()
         monkeypatch.setattr(spla, "eigs", refuse_call)
         monkeypatch.setattr(oracle.ExactGenerator, "tocsr", refuse_call)
@@ -501,7 +503,7 @@ class TestReducibleGenerators:
                 raise
 
         monkeypatch.setattr(spla, "eigs", refuse)
-        refuse_lanczos(monkeypatch)
+        refuse_symmetric_route(monkeypatch)
         monkeypatch.setattr(spectral, "power_iteration_abscissa", power_iteration)
         stable, eta = exponential_condition(g, params)
         assert stalled == [192]
@@ -530,7 +532,7 @@ class TestReducibleGenerators:
         # this 8,192-dimensional block is positive, but its bracket narrows
         # slowly under the shifted power steps; it must certify to 1e-10
         # without being materialized (on the ARPACK route)
-        refuse_lanczos(monkeypatch)
+        refuse_symmetric_route(monkeypatch)
         g, params = captured_block_graph()
         mat = assemble_exponential_generator(g, params)
         assert mat.shape[0] == 8192
@@ -550,7 +552,7 @@ class TestReducibleGenerators:
         # a few ulps of it, and ARPACK's vector, accurate in norm only, needs
         # the balanced second solve; the shifted power steps gain almost
         # nothing against so large a shift (on the ARPACK route)
-        refuse_lanczos(monkeypatch)
+        refuse_symmetric_route(monkeypatch)
         g, params = captured_block_graph(1e5)
         mat = assemble_exponential_generator(g, params)
         arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-15, v0=np.ones(8192),
@@ -596,19 +598,20 @@ class TestReducibleGenerators:
             assert eta == pytest.approx(state_block_eta(g, params), abs=1e-9)
 
 
-def lanczos_everywhere(mp):
-    """Let operators of any dimension above 2x2 take the Lanczos route."""
-    mp.setattr(spectral, "_LANCZOS_MIN_DIM", 3)
+def symmetric_route_everywhere(mp):
+    """Let operators of any dimension above 2x2 take the symmetric route."""
+    mp.setattr(spectral, "_SYMMETRIC_MIN_DIM", 3)
 
 
-class TestLanczosRoute:
+class TestSymmetricRoute:
     """Blocks of 2-state AMEI graphs, symmetric under diag(sqrt(pi) (x) B^-1/2)."""
 
-    @pytest.mark.parametrize("scale", [1.0, 1e5], ids=["x1", "x1e5"])
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1e5], ids=["x1", "x100", "x1e5"])
     def test_captured_blocks(self, scale, monkeypatch):
-        # at x1 the 8,192-dimensional block certifies from the Lanczos vector
-        # without ARPACK; at x1e5 its spread spectrum keeps pass 1 from
-        # converging within the step budget, and the ARPACK route takes over
+        # the 8,192-dimensional block certifies from the eigensolver's vector
+        # without ARPACK at every scale: the preconditioner inverts the
+        # diagonal that the edge rates make stiff, so x100 and x1e5 converge
+        # in about as many steps as x1
         g, params = captured_block_graph(scale)
         mat = assemble_exponential_generator(g, params)
         arpack = float(spla.eigs(mat, k=1, which="LR", tol=1e-15, v0=np.ones(8192),
@@ -623,15 +626,16 @@ class TestLanczosRoute:
         monkeypatch.setattr(spla, "eigs", counted)
         monkeypatch.setattr(oracle.ExactGenerator, "tocsr", refuse_call)
         stable, eta = exponential_condition(g, params)
-        assert (len(calls) > 0) == (scale > 1)
+        assert calls == []
         assert stable and abs(eta - arpack) <= 1e-10 + floor, (eta, arpack, floor)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_the_arpack_route(self, data):
         # random AMEI graphs of 2-state edges, static-on and static-off edges
-        # and heterogeneous rates: Lanczos (ARPACK refused) against the
-        # ARPACK route (the symmetrizer refused), and dense eigvals when small
+        # and heterogeneous rates: the symmetric route (ARPACK refused)
+        # against the ARPACK route (the symmetric form refused), and dense
+        # eigvals when small
         n = data.draw(st.integers(2, 7), label="n")
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
@@ -656,17 +660,13 @@ class TestLanczosRoute:
                                    label="delta"))
         params = EpidemicParams(beta, delta)
         op = oracle._generator(enumerate_subgraphs(g), beta, delta)
-        scale = op.symmetrizer()
-        assert scale is not None and scale.min() > 0
-        # diag(s)^-1 M diag(s) is symmetric to rounding
-        sym = sp.diags(1.0 / scale) @ op.tocsr() @ sp.diags(scale)
-        assert abs(sym - sym.T).max() <= 1e-13 * abs(sym).max()
+        assert op.symmetric_form() is not None
         with pytest.MonkeyPatch.context() as mp:
-            lanczos_everywhere(mp)
-            refuse_lanczos(mp)
+            symmetric_route_everywhere(mp)
+            refuse_symmetric_route(mp)
             arpack_route = exponential_condition(g, params)[1]
         with pytest.MonkeyPatch.context() as mp:
-            lanczos_everywhere(mp)
+            symmetric_route_everywhere(mp)
             mp.setattr(spla, "eigs", refuse_call)
             stable, eta = exponential_condition(g, params)
         assert eta == pytest.approx(arpack_route, abs=1e-9)
@@ -674,11 +674,31 @@ class TestLanczosRoute:
         if op.shape[0] <= 512:
             dense = helpers.reference_exact_generator(g, beta, delta)
             assert eta == pytest.approx(helpers.block_eta(dense), abs=1e-9)
+            # the operator in the mode basis is symmetric to rounding
+            apply, rows = op.symmetric_form()[0], np.empty((op.shape[0],) * 2)
+            for e, row in zip(np.eye(op.shape[0]), rows):
+                apply(e, row)
+            assert abs(rows - rows.T).max() <= 1e-13 * abs(rows).max()
+
+    def test_root_above_one_is_below_sigma(self, monkeypatch):
+        # a block whose Perron root, +0.939, lies above 1: a shift of 1 missed
+        # the step budget, and the bound of the all-edges-on contact block
+        # (sigma = 2.354) certifies it with ARPACK refused
+        edges = {(0, 1): build_edge_markovian(1.0, 0.25), (0, 2): build_edge_markovian(0.125, 0.25),
+                 (0, 3): build_edge_markovian(1.0, 0.5)}
+        g = DynamicGraphModel(4, AMEI, edges)
+        beta, delta = np.array([2.0, 1.0, 0.5, 1.0]), np.array([1.0, 1.0, 1.0, 0.5])
+        dense = helpers.reference_exact_generator(g, beta, delta)
+        symmetric_route_everywhere(monkeypatch)
+        monkeypatch.setattr(spla, "eigs", refuse_call)
+        stable, eta = exponential_condition(g, EpidemicParams(beta, delta))
+        assert not stable and eta == pytest.approx(helpers.block_eta(dense), abs=1e-9)
+        assert eta == pytest.approx(0.9393, abs=1e-4)
 
     @pytest.mark.parametrize("case", ["amai", "three-state chain", "coxian", "never moves"])
     def test_blocks_that_do_not_qualify_keep_the_arpack_route(self, case, monkeypatch):
-        # no symmetrizer, whatever the dimension: the eta is the one the
-        # ARPACK route gives, bit for bit
+        # no symmetric form, whatever the dimension: the eta is the one the
+        # ARPACK route gives, bit for bit, and the eigensolver never runs
         pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
         if case == "amai":
             g = markov_graph(4, AMAI, pairs + [(1, 0), (3, 2)], q=0.8, r=1.3)
@@ -695,11 +715,72 @@ class TestLanczosRoute:
             g = DynamicGraphModel(4, AMEI, edges)
         params = EpidemicParams(np.array([0.4, 0.9, 0.6, 0.7]), np.array([1.0, 0.5, 0.8, 0.6]))
         assert oracle._generator(enumerate_subgraphs(g), params.beta,
-                                 params.delta).symmetrizer() is None
+                                 params.delta).symmetric_form() is None
         parent = exponential_condition(g, params)
-        lanczos_everywhere(monkeypatch)
-        monkeypatch.setattr(spectral, "_lanczos", refuse_call)
+        symmetric_route_everywhere(monkeypatch)
+        monkeypatch.setattr(spectral, "_ascent", refuse_call)
         assert exponential_condition(g, params) == parent
+
+
+class TestModeBasis:
+    """The symmetric route's kernel against ``helpers.reference_modes``."""
+
+    @staticmethod
+    def block(n, m):
+        """n nodes, m 2-state edges of heterogeneous rates (the second a chain
+        template whose first state is on) and a static-on edge if n > 2."""
+        rng = np.random.default_rng([n, m])
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pick = [pairs[k] for k in rng.choice(len(pairs), size=m + (n > 2), replace=False)]
+        edges = {key: build_edge_markovian(*rng.uniform(0.1, 3.0, 2)) for key in pick[:m]}
+        if m > 1:
+            edges[pick[1]] = two_state_chain_edge(*rng.uniform(0.1, 3.0, 2), True)
+        edges.update({key: build_static_edge(True) for key in pick[m:]})
+        g = DynamicGraphModel(n, AMEI, edges)
+        return g, rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (7, 5), (8, 7)])
+    def test_transform_is_the_kronecker_product(self, n, m):
+        # one factor of one edge; two factors, the second of one edge; two
+        # factors, the second of three: out of place and in place
+        g, beta, delta = self.block(n, m)
+        op = oracle._generator(enumerate_subgraphs(g), beta, delta)
+        u = helpers.reference_modes(g, beta, delta)[0]
+        x = np.random.default_rng(1).standard_normal(op.shape[0])
+        expected = (u @ x.reshape(-1, n)).ravel()
+        out = np.empty_like(x)
+        assert oracle._transform(op.modes[0], x, out) is out
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
+        assert oracle._transform(op.modes[0], x, x) is x
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (7, 5), (8, 7)])
+    def test_form_matches_the_dense_reference(self, n, m):
+        # apply is (U (x) I) diag(s)^-1 M diag(s) (U (x) I), which keeps x;
+        # precondition is (sigma - Lambda (x) I)^-1 with sigma above eta; into
+        # and back are (U (x) I) diag(s)^-1 and its inverse
+        g, beta, delta = self.block(n, m)
+        op = oracle._generator(enumerate_subgraphs(g), beta, delta)
+        apply, precondition, into, back = op.symmetric_form()
+        u, lam, s, sigma = helpers.reference_modes(g, beta, delta)
+        v = np.kron(u, np.eye(n))
+        dense = helpers.reference_exact_generator(g, beta, delta)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(op.shape[0])
+        kept, out = x.copy(), np.empty_like(x)
+        apply(x, out)
+        np.testing.assert_array_equal(x, kept)
+        np.testing.assert_allclose(out, v @ (dense @ (s * (v @ x)) / s), rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
+        r = rng.standard_normal(op.shape[0])
+        expected = r / (sigma - np.repeat(lam, n))
+        precondition(r)
+        np.testing.assert_allclose(r, expected, rtol=1e-14, atol=0)
+        assert sigma > helpers.block_eta(dense) and sigma > 0
+        mapped = into(kept)
+        np.testing.assert_allclose(mapped, v @ (kept / s), rtol=0, atol=1e-12)
+        assert back(mapped) is mapped
+        np.testing.assert_allclose(mapped, kept, rtol=0, atol=1e-12)
 
 
 def two_state_chain_edge(a, b, on_first):
@@ -864,7 +945,7 @@ class TestSamplers:
         if which != "M1":
             abar = np.triu(abar, 1) + np.triu(abar, 1).T
         np.fill_diagonal(abar, 0.0)
-        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n), rng.uniform(0.5, 1.5, n))
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n), rng.uniform(0.5, 1.0, n))
         assert s.n_random_pairs > 0
         bits = (rng.random(lead + (s.n_random_pairs,)) < 0.5).astype(float)
         out = s.from_bits(bits)
@@ -895,9 +976,17 @@ class TestSamplers:
         if which != "M1":
             abar = np.triu(abar, 1) + np.triu(abar, 1).T
         np.fill_diagonal(abar, 0.0)
-        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n), rng.uniform(0.5, 1.5, n))
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n), rng.uniform(0.5, 1.0, n))
         assert (s.n_random_pairs > 0) == random_pairs
         assert np.array_equal(s.expectation(), helpers.reference_from_bits(s, s._rp))
+
+    def test_m4_refuses_discrete_time_rates_above_one(self):
+        # M4 is T4's discrete-time family: delta = 3 gave E[log eta(M4)] = NaN
+        mean = mean_matrix(graph_er_iv(10, 0.5, 1))
+        for beta, delta in [(0.5, 3.0), (1.5, 0.5)]:
+            with pytest.raises(ParamRange):
+                RandomMatrixSampler.from_mean("M4", mean, EpidemicParams.homogeneous(beta, delta, 10))
+        RandomMatrixSampler.from_mean("M2", mean, EpidemicParams.homogeneous(0.5, 3.0, 10))
 
     def test_m4_nonnegative_when_delta_below_one(self, rng):
         abar = 0.4 * (1.0 - np.eye(4))
@@ -1052,7 +1141,7 @@ class TestChungTailCheck:
         abar = np.triu(rng.uniform(0.05, 0.95, (n, n)), 1)
         abar[np.triu(rng.random((n, n)) < 0.15, 1)] = 1.0
         abar = abar + abar.T
-        s = RandomMatrixSampler(which, abar, rng.uniform(0.2, 0.8, n), rng.uniform(0.5, 1.5, n))
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.2, 0.8, n), rng.uniform(0.5, 1.0, n))
         grid = np.concatenate([[0.0], np.linspace(0.05, 3.0, 12)])
         check = self._assert_reference_counts(s, grid, draws=6_000, seed=4)
         assert check.exact_draws < check.draws // 10   # the screen decides most draws
@@ -1103,7 +1192,7 @@ class TestChungTailCheck:
             n = int(rng.integers(3, 9))
             abar = np.triu((rng.random((n, n)) < 0.6).astype(float), 1)
             s = RandomMatrixSampler(which, abar + abar.T, rng.uniform(0.2, 1.0, n),
-                                    rng.uniform(0.5, 1.5, n))
+                                    rng.uniform(0.5, 1.0, n))
             check = self._assert_reference_counts(s, [0.0], draws=50, seed=1)
             assert check.exact_draws == 50 and check.empirical[0] == 0.0
 

@@ -101,6 +101,12 @@ def test_one_perron_loop():
     assert not loops, f"_certified_abscissa loops at lines {loops}"
 
 
+def test_one_symmetric_solver():
+    # the preconditioned eigensolver is the one symmetric route: the
+    # Lanczos passes, their Ritz read and the tridiagonal solver are gone
+    assert not {"_lanczos", "_top_ritz", "eigh_tridiagonal"} & _referenced_names("spectral.py")
+
+
 def test_one_chain_layout():
     # EdgeTable.layout alone tells MARKOV2 rows from chain templates; the
     # simulators and the oracle read its arrays
@@ -262,19 +268,23 @@ def test_cli_spectra_reads_the_certificates_values():
 
 def test_one_owner_of_the_discrete_time_rate_rule():
     # thresholds.require_dt alone refuses DT rates above 1: a module function,
-    # called by _mix (the one builder of B Abar - D) and simulate_dt_exact only
+    # defined by no class, and called by _mix (the one builder of B Abar - D),
+    # simulate_dt_exact and the M4 sampler (T4's random matrices) only
     tree = ast.parse((PACKAGE / "thresholds.py").read_text())
     assert "require_dt" in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     callers = set()
     for path in sorted(PACKAGE.glob("**/*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef):
-                assert "require_dt" not in _names_in(node), f"{path.name}: class {node.name}"
+                assert "require_dt" not in {item.name for item in node.body
+                                            if isinstance(item, ast.FunctionDef)}, \
+                    f"{path.name}: class {node.name}"
             if isinstance(node, ast.FunctionDef) and node.name != "require_dt":
                 if any(isinstance(call, ast.Call) and "require_dt" in _names_in(call.func)
                        for call in ast.walk(node)):
                     callers.add((path.name, node.name))
-    assert callers == {("thresholds.py", "_mix"), ("simulate.py", "simulate_dt_exact")}
+    assert callers == {("thresholds.py", "_mix"), ("simulate.py", "simulate_dt_exact"),
+                       ("oracle.py", "__post_init__")}
 
 
 def test_cli_translates_param_range_in_main_alone():

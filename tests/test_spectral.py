@@ -201,10 +201,11 @@ class TestSpectralAbscissa:
         op = RefusingOperator(sp.csr_matrix(m))
         assert spectral_abscissa(op) == pytest.approx(dense, abs=1e-10)
 
-    @pytest.mark.parametrize("budget", [None, 5], ids=["lanczos", "budget missed"])
-    def test_symmetrizable_operator_takes_two_lanczos_passes(self, rng, budget, monkeypatch):
+    @pytest.mark.parametrize("budget", [None, 5], ids=["eigensolver", "budget missed"])
+    def test_symmetric_operator_takes_the_preconditioned_route(self, rng, budget, monkeypatch):
         # M = diag(s) S diag(s)^-1 with S symmetric Metzler: an operator that
-        # offers s is solved by Lanczos on S, without ARPACK, and certified on M
+        # offers S in the identity basis with a Jacobi preconditioner is
+        # solved by the eigensolver on S, without ARPACK, and certified on M
         # itself; one that misses the step budget takes the ARPACK route
         import scipy.sparse as sp
         import tempest.spectral as spectral
@@ -212,17 +213,29 @@ class TestSpectralAbscissa:
         sym = np.triu(a, 1) + np.triu(a, 1).T + np.diag(np.diag(a))
         s = np.exp(rng.uniform(-2.0, 2.0, 300))
         op = RefusingOperator(sp.csr_matrix(s[:, None] * sym / s))
-        op.symmetrizer = lambda: s
+        shift = np.abs(sym).sum(axis=1).max() + 1.0 - np.diag(sym)  # sigma above the root
+
+        def apply(x, out):
+            out[:] = sym @ x
+
+        def precondition(r):
+            r /= shift
+
+        def back(x):
+            x *= s
+            return x
+
+        op.symmetric_form = lambda: (apply, precondition, lambda v: v / s, back)
         eigs, calls = spla.eigs, []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return eigs(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "_LANCZOS_MIN_DIM", 3)
+        monkeypatch.setattr(spectral, "_SYMMETRIC_MIN_DIM", 3)
         monkeypatch.setattr(spla, "eigs", counted)
         if budget is not None:
-            monkeypatch.setattr(spectral, "_LANCZOS_STEPS", budget)
+            monkeypatch.setattr(spectral, "_SYMMETRIC_STEPS", budget)
         assert spectral_abscissa(op) == pytest.approx(np.linalg.eigvalsh(sym)[-1], abs=1e-10)
         assert (len(calls) > 0) == (budget is not None)
 
