@@ -206,10 +206,21 @@ class ExactGenerator(spla.LinearOperator):
         overwrites x with diag(s) V x.  V is orthogonal and symmetric, so
         each map is one transform (``_transform``); no vector of s is
         formed, and apply works in place on spans of about _BLOCK_ROWS rows.
+
+        The abscissa of B^1/2 F B^1/2 - D, F the adjacency with every edge
+        on, bounds M's: Pi's part has no positive eigenvalue, and every
+        label's B^1/2 F_l B^1/2 - D lies below that matrix in the Metzler
+        order.  sigma is that bound, by dense ``eigvalsh`` of the n x n
+        matrix and clipped at 0 so that sigma lies above every lam_l, plus
+        max_i delta_i, a margin on the contact's scale.  The basis, lam and
+        sigma are built here, on the symmetric route alone.
         """
         if self.modes is None:
             return None
-        factors, lam, sigma, sqrt_beta = self.modes
+        q, r, sqrt_beta, union, delta = self.modes
+        factors, lam = _mode_basis(q, r, self.n)
+        top = np.linalg.eigvalsh(sqrt_beta[:, None] * union * sqrt_beta - np.diag(delta))[-1]
+        sigma = max(top, 0.0) + float(delta.max())
         contact, shape = self.contact, (lam.size, self.n)
         step = max(1, _BLOCK_ROWS // self.n)
         spans = [slice(first, first + step) for first in range(0, lam.size, step)]
@@ -336,10 +347,11 @@ def _contact(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray) -> 
 
 
 def _modes(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray):
-    """(factors, lam, sigma, sqrt(beta)): the edges' mode basis of
-    ``ExactGenerator.symmetric_form``, when T = diag(sqrt(pi) (x) B^-1/2)
-    makes the generator symmetric, pi the joint edge chain's stationary law
-    over the labels; else None.
+    """(q, r, sqrt(beta), F, delta) of ``ExactGenerator.symmetric_form``,
+    q and r the edges' rates 0 -> 1 and 1 -> 0 and F the adjacency with
+    every edge on, when T = diag(sqrt(pi) (x) B^-1/2) makes the generator
+    symmetric, pi the joint edge chain's stationary law over the labels;
+    else None.
 
     T does when every label's adjacency is symmetric (an edge writes the
     mirror of each cell it writes), every beta is positive and every
@@ -347,8 +359,23 @@ def _modes(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray):
     chain is reversible, so sqrt(pi) Pi sqrt(pi)^-1 is symmetric, and
     B^-1/2 (B F_l - D) B^1/2 = B^1/2 F_l B^1/2 - D is symmetric.  A chain
     with a zero rate has a zero in pi, and no such T.
+    """
+    cells = arcs(enum.kind, 0, 1)
+    q, r = enum.generator[:, 0, 1], enum.generator[:, 1, 0]
+    if (set(cells) != {(j, i) for i, j in cells} or (enum.size != 2).any()
+            or not (np.minimum(q, r) > 0).all() or not (beta > 0).all()):
+        return None
+    union = enum.static_base.copy()
+    for i, j in arcs(enum.kind, *np.array(enum.edge_keys, dtype=np.intp).reshape(-1, 2).T):
+        union[i, j] = 1.0
+    return q, r, np.sqrt(beta), union, delta
 
-    Edge k, of rates q (0 -> 1) and r (1 -> 0), has the symmetrized
+
+def _mode_basis(q: np.ndarray, r: np.ndarray, n: int):
+    """(factors, lam): the edges' mode basis U over (label, node) blocks of
+    n rows, and the diagonal lam of the joint edge generator there.
+
+    Edge k, of rates q_k (0 -> 1) and r_k (1 -> 0), has the symmetrized
     generator [[-q, sqrt(qr)], [sqrt(qr), -r]], whose orthogonal eigenbasis
     [[sqrt r, sqrt q], [sqrt q, -sqrt r]] / sqrt(q + r) has the eigenvalues
     0 and -(q + r) and the edge's sqrt(pi) as first column.  Their Kronecker
@@ -356,35 +383,20 @@ def _modes(enum: SubgraphEnumeration, beta: np.ndarray, delta: np.ndarray):
     sqrt(pi)^-1 to diag(lam), lam_l = -(q_k + r_k) summed over the digits
     of l that are 1.  ``factors`` holds U as Kronecker products of at most
     four edges' bases, each with the length of the (label, node) block below
-    its lowest digit.  The abscissa of B^1/2 F B^1/2 - D, F the adjacency
-    with every edge on, bounds M's: Pi's part has no positive eigenvalue,
-    and every label's B^1/2 F_l B^1/2 - D lies below that matrix in the
-    Metzler order.  sigma is that bound, clipped at 0 so that sigma lies
-    above every lam_l, plus max_i delta_i, a margin on the contact's scale.
+    its lowest digit.
     """
-    cells = arcs(enum.kind, 0, 1)
-    q, r = enum.generator[:, 0, 1], enum.generator[:, 1, 0]
-    if (set(cells) != {(j, i) for i, j in cells} or (enum.size != 2).any()
-            or not (np.minimum(q, r) > 0).all() or not (beta > 0).all()):
-        return None
     bases = np.stack([np.sqrt(r), np.sqrt(q), np.sqrt(q), -np.sqrt(r)], axis=1)
     bases = bases.reshape(-1, 2, 2) / np.sqrt(q + r)[:, None, None]
     factors = []
-    for first in range(0, max(enum.m, 1), 4):  # no edges: one 1 x 1 factor, a copy
+    for first in range(0, max(q.size, 1), 4):  # no edges: one 1 x 1 factor, a copy
         g = np.ones((1, 1))
         for basis in bases[first:first + 4]:
             g = np.kron(basis, g)
-        factors.append((g, enum.n << first))
+        factors.append((g, n << first))
     lam = np.zeros(1)
     for rate in (q + r).tolist():
         lam = np.concatenate([lam, lam - rate])
-    union = enum.static_base.copy()
-    for i, j in arcs(enum.kind, *np.array(enum.edge_keys, dtype=np.intp).reshape(-1, 2).T):
-        union[i, j] = 1.0
-    sqrt_beta = np.sqrt(beta)
-    top = spectral_abscissa(sqrt_beta[:, None] * union * sqrt_beta - np.diag(delta))
-    sigma = max(top, 0.0) + float(delta.max())
-    return factors, lam, sigma, sqrt_beta
+    return factors, lam
 
 
 def _transform(factors, x, out):

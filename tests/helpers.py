@@ -670,18 +670,38 @@ def reference_modes(graph, beta, delta):
     n = graph.n
     f, u, lam, pi = np.zeros((n, n)), np.ones((1, 1)), np.zeros(1), np.ones(1)
     for (i, j), e in sorted(edge_objects(graph).items()):
-        if e.is_static:
-            f[i, j] = f[j, i] = float(e.static_value == 1)
-            continue
-        f[i, j] = f[j, i] = 1.0
-        q, r = e.chain.matrix[0, 1], e.chain.matrix[1, 0]
-        basis = np.array([[math.sqrt(r), math.sqrt(q)], [math.sqrt(q), -math.sqrt(r)]])
-        u = np.kron(basis / math.sqrt(q + r), u)
+        f[i, j] = f[j, i] = float(not e.is_static or e.static_value == 1)
+    for basis, (q, r) in zip(*reference_edge_bases(graph)):
+        u = np.kron(basis, u)
         lam = np.kron([0.0, -(q + r)], np.ones(lam.size)) + np.kron(np.ones(2), lam)
         pi = np.kron(np.array([r, q]) / (q + r), pi)
     root = np.sqrt(beta)
     top = np.linalg.eigvalsh(root[:, None] * f * root - np.diag(delta))[-1]
     return u, lam, np.kron(1.0 / np.sqrt(pi), root), max(top, 0.0) + delta.max()
+
+
+def reference_edge_bases(graph):
+    """([U_k], [(q_k, r_k)]) of a block's 2-state switching edges in
+    ``reference_exact_generator``'s order (see ``reference_modes``)."""
+    bases, rates = [], []
+    for _, e in sorted(edge_objects(graph).items()):
+        if not e.is_static:
+            q, r = e.chain.matrix[0, 1], e.chain.matrix[1, 0]
+            basis = np.array([[math.sqrt(r), math.sqrt(q)], [math.sqrt(q), -math.sqrt(r)]])
+            bases.append(basis / math.sqrt(q + r))
+            rates.append((q, r))
+    return bases, rates
+
+
+def reference_transform(bases, x, n):
+    """(kron(.., U_1, U_0) (x) I_n) x without forming the product: x read as
+    a (2,) * m + (n,) tensor, edge k's digit on axis m - 1 - k, and each
+    U_k applied to its axis by tensordot."""
+    t = x.reshape((2,) * len(bases) + (n,))
+    for k, basis in enumerate(bases):
+        axis = len(bases) - 1 - k
+        t = np.moveaxis(np.tensordot(basis, t, axes=([1], [axis])), 0, axis)
+    return t.ravel()
 
 
 def reference_contact(enum, beta, delta):

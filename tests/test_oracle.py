@@ -671,11 +671,19 @@ class TestSymmetricRoute:
             stable, eta = exponential_condition(g, params)
         assert eta == pytest.approx(arpack_route, abs=1e-9)
         assert stable == (eta < 0)
+        # the operator in the mode basis is symmetric to rounding: on random
+        # pairs at every dimension, row by row when small
+        apply = op.symmetric_form()[0]
+        rng = np.random.default_rng(n)
+        for u, v in rng.standard_normal((3, 2, op.shape[0])):
+            su, sv = np.empty_like(u), np.empty_like(v)
+            apply(u, su)
+            apply(v, sv)
+            assert abs(u @ sv - v @ su) <= 1e-13 * np.linalg.norm(u) * np.linalg.norm(sv)
         if op.shape[0] <= 512:
             dense = helpers.reference_exact_generator(g, beta, delta)
             assert eta == pytest.approx(helpers.block_eta(dense), abs=1e-9)
-            # the operator in the mode basis is symmetric to rounding
-            apply, rows = op.symmetric_form()[0], np.empty((op.shape[0],) * 2)
+            rows = np.empty((op.shape[0],) * 2)
             for e, row in zip(np.eye(op.shape[0]), rows):
                 apply(e, row)
             assert abs(rows - rows.T).max() <= 1e-13 * abs(rows).max()
@@ -748,10 +756,11 @@ class TestModeBasis:
         u = helpers.reference_modes(g, beta, delta)[0]
         x = np.random.default_rng(1).standard_normal(op.shape[0])
         expected = (u @ x.reshape(-1, n)).ravel()
+        factors = oracle._mode_basis(*op.modes[:2], n)[0]
         out = np.empty_like(x)
-        assert oracle._transform(op.modes[0], x, out) is out
+        assert oracle._transform(factors, x, out) is out
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
-        assert oracle._transform(op.modes[0], x, x) is x
+        assert oracle._transform(factors, x, x) is x
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n, m", [(2, 1), (7, 5), (8, 7)])
@@ -781,6 +790,33 @@ class TestModeBasis:
         np.testing.assert_allclose(mapped, v @ (kept / s), rtol=0, atol=1e-12)
         assert back(mapped) is mapped
         np.testing.assert_allclose(mapped, kept, rtol=0, atol=1e-12)
+
+    def test_long_block_against_edge_by_edge_products(self):
+        # N = 24,576 > _BLOCK_ROWS: _transform's slabs along the outer axis
+        # and along a block longer than a slab, and apply's spans of the
+        # contact, against the edges' 2 x 2 bases applied one axis at a time
+        # and M's own matvec
+        n = 6
+        g, beta, delta = self.block(n, 12)
+        op = oracle._generator(enumerate_subgraphs(g), beta, delta)
+        assert op.shape[0] > oracle._BLOCK_ROWS
+        bases, rates = helpers.reference_edge_bases(g)
+        x = np.random.default_rng(3).standard_normal(op.shape[0])
+        expected = helpers.reference_transform(bases, x, n)
+        factors = oracle._mode_basis(*op.modes[:2], n)[0]
+        out = oracle._transform(factors, x, np.empty_like(x))
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(oracle._transform(factors, x.copy(), out), expected,
+                                   rtol=0, atol=1e-12)
+        pi = np.ones(1)
+        for q, r in rates:
+            pi = np.kron(np.array([r, q]) / (q + r), pi)
+        s = np.kron(1.0 / np.sqrt(pi), np.sqrt(beta))
+        apply = op.symmetric_form()[0]
+        apply(x, out)
+        expected = helpers.reference_transform(bases, op @ (s * expected) / s, n)
+        np.testing.assert_allclose(out, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
 
 
 def two_state_chain_edge(a, b, on_first):
@@ -945,7 +981,8 @@ class TestSamplers:
         if which != "M1":
             abar = np.triu(abar, 1) + np.triu(abar, 1).T
         np.fill_diagonal(abar, 0.0)
-        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n), rng.uniform(0.5, 1.0, n))
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n),
+                                rng.uniform(0.5, 1.0 if which == "M4" else 1.5, n))
         assert s.n_random_pairs > 0
         bits = (rng.random(lead + (s.n_random_pairs,)) < 0.5).astype(float)
         out = s.from_bits(bits)
@@ -976,7 +1013,8 @@ class TestSamplers:
         if which != "M1":
             abar = np.triu(abar, 1) + np.triu(abar, 1).T
         np.fill_diagonal(abar, 0.0)
-        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n), rng.uniform(0.5, 1.0, n))
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.1, 1.0, n),
+                                rng.uniform(0.5, 1.0 if which == "M4" else 1.5, n))
         assert (s.n_random_pairs > 0) == random_pairs
         assert np.array_equal(s.expectation(), helpers.reference_from_bits(s, s._rp))
 
@@ -1141,7 +1179,8 @@ class TestChungTailCheck:
         abar = np.triu(rng.uniform(0.05, 0.95, (n, n)), 1)
         abar[np.triu(rng.random((n, n)) < 0.15, 1)] = 1.0
         abar = abar + abar.T
-        s = RandomMatrixSampler(which, abar, rng.uniform(0.2, 0.8, n), rng.uniform(0.5, 1.0, n))
+        s = RandomMatrixSampler(which, abar, rng.uniform(0.2, 0.8, n),
+                                rng.uniform(0.5, 1.0 if which == "M4" else 1.5, n))
         grid = np.concatenate([[0.0], np.linspace(0.05, 3.0, 12)])
         check = self._assert_reference_counts(s, grid, draws=6_000, seed=4)
         assert check.exact_draws < check.draws // 10   # the screen decides most draws
@@ -1192,7 +1231,7 @@ class TestChungTailCheck:
             n = int(rng.integers(3, 9))
             abar = np.triu((rng.random((n, n)) < 0.6).astype(float), 1)
             s = RandomMatrixSampler(which, abar + abar.T, rng.uniform(0.2, 1.0, n),
-                                    rng.uniform(0.5, 1.0, n))
+                                    rng.uniform(0.5, 1.0 if which == "M4" else 1.5, n))
             check = self._assert_reference_counts(s, [0.0], draws=50, seed=1)
             assert check.exact_draws == 50 and check.empirical[0] == 0.0
 
